@@ -51,9 +51,20 @@ from .thicken import (
 
 GEN_SHAPES = ("miura", "yoshimura", "dl-miura", "dl-yoshimura", "single", "symmetric")
 
+# Caps on the size arguments, so that no call asks for unbounded rows or samples.
+GRID_STEP_RANGE = (0.01, 90.0)  # classify --grid, degrees: at most 17,999 rows per mode
+SAMPLES_RANGE = (1, 10_000)  # sweep and thicken --samples
+MODES_N_RANGE = (1, 1_000)  # modes --n
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
+
+
+def _check_range(flag: str, value: float, bounds: tuple[float, float]) -> None:
+    lo, hi = bounds
+    if not lo <= value <= hi:
+        raise ValueError(f"{flag} must lie in [{lo:g}, {hi:g}], got {value:g}")
 
 
 def _load(path: str) -> CreasePattern:
@@ -131,8 +142,7 @@ def _cmd_classify(args) -> bytes:
         return (str(regime) + "\n").encode()
     modes = [mode_from_label(args.mode)] if args.mode else list(GENERIC_MODES)
     step = args.grid
-    if step <= 0:
-        raise ValueError("--grid step must be positive")
+    _check_range("--grid", step, GRID_STEP_RANGE)
     thetas = []
     th = step
     while th < 180.0 - 1e-9:
@@ -148,6 +158,7 @@ def _cmd_classify(args) -> bytes:
 
 
 def _cmd_modes(args) -> bytes:
+    _check_range("--n", args.n, MODES_N_RANGE)
     lines = [str(count_modes(args.n))]
     if args.sequences or args.check:
         seqs = enumerate_mode_sequences(args.n)
@@ -169,6 +180,7 @@ def _motion_csv(pattern: CreasePattern, samples) -> bytes:
 
 
 def _cmd_sweep(args) -> bytes:
+    _check_range("--samples", args.samples, SAMPLES_RANGE)
     pattern = _load(args.pattern)
     mult = _motion_multipliers(pattern)
     t_max = args.t_max if args.t_max is not None else _default_t_max(pattern, mult)
@@ -203,6 +215,7 @@ def _cmd_solve(args) -> bytes:
 
 
 def _cmd_thicken(args) -> bytes:
+    _check_range("--samples", args.samples, SAMPLES_RANGE)
     pattern = _load(args.pattern)
     mult = _motion_multipliers(pattern)
     t_max = args.t_max if args.t_max is not None else _default_t_max(pattern, mult)
@@ -264,8 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--format", choices=("fold", "svg", "obj", "csv"), help="output format")
     common.add_argument("--tolerance", type=float, help="numeric tolerance override")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized drivers")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes (reserved)")
 
     parser = argparse.ArgumentParser(prog="doubleline", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -288,11 +299,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True, help="second sector angle in degrees")
     p.add_argument("--mode", help="folding mode label (default: a-I, or all four in a table)")
     p.add_argument("--theta", type=float, help="single theta in degrees (prints its regime)")
-    p.add_argument("--grid", type=float, default=1.0, help="theta grid step in degrees for the table")
+    p.add_argument("--grid", type=float, default=1.0,
+                   help="theta grid step in degrees for the table (0.01 to 90)")
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("modes", parents=[common], help="count symmetric-vertex folding modes")
-    p.add_argument("--n", type=int, required=True, help="half the vertex degree")
+    p.add_argument("--n", type=int, required=True, help="half the vertex degree (1 to 1000)")
     p.add_argument("--sequences", action="store_true", help="list canonical sign sequences")
     p.add_argument("--check", action="store_true", help="compare count against enumeration")
     p.set_defaults(handler=_cmd_modes)
@@ -300,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common], help="sample the one-parameter motion to CSV")
     p.add_argument("pattern", help="FOLD file")
     p.add_argument("--t-max", type=float, help="largest motion parameter (default: near flat)")
-    p.add_argument("--samples", type=int, default=50, help="number of samples")
+    p.add_argument("--samples", type=int, default=50, help="number of samples (1 to 10000)")
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("fold", parents=[common], help="fold angles at one motion parameter")
@@ -319,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, required=True, help="panel thickness")
     p.add_argument("--side", choices=("above", "below"), default="above", help="panel side")
     p.add_argument("--t-max", type=float, help="largest motion parameter (default: near flat)")
-    p.add_argument("--samples", type=int, default=50, help="number of motion samples")
+    p.add_argument("--samples", type=int, default=50, help="number of motion samples (1 to 10000)")
     p.add_argument("--ignore-bound", action="store_true", help="allow thickness beyond the bound")
     p.set_defaults(handler=_cmd_thicken)
 
@@ -358,6 +370,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
     return 0
-
-
-run = main

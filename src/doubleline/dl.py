@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .fold_io import get_extra, set_extra
 from .geometry import intersect_lines, unit
@@ -544,6 +543,44 @@ def theta_for_even_minor(mode: DLMode, alpha: float, beta: float) -> float:
     return 2.0 * math.atan(math.sqrt(prod))
 
 
+def _lin_mul(u: tuple[float, float], v: tuple[float, float]) -> tuple[float, float, float]:
+    """Product of two linear polynomials in h, coefficients in rising powers."""
+    return (u[0] * v[0], u[0] * v[1] + u[1] * v[0], u[1] * v[1])
+
+
+def _ratio_polynomial(
+    mode: DLMode, axis: str, alpha: float, beta: float, f: float, s: float
+) -> tuple[float, float, float]:
+    """Coefficients (c0, c1, c2) of f·m2 − s·m1 with denominators cleared, in h = tan(θ/2).
+
+    Every multiplier of _mode_pairs is a signed product of p/q factors, one
+    on α and one on β, and each factor is a Möbius map of h:
+    p(σ) = (1 − t·h)/(1 + t·h) and q(σ) = (h − t)/(t + h) with t = tan(σ/2).
+    Both denominators are positive for h > 0, so multiplying by them keeps
+    the roots on h > 0 and leaves a polynomial of degree at most 2.
+    """
+    ta, tb = tan_half(alpha), tan_half(beta)
+    pa, pb = ((1.0, -ta), (1.0, ta)), ((1.0, -tb), (1.0, tb))
+    qa, qb = ((-ta, 1.0), (ta, 1.0)), ((-tb, 1.0), (tb, 1.0))
+    # per mode: major m2 = sign·x·y (m1 = 1); minor (m1, m2) = (sign·x, sign·y)
+    table = {
+        MODE_A1.label: ((1.0, pa, qb), ((1.0, pa), (1.0, qb))),
+        MODE_A2.label: ((1.0, qa, pb), ((1.0, pb), (1.0, qa))),
+        MODE_B1.label: ((-1.0, qa, qb), ((-1.0, qa), (1.0, qb))),
+        MODE_B2.label: ((-1.0, pa, pb), ((1.0, pb), (-1.0, pa))),
+    }
+    if mode.label not in table:
+        raise DlError(f"mode {mode.label} has no major/minor axis split")
+    major, minor = table[mode.label]
+    if axis == "major":
+        sign, x, y = major
+        u, v, fu, sv = _lin_mul(x[0], y[0]), _lin_mul(x[1], y[1]), f * sign, s
+    else:
+        (s1, x), (s2, y) = minor
+        u, v, fu, sv = _lin_mul(y[0], x[1]), _lin_mul(x[0], y[1]), f * s2, s * s1
+    return tuple(fu * a - sv * b for a, b in zip(u, v))
+
+
 def theta_for_ratio(
     mode: DLMode,
     axis: str,
@@ -554,10 +591,14 @@ def theta_for_ratio(
 ) -> float:
     """Solve for θ giving a prescribed doubled-pair ratio on one axis.
 
-    Root-finding runs on the pole-free form f·m2(θ) − s·m1(θ) for target
-    f:s, bracketed on a fine tan(θ/2) grid; the smallest root is returned.
-    Unreachable targets (1:±1 on a major axis, 1:−1 on a minor axis, or
-    beyond the attainable range) raise DlError.
+    With h = tan(θ/2) every p and q coefficient is a Möbius map of h, so
+    f·m2(θ) − s·m1(θ) = 0 for target f:s is a quadratic in h once its
+    positive denominators are cleared.  It is solved in closed form with a
+    cancellation-free quadratic formula, which also finds double roots
+    where the ratio touches its extremum; the smallest root with
+    1e-8 ≤ h ≤ 1e8 gives θ = 2·atan(h).  Unreachable targets (1:±1 on a
+    major axis, 1:−1 on a minor axis, or beyond the attainable range)
+    raise DlError.
     """
     f, s = target.first, target.second
     scale = max(abs(f), abs(s))
@@ -572,18 +613,22 @@ def theta_for_ratio(
     else:
         raise DlError(f"axis must be 'major' or 'minor', not {axis!r}")
 
-    def g(theta: float) -> float:
-        major, minor = _mode_pairs(mode, alpha, beta, theta)
-        m1, m2 = major if axis == "major" else minor
-        return f * m2 - s * m1
-
-    hs = np.geomspace(1e-8, 1e8, 4001)
-    thetas = 2.0 * np.arctan(hs)
-    vals = [g(th) for th in thetas]
-    for k in range(len(thetas) - 1):
-        a, b = vals[k], vals[k + 1]
-        if a == 0.0:
-            return float(thetas[k])
-        if a * b < 0:
-            return float(brentq(g, thetas[k], thetas[k + 1], xtol=1e-15, rtol=8.9e-16))
-    raise DlError(f"target ratio {target} not reachable on the {axis} axis of {mode.label}")
+    c0, c1, c2 = _ratio_polynomial(mode, axis, alpha, beta, f, s)
+    roots = []
+    if c2 == 0.0:
+        if c1 != 0.0:
+            roots.append(-c0 / c1)
+    else:
+        disc = c1 * c1 - 4.0 * c2 * c0
+        # a discriminant below zero by rounding alone is a double root
+        if -1e-12 * (c1 * c1 + 4.0 * abs(c2 * c0)) <= disc < 0.0:
+            disc = 0.0
+        if disc >= 0.0:
+            half = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+            roots.append(half / c2)
+            if half != 0.0:
+                roots.append(c0 / half)
+    roots = [h for h in roots if 1e-8 <= h <= 1e8]
+    if not roots:
+        raise DlError(f"target ratio {target} not reachable on the {axis} axis of {mode.label}")
+    return 2.0 * math.atan(min(roots))

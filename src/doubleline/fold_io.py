@@ -53,8 +53,32 @@ def get_extra(pattern: CreasePattern, key: str) -> Any | None:
     return None
 
 
+def _is_number(x: Any) -> bool:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _is_index(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _array(doc: dict, key: str, default: list) -> list:
+    value = doc.get(key, default)
+    if not isinstance(value, list):
+        raise PatternError(f"{key} must be a list")
+    return value
+
+
 def load_fold(data: bytes | str) -> CreasePattern:
-    """Parse a FOLD document and validate it as a crease pattern."""
+    """Parse a FOLD document and validate it as a crease pattern.
+
+    The document's shape is checked before any of it is used, so malformed
+    input raises PatternError rather than an arbitrary exception.
+    """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
@@ -64,20 +88,25 @@ def load_fold(data: bytes | str) -> CreasePattern:
     if not isinstance(doc, dict):
         raise PatternError("top-level JSON value must be an object")
 
-    coords = doc.get("vertices_coords", [])
     vertices = []
-    for i, p in enumerate(coords):
+    for i, p in enumerate(_array(doc, "vertices_coords", [])):
+        if not (isinstance(p, list) and len(p) in (2, 3) and all(_is_number(x) for x in p)):
+            raise PatternError(f"vertex {i} must be a list of 2 or 3 finite numbers")
         if len(p) == 3 and abs(p[2]) > 1e-12:
             raise PatternError(f"vertex {i} is not planar (z = {p[2]})")
-        if len(p) not in (2, 3):
-            raise PatternError(f"vertex {i} must have 2 coordinates")
         vertices.append((float(p[0]), float(p[1])))
 
-    edges = doc.get("edges_vertices", [])
-    assignments = doc.get("edges_assignment", ["U"] * len(edges))
-    raw_angles = doc.get("edges_foldAngle", [None] * len(edges))
+    edges = _array(doc, "edges_vertices", [])
+    for i, e in enumerate(edges):
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_index(v) for v in e)):
+            raise PatternError(f"edge {i} must be a pair of integer vertex ids")
+    assignments = _array(doc, "edges_assignment", ["U"] * len(edges))
+    raw_angles = _array(doc, "edges_foldAngle", [None] * len(edges))
     if len(assignments) != len(edges) or len(raw_angles) != len(edges):
         raise PatternError("edge attribute arrays must match edges_vertices in length")
+    for i, ang in enumerate(raw_angles):
+        if ang is not None and not _is_number(ang):
+            raise PatternError(f"edge {i} fold angle must be a finite number or null")
 
     creases = []
     for (v0, v1), a, ang in zip(edges, assignments, raw_angles):
@@ -87,11 +116,16 @@ def load_fold(data: bytes | str) -> CreasePattern:
         creases.append(Crease(int(v0), int(v1), a, fold))
 
     faces = doc.get("faces_vertices")
+    if faces is not None:
+        faces = _array(doc, "faces_vertices", [])
+        for i, f in enumerate(faces):
+            if not (isinstance(f, list) and len(f) >= 3 and all(_is_index(v) for v in f)):
+                raise PatternError(f"face {i} must be a list of at least 3 integer vertex ids")
     extras = {k: _canon_json(v) for k, v in doc.items() if k not in _CONSUMED_KEYS}
     return CreasePattern.build(
         vertices,
         creases,
-        faces=[tuple(int(v) for v in f) for f in faces] if faces is not None else None,
+        faces=[tuple(f) for f in faces] if faces is not None else None,
         extras=extras,
     )
 

@@ -16,26 +16,6 @@ def unit(azimuth: float) -> np.ndarray:
     return np.array([math.cos(azimuth), math.sin(azimuth)])
 
 
-def perp(v: np.ndarray) -> np.ndarray:
-    """Rotate a 2-vector by +90 degrees."""
-    return np.array([-v[1], v[0]])
-
-
-def rot2(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
-def wrap_angle(a: float) -> float:
-    """Wrap to (-pi, pi]."""
-    a = math.fmod(a, TAU)
-    if a <= -math.pi:
-        a += TAU
-    elif a > math.pi:
-        a -= TAU
-    return a
-
-
 def angle_ccw(a_from: float, a_to: float) -> float:
     """Counterclockwise angle from azimuth a_from to a_to, in [0, 2*pi)."""
     d = math.fmod(a_to - a_from, TAU)
@@ -156,8 +136,3 @@ class Isometry:
         point = np.asarray(point, dtype=float)
         rot = rotation_about_axis(axis, angle)
         return Isometry(rot, point - rot @ point)
-
-    def distance_to(self, other: "Isometry") -> float:
-        return float(
-            np.linalg.norm(self.rot - other.rot) + np.linalg.norm(self.trans - other.trans)
-        )

@@ -18,10 +18,6 @@ from .geometry import angle_ccw, polygon_area, segments_intersect
 
 ASSIGNMENTS = ("M", "V", "B", "U")
 
-#: Fold angles for a whole pattern travel as a float array indexed by
-#: crease id; boundary creases carry 0.
-FoldAngleVector = np.ndarray
-
 
 class PatternError(ValueError):
     """Raised for invalid or inconsistent crease patterns."""
@@ -33,9 +29,6 @@ class Crease:
     v1: int
     assignment: str = "U"
     fold_angle: float | None = None  # target angle, radians
-
-    def endpoints(self) -> tuple[int, int]:
-        return (self.v0, self.v1)
 
 
 @dataclass(frozen=True)
@@ -97,6 +90,9 @@ class CreasePattern:
     ) -> "CreasePattern":
         verts = tuple((float(p[0]), float(p[1])) for p in vertices)
         cr = tuple(c if isinstance(c, Crease) else Crease(*c) for c in creases)
+        for i, c in enumerate(cr):  # face extraction indexes vertices by these ids
+            if not (0 <= c.v0 < len(verts) and 0 <= c.v1 < len(verts)):
+                raise PatternError(f"crease {i} references a missing vertex")
         pat = cls(verts, cr, faces=(), extras=tuple(sorted((extras or {}).items())))
         if faces is None:
             face_list = pat._extract_faces() if verts else ()

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .dl import (
     CRITICAL,
@@ -418,6 +417,9 @@ def _solve_radii(network: VertexNetwork, dls: dict[int, "_DlVertex"],
     smallest of them either finds a uniformly safe solution or proves the
     chosen rotation angles admit none.
     """
+    # scipy.optimize takes most of a cold start; only doubling a network needs it
+    from scipy.optimize import linprog
+
     pattern = network.pattern
     interior = sorted(dls)
     pos = {v: 4 * k for k, v in enumerate(interior)}

@@ -1,9 +1,15 @@
-"""Command-line interface: outputs, exit codes, determinism."""
+"""Command-line interface: outputs, exit codes, determinism, start-up imports."""
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from doubleline.cli import main
+from doubleline.fold_io import load_fold
 
 
 def run(capsysbinary, *argv):
@@ -145,3 +151,75 @@ def test_determinism(tmp_path, capsysbinary):
     _, s1, _ = run(capsysbinary, "sweep", str(path), "--samples", "7")
     _, s2, _ = run(capsysbinary, "sweep", str(path), "--samples", "7")
     assert s1 == s2
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"vertices_coords": [[0, 0], [1, 0]], "edges_vertices": [[0, 5]]},
+     b"crease 0 references a missing vertex"),
+    ({"vertices_coords": 5}, b"vertices_coords must be a list"),
+    ({"vertices_coords": [[0, 10**400], [1, 0]]}, b"vertex 0 must be a list of 2 or 3 finite numbers"),
+    ({"vertices_coords": [[0, 0], [1, 0], [0, 1]], "edges_vertices": [[0, 1, 2]]},
+     b"edge 0 must be a pair of integer vertex ids"),
+])
+def test_malformed_fold_is_domain_error(tmp_path, capsysbinary, doc, message):
+    bad = tmp_path / "bad.fold"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsysbinary, "analyze", str(bad))
+    assert code == 1
+    assert out == b""
+    assert err == b"error: " + message + b"\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--alpha", "50", "--beta", "70", "--grid", "0.001"),
+    ("modes", "--n", "1001"),
+    ("sweep", "{path}", "--samples", "10001"),
+    ("thicken", "{path}", "--tau", "0.01", "--samples", "0"),
+])
+def test_size_arguments_are_capped(tmp_path, capsysbinary, argv):
+    path = tmp_path / "single.fold"
+    run(capsysbinary, "gen", "single", "--alpha", "60", "--beta", "80", "--out", str(path))
+    code, out, err = run(capsysbinary, *(a.format(path=path) for a in argv))
+    assert code == 1
+    assert out == b""
+    assert err.startswith(b"error: --") and b"must lie in" in err
+    assert err.count(b"\n") == 1
+
+
+def _fresh_python(code):
+    """Run code in a new interpreter that imports doubleline from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def _cli_loads_scipy_optimize(*argv):
+    """Run ``python -m doubleline ARGV`` in a fresh process; did it load scipy.optimize?"""
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['doubleline', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('doubleline', run_name='__main__')\n"
+        "except SystemExit as exit_:\n"
+        "    assert not exit_.code, exit_.code\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    return _fresh_python(code) == ["True"]
+
+
+def test_import_and_classify_do_not_load_scipy_optimize(tmp_path):
+    assert _fresh_python("import sys, doubleline; print('scipy.optimize' in sys.modules)") == ["False"]
+    out = tmp_path / "regimes.csv"
+    assert not _cli_loads_scipy_optimize("classify", "--alpha", "50", "--beta", "70", "--grid", "5",
+                                         "--out", str(out))
+    assert out.read_text().startswith("mode,theta_deg,regime,M_deg\n")
+
+
+def test_gen_dl_miura_loads_linprog_on_demand(tmp_path):
+    out = tmp_path / "dlm.fold"
+    assert _cli_loads_scipy_optimize("gen", "dl-miura", "--rows", "2", "--cols", "2", "--angle", "60",
+                                     "--theta", "90", "--out", str(out))
+    assert len(load_fold(out.read_bytes()).interior_vertices) == 4  # one doubled vertex

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from doubleline import (
     ALL_MODES,
@@ -34,6 +37,7 @@ from doubleline import (
     valid_modes,
     vertex_star,
 )
+from doubleline.dl import _mode_pairs
 
 from conftest import deg, star_of
 
@@ -199,6 +203,66 @@ def test_theta_for_ratio_round_trip():
             solved = theta_for_ratio(MODE_A1, axis, a, b, target)
             achieved = double_line_ratio(MODE_A1, axis, a, b, solved)
             assert achieved.distance(target) < 1e-9
+
+
+def scan_theta_for_ratio(mode, axis, alpha, beta, target):
+    """Reference solver: the grid scan theta_for_ratio ran before its closed form.
+
+    The first sign change of f·m2 − s·m1 on 4001 log-spaced tan(θ/2) points
+    in [1e-8, 1e8] is refined by brentq.  Two roots inside one grid cell
+    show no sign change, so it misses double and close roots.
+    """
+    f, s = target.first, target.second
+
+    def g(theta):
+        major, minor = _mode_pairs(mode, alpha, beta, theta)
+        m1, m2 = major if axis == "major" else minor
+        return f * m2 - s * m1
+
+    thetas = 2.0 * np.arctan(np.geomspace(1e-8, 1e8, 4001))
+    vals = [g(th) for th in thetas]
+    for k in range(len(thetas) - 1):
+        if vals[k] == 0.0:
+            return float(thetas[k])
+        if vals[k] * vals[k + 1] < 0:
+            return float(brentq(g, thetas[k], thetas[k + 1], xtol=1e-15, rtol=8.9e-16))
+    raise DlError(f"target ratio {target} not reachable on the {axis} axis of {mode.label}")
+
+
+_SECTOR = st.floats(min_value=math.radians(1.0), max_value=math.radians(179.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mode=st.sampled_from(GENERIC_MODES), axis=st.sampled_from(("major", "minor")),
+       alpha=_SECTOR, beta=_SECTOR, theta=_SECTOR)
+def test_theta_for_ratio_matches_scan(mode, axis, alpha, beta, theta):
+    try:
+        target = double_line_ratio(mode, axis, alpha, beta, theta)
+    except DlError:  # both multipliers vanish: the ratio is 0:0
+        assume(False)
+    try:
+        solved = theta_for_ratio(mode, axis, alpha, beta, target)
+    except DlError as exc:  # a target made at some θ is reachable unless refused as 1:±1
+        assert "cannot reach" in str(exc)
+        return
+    assert double_line_ratio(mode, axis, alpha, beta, solved).distance(target) < 1e-9
+    try:
+        scanned = scan_theta_for_ratio(mode, axis, alpha, beta, target)
+    except DlError:
+        return
+    assert abs(solved - scanned) < 1e-9
+
+
+def test_theta_for_ratio_finds_close_roots_the_scan_misses():
+    # near its extremum at about 101.6 deg the a-I major ratio takes each
+    # value twice within one scan cell, so the scan sees no sign change
+    a, b = deg(50, 70)
+    target = double_line_ratio(MODE_A1, "major", a, b, deg(101.55)[0])
+    with pytest.raises(DlError, match="not reachable"):
+        scan_theta_for_ratio(MODE_A1, "major", a, b, target)
+    solved = theta_for_ratio(MODE_A1, "major", a, b, target)
+    assert double_line_ratio(MODE_A1, "major", a, b, solved).distance(target) < 1e-9
+    assert abs(math.degrees(solved) - 101.55) < 0.05
 
 
 def test_theta_for_ratio_rejects_unreachable():

@@ -106,10 +106,10 @@ def test_connect_tree_chain_thetas():
     assert net.is_tree()
     thetas, dl = connect_tree_dl(net, math.pi / 2)
     got = {v: math.degrees(t) for v, t in thetas.items()}
-    # 90 deg exactly lands the shared pair on an unreachable ratio; the
-    # root backs off half a degree and the child solves to the mirror value
-    assert abs(got[5] - 90.5) < 1e-9
-    assert abs(got[6] - 89.5) < 1e-9
+    # 90 deg lands the shared pair on the extremum of the child's ratio: a
+    # double root of the ratio quadratic, so the child solves to 90 deg too
+    assert abs(got[5] - 90.0) < 1e-9
+    assert abs(got[6] - 90.0) < 1e-9
     assert pair_sum_residual(net.pattern, dl, (0.2, 0.6, 1.1)) < 1e-9
 
 
