@@ -613,22 +613,16 @@ def theta_for_ratio(
     else:
         raise DlError(f"axis must be 'major' or 'minor', not {axis!r}")
 
+    # Every pair ratio tends to 1:-1 as h -> 0 and as h -> inf, so c0 and c2
+    # are nonzero multiples of f + s, which the checks above keep from 0.
     c0, c1, c2 = _ratio_polynomial(mode, axis, alpha, beta, f, s)
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if -1e-12 * (c1 * c1 + 4.0 * abs(c2 * c0)) <= disc < 0.0:
+        disc = 0.0  # below zero by rounding alone: a double root
     roots = []
-    if c2 == 0.0:
-        if c1 != 0.0:
-            roots.append(-c0 / c1)
-    else:
-        disc = c1 * c1 - 4.0 * c2 * c0
-        # a discriminant below zero by rounding alone is a double root
-        if -1e-12 * (c1 * c1 + 4.0 * abs(c2 * c0)) <= disc < 0.0:
-            disc = 0.0
-        if disc >= 0.0:
-            half = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
-            roots.append(half / c2)
-            if half != 0.0:
-                roots.append(c0 / half)
-    roots = [h for h in roots if 1e-8 <= h <= 1e8]
+    if disc >= 0.0:
+        half = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+        roots = [h for h in (half / c2, c0 / half) if 1e-8 <= h <= 1e8]
     if not roots:
         raise DlError(f"target ratio {target} not reachable on the {axis} axis of {mode.label}")
     return 2.0 * math.atan(min(roots))
