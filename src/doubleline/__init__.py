@@ -14,9 +14,9 @@ from .dl import (
     MODE_B2,
     MODE_SYM_MINUS,
     MODE_SYM_PLUS,
-    DLConstruction,
     DLMode,
     DLMultipliers,
+    DLRecord,
     DlError,
     DoubleLineParams,
     DoubleLineRatio,
@@ -29,15 +29,14 @@ from .dl import (
     corner_coefficients,
     corner_mode_map,
     corner_modes,
-    corresponding_fold_angles,
     critical_thetas,
-    dl_info,
     dl_multipliers,
     double_line_ratio,
     major_coefficient,
     mode_from_label,
     mode_is_valid,
     pattern_multipliers,
+    read_record,
     sign_pattern_product,
     theta_for_even_minor,
     theta_for_ratio,

@@ -18,16 +18,15 @@ import numpy as np
 from .dl import (
     FINITE,
     GENERIC_MODES,
-    MULTIPLIER_KEY,
     DoubleLineParams,
-    assign_mode_mv,
     classify_theta,
     construct_dl,
+    fix_mode,
     mode_from_label,
-    pattern_multipliers,
+    read_record,
 )
 from .fold3d import export_obj, network_multipliers, propagate_fold, solve_fold_angles, sweep_motion
-from .fold_io import get_extra, load_fold, save_fold, set_extra
+from .fold_io import load_fold, save_fold
 from .pattern import CreasePattern, PatternError, is_flat_foldable_deg4, vertex_star
 from .patterns import (
     gen_dl_miura,
@@ -55,6 +54,8 @@ GEN_SHAPES = ("miura", "yoshimura", "dl-miura", "dl-yoshimura", "single", "symme
 GRID_STEP_RANGE = (0.01, 90.0)  # classify --grid, degrees: at most 17,999 rows per mode
 SAMPLES_RANGE = (1, 10_000)  # sweep and thicken --samples
 MODES_N_RANGE = (1, 1_000)  # modes --n
+GEN_SIZE_RANGE = (1, 12)  # gen --rows and --cols: a 12x12 Miura builds in about 3 s
+SYMMETRIC_N_RANGE = (2, 100)  # gen symmetric --n: n = 100 builds in about 1.3 s
 
 
 def _fmt(x: float) -> str:
@@ -72,13 +73,10 @@ def _load(path: str) -> CreasePattern:
 
 
 def _motion_multipliers(pattern: CreasePattern) -> np.ndarray:
-    """Per-crease speed multipliers, from stored metadata or unique branches."""
-    raw = get_extra(pattern, MULTIPLIER_KEY)
-    if raw is not None:
-        mult = np.asarray(raw, dtype=float)
-        if len(mult) != len(pattern.creases):
-            raise PatternError("stored multiplier vector does not match crease count")
-        return mult
+    """Per-crease speed multipliers: the record's when it fixes a mode, else from the branches."""
+    rec = read_record(pattern)
+    if rec is not None and rec.multipliers is not None:
+        return np.array(rec.multipliers)
     return network_multipliers(pattern, infer_modes(pattern))
 
 
@@ -116,20 +114,18 @@ def _cmd_analyze(args) -> bytes:
 
 def _cmd_doubleline(args) -> bytes:
     pattern = _load(args.pattern)
-    if not pattern.interior_vertices:
+    interior = pattern.interior_vertices
+    if not interior:
         raise PatternError("pattern has no interior vertex to double")
-    vid = args.vertex if args.vertex is not None else pattern.interior_vertices[0]
+    vid = args.vertex if args.vertex is not None else interior[0]
+    if vid not in interior:
+        raise PatternError(f"--vertex {vid} is not an interior vertex id")
     star = vertex_star(pattern, vid)
-    if args.radii:
-        radii = tuple(float(x) for x in args.radii.split(","))
-    else:
-        radii = (1.0,) * star.degree
+    radii = tuple(float(x) for x in args.radii.split(",")) if args.radii else (1.0,) * star.degree
     params = DoubleLineParams(math.radians(args.theta), radii)
     doubled = construct_dl(star, params, outer_length=args.outer_length)
     if args.mode:
-        mult = pattern_multipliers(doubled, mode_from_label(args.mode))
-        doubled = assign_mode_mv(doubled, mult)
-        doubled = set_extra(doubled, MULTIPLIER_KEY, [float(m) for m in mult])
+        doubled = fix_mode(doubled, mode_from_label(args.mode))
     if (args.format or "fold") == "svg":
         return save_svg(doubled)
     return save_fold(doubled)
@@ -196,7 +192,7 @@ def _cmd_fold(args) -> bytes:
     angles = 2.0 * np.arctan(mult * args.t)
     fmt = args.format or "fold"
     if fmt == "obj":
-        return export_obj(propagate_fold(pattern, angles))
+        return export_obj(propagate_fold(pattern, angles)).encode()
     if fmt == "csv":
         motion = sweep_motion(pattern, None, [args.t], multipliers=mult)
         return _motion_csv(pattern, motion)
@@ -241,19 +237,21 @@ def _cmd_gen(args) -> bytes:
         pattern = gen_single_deg4(math.radians(args.alpha), math.radians(args.beta))
     elif shape == "symmetric":
         _require(args, ("n",))
+        _check_range("--n", args.n, SYMMETRIC_N_RANGE)
         pattern = gen_symmetric_vertex(args.n)
-    elif shape == "miura":
-        _require(args, ("rows", "cols", "angle"))
-        pattern = gen_miura(args.rows, args.cols, math.radians(args.angle)).pattern
-    elif shape == "yoshimura":
-        _require(args, ("rows", "cols", "elongation"))
-        pattern = gen_yoshimura(args.rows, args.cols, args.elongation).pattern
-    elif shape == "dl-miura":
-        _require(args, ("rows", "cols", "angle", "theta"))
-        pattern = gen_dl_miura(args.rows, args.cols, math.radians(args.angle), math.radians(args.theta))
     else:
-        _require(args, ("rows", "cols", "elongation", "theta"))
-        pattern = gen_dl_yoshimura(args.rows, args.cols, args.elongation, math.radians(args.theta))
+        shape_args = ("angle",) if shape.endswith("miura") else ("elongation",)
+        _require(args, ("rows", "cols") + shape_args + (("theta",) if shape.startswith("dl-") else ()))
+        _check_range("--rows", args.rows, GEN_SIZE_RANGE)
+        _check_range("--cols", args.cols, GEN_SIZE_RANGE)
+        if shape == "miura":
+            pattern = gen_miura(args.rows, args.cols, math.radians(args.angle)).pattern
+        elif shape == "yoshimura":
+            pattern = gen_yoshimura(args.rows, args.cols, args.elongation).pattern
+        elif shape == "dl-miura":
+            pattern = gen_dl_miura(args.rows, args.cols, math.radians(args.angle), math.radians(args.theta))
+        else:
+            pattern = gen_dl_yoshimura(args.rows, args.cols, args.elongation, math.radians(args.theta))
     if (args.format or "fold") == "svg":
         return save_svg(pattern)
     return save_fold(pattern)
@@ -268,7 +266,7 @@ def _cmd_export(args) -> bytes:
         return save_fold(pattern)
     if fmt == "obj":
         angles = np.array([c.fold_angle if c.fold_angle is not None else 0.0 for c in pattern.creases])
-        return export_obj(propagate_fold(pattern, angles))
+        return export_obj(propagate_fold(pattern, angles)).encode()
     raise ValueError("csv export needs a motion; use the sweep subcommand")
 
 
@@ -358,6 +356,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
         payload = args.handler(args)
     except SystemExit as exit_:  # argparse exits on usage errors and --help
         return int(exit_.code or 0)

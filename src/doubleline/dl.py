@@ -16,18 +16,17 @@ a (multipliers 1, −p(σ_i,θ), 1, p(σ_i,θ)), sign "+" on mode b
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .fold_io import get_extra, set_extra
+from .fold_io import get_extra, is_index, is_number, set_extra
 from .geometry import intersect_lines, unit
 from .kinematics import DEGENERACY_TOL, FoldMode, p_coeff, q_coeff, tan_half
 from .pattern import Crease, CreasePattern, PatternError, VertexStar, vertex_star
 
-CONSTRUCTION_KEY = "doubleline:construction"
-MULTIPLIER_KEY = "doubleline:crease_multipliers"
+NETWORK_KEY = "doubleline:network"
 
 
 class DlError(ValueError):
@@ -72,6 +71,15 @@ def corner_modes(mode: DLMode) -> tuple[FoldMode, ...]:
     return tuple(FoldMode.A if s == "-" else FoldMode.B for s in mode.signs)
 
 
+def _corner_coefficient(sign: str, sigma: float, theta: float) -> float:
+    if sign != "-":
+        return -q_coeff(sigma, theta)
+    p = p_coeff(sigma, theta)
+    if abs(p) < DEGENERACY_TOL:
+        raise DlError(f"pole: p({sigma:.6f}, {theta:.6f}) = 0 cannot be inverted")
+    return -1.0 / p
+
+
 def corner_coefficients(
     mode: DLMode, alpha: float, beta: float, theta: float
 ) -> tuple[float, ...]:
@@ -81,30 +89,15 @@ def corner_coefficients(
     sequence admits the finite rigid folding.
     """
     sigmas = (alpha, beta, math.pi - alpha, math.pi - beta)
-    out = []
-    for s, sigma in zip(mode.signs, sigmas):
-        if s == "-":
-            p = p_coeff(sigma, theta)
-            if abs(p) < DEGENERACY_TOL:
-                raise DlError(f"pole: p({sigma:.6f}, {theta:.6f}) = 0 cannot be inverted")
-            out.append(-1.0 / p)
-        else:
-            out.append(-q_coeff(sigma, theta))
-    return tuple(out)
+    return tuple(_corner_coefficient(s, sigma, theta) for s, sigma in zip(mode.signs, sigmas))
 
 
 def sign_pattern_product(signs: Sequence[str], sectors: Sequence[float], theta: float) -> float:
-    """Corner-coefficient product of an arbitrary sign sequence around P."""
-    prod = 1.0
-    for s, sigma in zip(signs, sectors):
-        if s == "-":
-            p = p_coeff(sigma, theta)
-            if abs(p) < DEGENERACY_TOL:
-                return math.inf
-            prod *= -1.0 / p
-        else:
-            prod *= -q_coeff(sigma, theta)
-    return prod
+    """Corner-coefficient product of an arbitrary sign sequence around P; inf at a pole."""
+    try:
+        return math.prod(_corner_coefficient(s, sigma, theta) for s, sigma in zip(signs, sectors))
+    except DlError:
+        return math.inf
 
 
 def mode_is_valid(mode: DLMode, alpha: float, beta: float, theta: float, tol: float = 1e-9) -> bool:
@@ -183,6 +176,110 @@ def dl_multipliers(sectors: Sequence[float], signs: Sequence[str], theta: float)
     return DLMultipliers(tuple(rays_plus), tuple(rays_minus), tuple(sides), closure)
 
 
+# -- the doubled-pattern record ----------------------------------------------
+
+# Keys of the earlier layouts this record replaced; a file carrying one is
+# refused rather than read with its doubled pairs silently missing.
+_RETIRED_KEYS = ("doubleline:construction", "doubleline:crease_multipliers")
+_MODE_FIELDS = ("signs", "scales", "corner_modes", "multipliers")
+
+
+@dataclass(frozen=True)
+class DLRecord:
+    """Layout of a doubled pattern, stored in its extras under NETWORK_KEY.
+
+    pairs holds (original crease id, ray^+ id, ray^- id) per doubled crease;
+    the other maps are keyed by original vertex id (corner_modes by corner
+    vertex id) and list, in axis order, the polygon's corner vertex ids and
+    side crease ids (side_i joins c_{i-1} to c_i), its θ, sector angles and
+    distances.  The mode fields are set together, when a mode is fixed.
+    """
+
+    pairs: tuple[tuple[int, int, int], ...]
+    corners: Mapping[int, tuple[int, ...]]
+    sides: Mapping[int, tuple[int, ...]]
+    thetas: Mapping[int, float]
+    sectors: Mapping[int, tuple[float, ...]]
+    radii: Mapping[int, tuple[float, ...]]
+    signs: Mapping[int, str] | None = None
+    scales: Mapping[int, float] | None = None
+    corner_modes: Mapping[int, FoldMode] | None = None
+    multipliers: tuple[float, ...] | None = None
+
+    @property
+    def axes(self) -> tuple[tuple[int, int], ...]:
+        """(ray^+, ray^-) crease ids of every doubled pair."""
+        return tuple((plus, minus) for _, plus, minus in self.pairs)
+
+
+def write_record(pattern: CreasePattern, record: DLRecord) -> CreasePattern:
+    """Return a copy of the pattern carrying the record."""
+    doc: dict[str, Any] = {"pairs": record.pairs, "multipliers": record.multipliers}
+    for name in ("corners", "sides", "thetas", "sectors", "radii") + _MODE_FIELDS[:3]:
+        entries = getattr(record, name)
+        if entries is not None:
+            doc[name] = [[v, x.value if isinstance(x, FoldMode) else x] for v, x in sorted(entries.items())]
+    return set_extra(pattern, NETWORK_KEY, {k: x for k, x in doc.items() if x is not None})
+
+
+def _ids(x: Any, limit: float) -> bool:
+    return isinstance(x, list) and all(is_index(i) and 0 <= i < limit for i in x)
+
+
+def _numbers(x: Any) -> bool:
+    return isinstance(x, list) and all(is_number(a) for a in x)
+
+
+def read_record(pattern: CreasePattern) -> DLRecord | None:
+    """The pattern's doubled-pattern record, checked against the pattern.
+
+    None when the pattern carries none.  Raises DlError naming the fault
+    when the record is malformed or the pattern carries a retired key.
+    """
+    for key in _RETIRED_KEYS:
+        if key in dict(pattern.extras):
+            raise DlError(f"extras key {key!r} is no longer read; regenerate the file")
+    raw = get_extra(pattern, NETWORK_KEY)
+    if raw is None:
+        return None
+    mode = [name for name in _MODE_FIELDS if isinstance(raw, dict) and name in raw]
+    if not isinstance(raw, dict) or 0 < len(mode) < len(_MODE_FIELDS):
+        raise DlError(f"{NETWORK_KEY} must be an object with all or none of {', '.join(_MODE_FIELDS)}")
+    nv, nc = len(pattern.vertices), len(pattern.creases)
+    checks = {  # value check of each per-vertex field; corners must come first
+        "corners": lambda x: _ids(x, nv), "sides": lambda x: _ids(x, nc),
+        "thetas": is_number, "sectors": _numbers, "radii": _numbers, "scales": is_number,
+        "signs": lambda x: isinstance(x, str) and set(x) <= {"+", "-"},
+        "corner_modes": lambda x: x in ("a", "b"),  # keyed by corner vertex id
+    }
+    fields: dict[str, Any] = {}
+    for name, ok in checks.items():
+        if name in _MODE_FIELDS and not mode:
+            continue
+        entries, limit = raw.get(name), nv if name == "corner_modes" else math.inf
+        if not isinstance(entries, list) or not all(
+            isinstance(e, list) and len(e) == 2 and _ids(e[:1], limit) and ok(e[1]) for e in entries
+        ):
+            raise DlError(f"{NETWORK_KEY}: {name} must be a list of valid [vertex, value] entries")
+        values = fields[name] = {v: FoldMode(x) if name == "corner_modes" else
+                                 tuple(x) if isinstance(x, list) else x for v, x in entries}
+        corners = fields["corners"]
+        if name != "corner_modes" and (values.keys() != corners.keys() or any(
+            len(x) != len(corners[v]) for v, x in values.items() if isinstance(x, (tuple, str))
+        )):
+            raise DlError(f"{NETWORK_KEY}: {name} and corners disagree on vertices or degrees")
+    pairs = raw.get("pairs")
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 3 and _ids(p[:1], math.inf) and _ids(p[1:], nc) for p in pairs
+    ):
+        raise DlError(f"{NETWORK_KEY}: pairs must be [crease, plus, minus] id triples of this pattern")
+    if mode:
+        if not (_numbers(raw["multipliers"]) and len(raw["multipliers"]) == nc):
+            raise DlError(f"{NETWORK_KEY}: multipliers must be {nc} finite numbers, one per crease")
+        fields["multipliers"] = tuple(map(float, raw["multipliers"]))
+    return DLRecord(pairs=tuple(map(tuple, pairs)), **fields)
+
+
 # -- construction ------------------------------------------------------------
 
 
@@ -196,24 +293,24 @@ class DoubleLineParams:
     def __post_init__(self):
         if not 0.0 < self.theta < math.pi:
             raise DlError("theta must lie strictly between 0 and pi")
-        if any(r <= 0 for r in self.radii):
-            raise DlError("all radii must be positive")
+        if not all(0.0 < r < math.inf for r in self.radii):
+            raise DlError("all radii must be positive and finite")
 
 
-@dataclass(frozen=True)
-class DLConstruction:
-    """Crease-id layout of a constructed DL pattern (stored in its extras)."""
-
-    theta: float
-    sectors: tuple[float, ...]
-    radii: tuple[float, ...]
-    corners: tuple[int, ...]  # vertex ids of polygon corners, axis order
-    axes: tuple[tuple[int, int], ...]  # (ray_i^+, ray_i^-) crease ids per axis
-    sides: tuple[int, ...]  # polygon side crease ids, side_i joins c_{i-1}, c_i
-
-    @property
-    def degree(self) -> int:
-        return len(self.sectors)
+def polygon_corners(
+    azimuths: Sequence[float], radii: Sequence[float], theta: float
+) -> list[np.ndarray]:
+    """Corners c_i of the central polygon: side i runs through r_i·u(φ_i) along u(φ_i + θ)."""
+    n = len(azimuths)
+    pts = []
+    for i in range(n):
+        j = (i + 1) % n
+        try:
+            pts.append(intersect_lines(radii[i] * unit(azimuths[i]), unit(azimuths[i] + theta),
+                                       radii[j] * unit(azimuths[j]), unit(azimuths[j] + theta)))
+        except ValueError as exc:
+            raise DlError(f"polygon sides {i} and {j} are parallel") from exc
+    return pts
 
 
 def axis_offsets(
@@ -249,8 +346,8 @@ def construct_dl(
     corner's lowest incident id is its ray_i^+, which makes the corner's
     star sectors read (σ_i, θ, π−σ_i, π−θ) and keeps the corner-branch
     conventions of this module aligned with the constructed pattern.
-    Construction data is attached under the extras key
-    "doubleline:construction" and survives FOLD round-trips.
+    The layout is attached as a one-vertex record (see DLRecord) and
+    survives FOLD round-trips.
     """
     if not star.interior:
         raise DlError("double-line construction needs an interior vertex")
@@ -266,43 +363,21 @@ def construct_dl(
     for s in sectors[:-1]:
         phis.append(phis[-1] + s)
     us = [unit(phi) for phi in phis]
-    ds = [unit(phi + theta) for phi in phis]
-    corners = []
-    for i in range(n):
-        j = (i + 1) % n
-        try:
-            corners.append(
-                intersect_lines(params.radii[i] * us[i], ds[i], params.radii[j] * us[j], ds[j])
-            )
-        except ValueError as exc:
-            raise DlError(f"sides {i} and {j} are parallel: degenerate polygon") from exc
+    corners = polygon_corners(phis, params.radii, theta)
 
     reach = max(float(np.linalg.norm(c)) for c in corners)
     length = outer_length if outer_length is not None else 3.0 * max(reach, max(params.radii), 1.0)
 
-    verts: list[tuple[float, float]] = [(c[0], c[1]) for c in corners]
-    plus_end = []
-    minus_end = []
-    for i in range(n):
-        e = corners[i] + length * us[i]
-        plus_end.append(len(verts))
-        verts.append((e[0], e[1]))
-    for i in range(n):
-        e = corners[(i - 1) % n] + length * us[i]
-        minus_end.append(len(verts))
-        verts.append((e[0], e[1]))
-
-    creases: list[Crease] = []
-    for i in range(n):  # ids 0..n-1: rays from c_i
-        creases.append(Crease(i, plus_end[i], "U"))
-    for i in range(n):  # ids n..2n-1: rays from c_{i-1}
-        creases.append(Crease((i - 1) % n, minus_end[i], "U"))
-    for i in range(n):  # ids 2n..3n-1: polygon sides
-        creases.append(Crease((i - 1) % n, i, "U"))
-    for i in range(n):  # boundary: wedge chord after ray_i^+, then strip chords
-        creases.append(Crease(plus_end[i], minus_end[(i + 1) % n], "B"))
-    for i in range(n):
-        creases.append(Crease(minus_end[i], plus_end[i], "B"))
+    # vertex ids: corners 0..n-1, far ends of ray_i^+ at n+i and of ray_i^- at 2n+i
+    verts = [(c[0], c[1]) for c in corners]
+    verts += [tuple(corners[i] + length * us[i]) for i in range(n)]
+    verts += [tuple(corners[(i - 1) % n] + length * us[i]) for i in range(n)]
+    creases = [Crease(i, n + i, "U") for i in range(n)]  # ids 0..n-1: rays from c_i
+    creases += [Crease((i - 1) % n, 2 * n + i, "U") for i in range(n)]  # n..2n-1: from c_{i-1}
+    creases += [Crease((i - 1) % n, i, "U") for i in range(n)]  # 2n..3n-1: polygon sides
+    # boundary: wedge chord after ray_i^+, then strip chords
+    creases += [Crease(n + i, 2 * n + (i + 1) % n, "B") for i in range(n)]
+    creases += [Crease(2 * n + i, n + i, "B") for i in range(n)]
 
     try:
         pattern = CreasePattern.build(verts, creases)
@@ -317,54 +392,57 @@ def construct_dl(
         ):
             raise DlError(f"corner {i} inverted; radii too small for this theta")
 
-    construction = {
-        "theta": theta,
-        "sectors": list(sectors),
-        "radii": list(params.radii),
-        "corners": list(range(n)),
-        "axes": [[i, n + i] for i in range(n)],
-        "sides": [2 * n + i for i in range(n)],
-    }
-    return set_extra(pattern, CONSTRUCTION_KEY, construction)
-
-
-def dl_info(pattern: CreasePattern) -> DLConstruction:
-    """Recover the construction layout stored by construct_dl."""
-    raw = get_extra(pattern, CONSTRUCTION_KEY)
-    if raw is None:
-        raise DlError("pattern carries no double-line construction data")
-    return DLConstruction(
-        theta=float(raw["theta"]),
-        sectors=tuple(float(s) for s in raw["sectors"]),
-        radii=tuple(float(r) for r in raw["radii"]),
-        corners=tuple(int(v) for v in raw["corners"]),
-        axes=tuple((int(a), int(b)) for a, b in raw["axes"]),
-        sides=tuple(int(s) for s in raw["sides"]),
+    v = star.vertex
+    record = DLRecord(
+        pairs=tuple((star.crease_ids[i], i, n + i) for i in range(n)),
+        corners={v: tuple(range(n))},
+        sides={v: tuple(range(2 * n, 3 * n))},
+        thetas={v: theta},
+        sectors={v: tuple(sectors)},
+        radii={v: tuple(params.radii)},
     )
+    return write_record(pattern, record)
+
+
+def _single_vertex(pattern: CreasePattern) -> tuple[DLRecord, int]:
+    rec = read_record(pattern)
+    if rec is None or len(rec.corners) != 1 or len(rec.pairs) != len(*rec.corners.values()):
+        raise DlError("pattern carries no single-vertex double-line record")
+    (v,) = rec.corners
+    return rec, v
 
 
 def pattern_multipliers(pattern: CreasePattern, mode: DLMode) -> np.ndarray:
     """Per-crease multiplier vector of a constructed DL pattern in one mode."""
-    info = dl_info(pattern)
-    if len(mode.signs) != info.degree:
-        raise DlError(f"mode {mode.label} has {len(mode.signs)} signs, pattern degree {info.degree}")
-    mult = dl_multipliers(info.sectors, mode.signs, info.theta)
+    rec, v = _single_vertex(pattern)
+    sectors = rec.sectors[v]
+    if len(mode.signs) != len(sectors):
+        raise DlError(f"mode {mode.label} has {len(mode.signs)} signs, pattern degree {len(sectors)}")
+    mult = dl_multipliers(sectors, mode.signs, rec.thetas[v])
     if mult.closure_error > 1e-9:
         raise DlError(f"mode {mode.label} does not close on this vertex")
     out = np.zeros(len(pattern.creases))
-    for i, (plus, minus) in enumerate(info.axes):
+    for i, (plus, minus) in enumerate(rec.axes):
         out[plus] = mult.rays_plus[i]
         out[minus] = mult.rays_minus[i]
-    for i, side in enumerate(info.sides):
+    for i, side in enumerate(rec.sides[v]):
         out[side] = mult.sides[i]
     return out
 
 
 def corner_mode_map(pattern: CreasePattern, mode: DLMode) -> dict[int, FoldMode]:
     """Vertex id -> local FoldMode assignment realizing a DL mode."""
-    info = dl_info(pattern)
-    branches = corner_modes(mode)
-    return {v: branches[i] for i, v in enumerate(info.corners)}
+    rec, v = _single_vertex(pattern)
+    return dict(zip(rec.corners[v], corner_modes(mode)))
+
+
+def fix_mode(pattern: CreasePattern, mode: DLMode) -> CreasePattern:
+    """A constructed DL pattern labeled M/V by one mode, the mode kept in its record."""
+    mult = pattern_multipliers(pattern, mode)
+    rec, v = _single_vertex(pattern)
+    rec = replace(rec, signs={v: "".join(mode.signs)}, scales={v: 1.0},
+                  corner_modes=corner_mode_map(pattern, mode), multipliers=tuple(mult.tolist()))
+    return write_record(assign_mode_mv(pattern, mult), rec)
 
 
 def assign_mode_mv(pattern: CreasePattern, multipliers: np.ndarray) -> CreasePattern:
@@ -420,17 +498,6 @@ def axis_sums(
     s_major = 2.0 * math.atan(m1 * t) + 2.0 * math.atan(m2 * t)
     s_minor = 2.0 * math.atan(w1 * t) + 2.0 * math.atan(w2 * t)
     return s_major, s_minor
-
-
-def corresponding_fold_angles(dl_angles: Sequence[float], pairing: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Fold angles of the original creases: sum over each doubled pair."""
-    dl_angles = np.asarray(dl_angles, dtype=float)
-    out = np.empty(len(pairing))
-    for i, (a, b) in enumerate(pairing):
-        if not (0 <= a < len(dl_angles) and 0 <= b < len(dl_angles)):
-            raise DlError(f"pairing entry {i} references missing creases ({a}, {b})")
-        out[i] = dl_angles[a] + dl_angles[b]
-    return out
 
 
 FULL_RANGE = "FullRange"
@@ -493,13 +560,6 @@ class DoubleLineRatio:
         if na == 0 or nb == 0:
             raise DlError("ratio 0:0 is undefined")
         return abs(self.first * other.second - self.second * other.first) / (na * nb)
-
-    @classmethod
-    def parse(cls, text: str) -> "DoubleLineRatio":
-        parts = text.split(":")
-        if len(parts) != 2:
-            raise DlError(f"ratio {text!r} is not of the form a:b")
-        return cls(float(parts[0]), float(parts[1]))
 
     def __str__(self) -> str:
         return f"{self.first:g}:{self.second:g}"

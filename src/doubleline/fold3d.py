@@ -303,6 +303,8 @@ def solve_fold_angles(
     flat to the target in small steps.  Raises SolveError on
     non-convergence or a singular Jacobian.
     """
+    if not 0 <= driver_crease < len(pattern.creases):
+        raise Fold3dError(f"driver crease {driver_crease} is not among the {len(pattern.creases)} creases")
     if pattern.creases[driver_crease].assignment == "B":
         raise Fold3dError("driver crease must be interior")
     stars = [vertex_star(pattern, v) for v in pattern.interior_vertices]
@@ -357,7 +359,7 @@ def solve_fold_angles(
     return x
 
 
-def export_obj(state: FoldedState) -> bytes:
+def export_obj(state: FoldedState) -> str:
     """Wavefront OBJ of the folded faces, triangulated by fans.
 
     Vertices shared between faces are welded to the image under their
@@ -382,4 +384,4 @@ def export_obj(state: FoldedState) -> bytes:
     for f in state.pattern.faces:
         for k in range(1, len(f) - 1):
             lines.append(f"f {index[f[0]]} {index[f[k]]} {index[f[k + 1]]}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return "\n".join(lines) + "\n"

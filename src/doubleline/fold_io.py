@@ -53,7 +53,7 @@ def get_extra(pattern: CreasePattern, key: str) -> Any | None:
     return None
 
 
-def _is_number(x: Any) -> bool:
+def is_number(x: Any) -> bool:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         return False
     try:
@@ -62,7 +62,7 @@ def _is_number(x: Any) -> bool:
         return False
 
 
-def _is_index(x: Any) -> bool:
+def is_index(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
@@ -90,7 +90,7 @@ def load_fold(data: bytes | str) -> CreasePattern:
 
     vertices = []
     for i, p in enumerate(_array(doc, "vertices_coords", [])):
-        if not (isinstance(p, list) and len(p) in (2, 3) and all(_is_number(x) for x in p)):
+        if not (isinstance(p, list) and len(p) in (2, 3) and all(is_number(x) for x in p)):
             raise PatternError(f"vertex {i} must be a list of 2 or 3 finite numbers")
         if len(p) == 3 and abs(p[2]) > 1e-12:
             raise PatternError(f"vertex {i} is not planar (z = {p[2]})")
@@ -98,14 +98,14 @@ def load_fold(data: bytes | str) -> CreasePattern:
 
     edges = _array(doc, "edges_vertices", [])
     for i, e in enumerate(edges):
-        if not (isinstance(e, list) and len(e) == 2 and all(_is_index(v) for v in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(is_index(v) for v in e)):
             raise PatternError(f"edge {i} must be a pair of integer vertex ids")
     assignments = _array(doc, "edges_assignment", ["U"] * len(edges))
     raw_angles = _array(doc, "edges_foldAngle", [None] * len(edges))
     if len(assignments) != len(edges) or len(raw_angles) != len(edges):
         raise PatternError("edge attribute arrays must match edges_vertices in length")
     for i, ang in enumerate(raw_angles):
-        if ang is not None and not _is_number(ang):
+        if ang is not None and not is_number(ang):
             raise PatternError(f"edge {i} fold angle must be a finite number or null")
 
     creases = []
@@ -119,7 +119,7 @@ def load_fold(data: bytes | str) -> CreasePattern:
     if faces is not None:
         faces = _array(doc, "faces_vertices", [])
         for i, f in enumerate(faces):
-            if not (isinstance(f, list) and len(f) >= 3 and all(_is_index(v) for v in f)):
+            if not (isinstance(f, list) and len(f) >= 3 and all(is_index(v) for v in f)):
                 raise PatternError(f"face {i} must be a list of at least 3 integer vertex ids")
     extras = {k: _canon_json(v) for k, v in doc.items() if k not in _CONSUMED_KEYS}
     return CreasePattern.build(

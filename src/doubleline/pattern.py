@@ -86,7 +86,6 @@ class CreasePattern:
         creases: Iterable[Crease | tuple],
         faces: Iterable[Sequence[int]] | None = None,
         extras: Mapping[str, str] | None = None,
-        validate: bool = True,
     ) -> "CreasePattern":
         verts = tuple((float(p[0]), float(p[1])) for p in vertices)
         cr = tuple(c if isinstance(c, Crease) else Crease(*c) for c in creases)
@@ -99,8 +98,7 @@ class CreasePattern:
         else:
             face_list = tuple(_canon_cycle(f) for f in faces)
         pat = cls(verts, cr, tuple(face_list), pat.extras)
-        if validate:
-            pat.validate()
+        pat.validate()
         return pat
 
     # -- derived structure ------------------------------------------------

@@ -18,24 +18,27 @@ from typing import Mapping
 
 import numpy as np
 
-from .dl import (
+from .dl import (  # noqa: F401  (NETWORK_KEY is re-exported for its importers)
     CRITICAL,
     MODE_A1,
     MODE_A2,
     MODE_B1,
     MODE_B2,
-    DLMode,
+    NETWORK_KEY,
+    DLRecord,
     DlError,
     DoubleLineRatio,
     assign_mode_mv,
     axis_offsets,
     classify_theta,
     dl_multipliers,
+    polygon_corners,
+    read_record,
     theta_for_ratio,
+    write_record,
 )
 from .fold3d import Fold3dError, network_multipliers
-from .fold_io import get_extra, set_extra
-from .geometry import intersect_lines, polygon_area, unit
+from .geometry import polygon_area, unit
 from .kinematics import FoldMode, mode_vector
 from .pattern import (
     Crease,
@@ -46,7 +49,9 @@ from .pattern import (
     vertex_star,
 )
 
-NETWORK_KEY = "doubleline:network"
+# Every doubled polygon is scaled to reach at most this share of the
+# shortest crease at its vertex.
+_REACH_FRACTION = 0.3
 
 #: Axis class of each doubled pair in the generic modes: whether the pair is
 #: major or minor, and whether (ray^+, ray^-) is the representative pair of
@@ -168,9 +173,9 @@ def infer_modes(pattern: CreasePattern) -> dict[int, FoldMode]:
     vertex must have a unique moving branch (tessellation vertices with
     collinear creases do, generic flat-foldable vertices have two).
     """
-    meta = get_extra(pattern, NETWORK_KEY)
-    if meta is not None:
-        return {int(v): FoldMode(m) for v, m in meta["corner_modes"]}
+    rec = read_record(pattern)
+    if rec is not None and rec.corner_modes is not None:
+        return dict(rec.corner_modes)
     return {v: _branch_of(vertex_star(pattern, v)) for v in pattern.interior_vertices}
 
 
@@ -320,39 +325,19 @@ class _DlVertex:
     star: VertexStar
     azimuths: tuple[float, ...]
     signs: tuple[str, ...] | None = None
-    mode_label: str = ""
     theta: float = 0.0
     scale: float = 1.0
     radii: list[float] | None = None
     mult: object = None
 
     def corners(self, origin: np.ndarray) -> list[np.ndarray]:
-        return [origin + c for c in _dl_corners(self.azimuths, self.radii, self.theta)]
-
-
-def _dl_corners(azimuths, radii, theta) -> list[np.ndarray]:
-    n = len(azimuths)
-    pts = []
-    for i in range(n):
-        j = (i + 1) % n
-        try:
-            pts.append(
-                intersect_lines(
-                    radii[i] * unit(azimuths[i]),
-                    unit(azimuths[i] + theta),
-                    radii[j] * unit(azimuths[j]),
-                    unit(azimuths[j] + theta),
-                )
-            )
-        except ValueError as exc:
-            raise DlError(f"polygon sides {i} and {j} are parallel") from exc
-    return pts
+        return [origin + c for c in polygon_corners(self.azimuths, self.radii, self.theta)]
 
 
 def _corners_valid(azimuths, radii, theta) -> bool:
     """Positive polygon with every side running along its construction line."""
     try:
-        pts = _dl_corners(azimuths, radii, theta)
+        pts = polygon_corners(azimuths, radii, theta)
     except DlError:
         return False
     if polygon_area(np.array(pts)) <= 0.0:
@@ -398,9 +383,7 @@ def _solve_child(dv: _DlVertex, axis: int, target_plus: float, target_minus: flo
                 raise DlError(
                     f"pair ratio mismatch on vertex {dv.vertex} in mode {mode.label}"
                 )
-            dv.signs, dv.mode_label, dv.theta, dv.scale, dv.mult = (
-                mode.signs, mode.label, theta, scale, mult,
-            )
+            dv.signs, dv.theta, dv.scale, dv.mult = mode.signs, theta, scale, mult
             return
         except DlError as exc:
             last = exc
@@ -425,37 +408,31 @@ def _solve_radii(network: VertexNetwork, dls: dict[int, "_DlVertex"],
     pos = {v: 4 * k for k, v in enumerate(interior)}
     n = 4 * len(interior)
 
-    def oplus_row(dv: _DlVertex, i: int, row: np.ndarray, base: int) -> None:
-        st = math.sin(dv.theta)
-        s_i = dv.star.sectors[i]
-        row[base + (i + 1) % 4] += st * st / math.sin(s_i)
-        row[base + i] += -st * math.sin(dv.theta + s_i) / math.sin(s_i)
-
-    def ominus_row(dv: _DlVertex, i: int, row: np.ndarray, base: int) -> None:
-        st = math.sin(dv.theta)
-        s_p = dv.star.sectors[(i - 1) % 4]
-        row[base + i] += st * math.sin(dv.theta - s_p) / math.sin(s_p)
-        row[base + (i - 1) % 4] += -st * st / math.sin(s_p)
+    # axis_offsets is linear in the distances: offsets[v][k, i, s] is the
+    # offset of line s (0: ray^+, 1: ray^-) of axis i per unit of distance k
+    offsets = {
+        v: np.array([
+            axis_offsets(dls[v].star.sectors, [1.0 if j == k else 0.0 for j in range(4)], dls[v].theta)
+            for k in range(4)
+        ])
+        for v in interior
+    }
 
     eq_rows: list[np.ndarray] = []
     for ci in network.shared_creases:
-        c = pattern.creases[ci]
-        u, w = c.v0, c.v1
-        iu, iw = axis_of[u][ci], axis_of[w][ci]
-        r1 = np.zeros(n)
-        oplus_row(dls[u], iu, r1, pos[u])
-        ominus_row(dls[w], iw, r1, pos[w])
-        r2 = np.zeros(n)
-        ominus_row(dls[u], iu, r2, pos[u])
-        oplus_row(dls[w], iw, r2, pos[w])
-        eq_rows += [r1, r2]
+        u, w = pattern.creases[ci].v0, pattern.creases[ci].v1
+        for su, sw in ((0, 1), (1, 0)):  # each line of u's pair on the opposite line of w's
+            row = np.zeros(n)
+            row[pos[u]: pos[u] + 4] = offsets[u][:, axis_of[u][ci], su]
+            row[pos[w]: pos[w] + 4] = offsets[w][:, axis_of[w][ci], sw]
+            eq_rows.append(row)
 
     side_rows: list[np.ndarray] = []
     for v in interior:
         dv = dls[v]
         base = pos[v]
         basis = [
-            _dl_corners(dv.azimuths, [1.0 if j == k else 0.0 for j in range(4)], dv.theta)
+            polygon_corners(dv.azimuths, [1.0 if j == k else 0.0 for j in range(4)], dv.theta)
             for k in range(4)
         ]
         for i in range(4):
@@ -467,10 +444,8 @@ def _solve_radii(network: VertexNetwork, dls: dict[int, "_DlVertex"],
         for i in range(4):
             # pair separation: keep the doubled lines of each axis well apart
             row = np.zeros(n)
-            oplus_row(dv, i, row, base)
-            neg = np.zeros(n)
-            ominus_row(dv, i, neg, base)
-            side_rows.append(row - neg)
+            row[base: base + 4] = offsets[v][:, i, 0] - offsets[v][:, i, 1]
+            side_rows.append(row)
 
     nv = n + 1  # distances plus the common safety margin t
     c_obj = np.zeros(nv)
@@ -526,7 +501,6 @@ def _connect_dl(
     thetas: Mapping[int, float] | None = None,
     require_tree: bool = False,
     root_variant: int = 0,
-    reach_fraction: float = 0.3,
 ) -> tuple[dict[int, float], CreasePattern]:
     pattern = network.pattern
     interior = pattern.interior_vertices
@@ -557,7 +531,7 @@ def _connect_dl(
     rv.mult = dl_multipliers(rv.star.sectors, rv_mode.signs, rv.theta)
     if rv.mult.closure_error > 1e-9:
         raise DlError(f"mode {rv_mode.label} does not close on vertex {root}")
-    rv.signs, rv.mode_label, rv.scale = rv_mode.signs, rv_mode.label, 1.0
+    rv.signs, rv.scale = rv_mode.signs, 1.0
 
     # Breadth-first propagation of θ, scale and radii across shared creases.
     adj = network.adjacency()
@@ -596,12 +570,12 @@ def _connect_dl(
     factor = math.inf
     for v in interior:
         dv = dls[v]
-        reach = max(float(np.linalg.norm(c)) for c in _dl_corners(dv.azimuths, dv.radii, dv.theta))
+        reach = max(float(np.linalg.norm(c)) for c in polygon_corners(dv.azimuths, dv.radii, dv.theta))
         edge_len = min(
             float(np.linalg.norm(lengths[pattern.creases[ci].v1] - lengths[pattern.creases[ci].v0]))
             for ci in dv.star.crease_ids
         )
-        factor = min(factor, reach_fraction * edge_len / reach)
+        factor = min(factor, _REACH_FRACTION * edge_len / reach)
     for v in interior:
         dls[v].radii = [r * factor for r in dls[v].radii]
 
@@ -736,7 +710,7 @@ def _assemble(network: VertexNetwork, dls: dict[int, "_DlVertex"]) -> CreasePatt
 
     # Every corner follows the branch whose multipliers it carries; recovering
     # the branches lets an independent network solve confirm the assembly.
-    corner_modes: dict[int, str] = {}
+    corner_modes: dict[int, FoldMode] = {}
     for v in sorted(interior):
         for cv in corner_ids[v]:
             star = vertex_star(out, cv)
@@ -751,10 +725,10 @@ def _assemble(network: VertexNetwork, dls: dict[int, "_DlVertex"]) -> CreasePatt
                     best, best_d = fm, d
             if best_d > 1e-8:
                 raise DlError(f"corner {cv} multipliers match neither folding branch")
-            corner_modes[cv] = best.value
+            corner_modes[cv] = best
 
     try:
-        g = network_multipliers(out, {v: FoldMode(m) for v, m in corner_modes.items()})
+        g = network_multipliers(out, corner_modes)
     except Fold3dError as exc:
         raise DlError(f"doubled network admits no rigid motion: {exc}") from exc
     k = int(np.argmax(np.abs(g)))
@@ -762,17 +736,19 @@ def _assemble(network: VertexNetwork, dls: dict[int, "_DlVertex"]) -> CreasePatt
     if np.max(np.abs(g * ref[k] - ref)) > 1e-8 * np.max(np.abs(ref)):
         raise DlError("doubled network motion disagrees with the per-vertex solution")
 
-    meta = {
-        "pairs": [[int(a), int(b), int(c)] for a, b, c in sorted(pairs)],
-        "corners": [[int(v), [int(c) for c in corner_ids[v]]] for v in sorted(interior)],
-        "sides": [[int(v), [int(s) for s in side_ids[v]]] for v in sorted(interior)],
-        "thetas": [[int(v), dls[v].theta] for v in sorted(interior)],
-        "scales": [[int(v), dls[v].scale] for v in sorted(interior)],
-        "signs": [[int(v), "".join(dls[v].signs)] for v in sorted(interior)],
-        "corner_modes": [[int(cv), m] for cv, m in sorted(corner_modes.items())],
-        "multipliers": [float(m) for m in mults],
-    }
-    return set_extra(out, NETWORK_KEY, meta)
+    record = DLRecord(
+        pairs=tuple(sorted(pairs)),
+        corners={v: tuple(corner_ids[v]) for v in interior},
+        sides={v: tuple(side_ids[v]) for v in interior},
+        thetas={v: dls[v].theta for v in interior},
+        sectors={v: dls[v].star.sectors for v in interior},
+        radii={v: tuple(dls[v].radii) for v in interior},
+        signs={v: "".join(dls[v].signs) for v in interior},
+        scales={v: dls[v].scale for v in interior},
+        corner_modes=corner_modes,
+        multipliers=tuple(mults),
+    )
+    return write_record(out, record)
 
 
 def connect_tree_dl(network: VertexNetwork, theta_root: float) -> tuple[dict[int, float], CreasePattern]:

@@ -19,11 +19,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dl import CONSTRUCTION_KEY
+from .dl import read_record
 from .fold3d import MotionSample, propagate_fold
-from .fold_io import get_extra
-from .pattern import CreasePattern, PatternError
-from .patterns import NETWORK_KEY
+from .pattern import CreasePattern
 
 GAP_TOL = 1e-6
 
@@ -40,9 +38,6 @@ class ThickPanelParams:
     side: "above" or "below" the zero-thickness surface.
     rho_max: optional per-crease signed trim angles; by default each crease
         is trimmed for the largest fold angle it reaches over the motion.
-    offset_width: crease-offset half-width per crease (scalar or mapping)
-        used in the thickness bound; by default derived from the doubled
-        pairs recorded in the pattern, falling back to 1.
     enforce_bound: reject thicknesses above the per-crease bound.  Lifting
         it builds the (self-colliding) panels anyway so the failure can be
         observed in clearance checks.
@@ -51,7 +46,6 @@ class ThickPanelParams:
     tau: float
     side: str = "above"
     rho_max: Mapping[int, float] | None = None
-    offset_width: float | Mapping[int, float] | None = None
     enforce_bound: bool = True
 
     def __post_init__(self) -> None:
@@ -65,13 +59,13 @@ class ThickPanelParams:
                     raise ThickenError(f"trim angle for crease {ci} outside (0, pi)")
 
 
-def max_thickness(offset_width: float, rho_max: float) -> float:
-    """Largest panel thickness foldable to rho_max at a doubled crease."""
-    if not offset_width > 0.0:
-        raise ThickenError("offset width must be positive")
+def max_thickness(half_width: float, rho_max: float) -> float:
+    """Largest panel thickness foldable to rho_max at a crease of this offset half-width."""
+    if not half_width > 0.0:
+        raise ThickenError("offset half-width must be positive")
     if not 0.0 < rho_max < math.pi:
         raise ThickenError("rho_max must lie strictly between 0 and pi")
-    return offset_width * math.tan((math.pi - rho_max) / 2.0)
+    return half_width * math.tan((math.pi - rho_max) / 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,30 +183,6 @@ def _segs_cross(p, q, r, s) -> bool:
     )
 
 
-def _pair_half_widths(pattern: CreasePattern) -> dict[int, float]:
-    """Half the separation of each doubled pair, keyed by both crease ids."""
-    pairs: list[tuple[int, int]] = []
-    net = get_extra(pattern, NETWORK_KEY)
-    if net is not None:
-        pairs = [(int(p), int(m)) for _, p, m in net["pairs"]]
-    else:
-        single = get_extra(pattern, CONSTRUCTION_KEY)
-        if single is not None:
-            pairs = [(int(p), int(m)) for p, m in single["axes"]]
-    out: dict[int, float] = {}
-    pts = pattern.vertices_array
-    for plus, minus in pairs:
-        cp, cm = pattern.creases[plus], pattern.creases[minus]
-        a, b = pts[cp.v0], pts[cp.v1]
-        d = b - a
-        d = d / np.linalg.norm(d)
-        off = pts[cm.v0] - a
-        width = abs(float(off[0] * d[1] - off[1] * d[0]))
-        out[plus] = width / 2.0
-        out[minus] = width / 2.0
-    return out
-
-
 def flat_fold_parameter(pattern: CreasePattern, multipliers: np.ndarray) -> float | None:
     """Motion parameter t at which doubled-pair angle sums reach pi.
 
@@ -222,15 +192,8 @@ def flat_fold_parameter(pattern: CreasePattern, multipliers: np.ndarray) -> floa
     stop short of it.  None when the pattern carries no doubled pairs or
     no pair folds toward flat.
     """
-    pairs: list[tuple[int, int]] = []
-    net = get_extra(pattern, NETWORK_KEY)
-    if net is not None:
-        pairs = [(int(p), int(m)) for _, p, m in net["pairs"]]
-    else:
-        single = get_extra(pattern, CONSTRUCTION_KEY)
-        if single is not None:
-            pairs = [(int(p), int(m)) for p, m in single["axes"]]
-    for plus, minus in pairs:
+    rec = read_record(pattern)
+    for plus, minus in rec.axes if rec is not None else ():
         k = float(multipliers[plus]) * float(multipliers[minus])
         if k > 0.0:
             return 1.0 / math.sqrt(k)
@@ -244,8 +207,15 @@ def crease_half_widths(pattern: CreasePattern) -> dict[int, float]:
     the depth their offset line can move into the shallower adjacent face.
     These are the lengths scaling each crease's thickness bound.
     """
-    out = dict(_pair_half_widths(pattern))
+    out: dict[int, float] = {}
     pts = pattern.vertices_array
+    rec = read_record(pattern)
+    for plus, minus in rec.axes if rec is not None else ():
+        cp, cm = pattern.creases[plus], pattern.creases[minus]
+        a = pts[cp.v0]
+        d = (pts[cp.v1] - a) / np.linalg.norm(pts[cp.v1] - a)
+        off = pts[cm.v0] - a
+        out[plus] = out[minus] = abs(float(off[0] * d[1] - off[1] * d[0])) / 2.0
     edge_key = {
         (min(c.v0, c.v1), max(c.v0, c.v1)): i for i, c in enumerate(pattern.creases)
     }
@@ -312,19 +282,10 @@ def thicken(
     rho = _design_angles(pattern, motion, params)
     sign_up = 1.0 if params.side == "above" else -1.0
     widths = crease_half_widths(pattern)
-
-    def width_of(ci: int) -> float:
-        if isinstance(params.offset_width, Mapping):
-            if ci in params.offset_width:
-                return float(params.offset_width[ci])
-        elif params.offset_width is not None:
-            return float(params.offset_width)
-        return widths.get(ci, 1.0)
-
     beveled = {ci: v for ci, v in rho.items() if sign_up * v > 0.0}
     if params.enforce_bound:
         for ci in sorted(beveled):
-            bound = max_thickness(width_of(ci), abs(beveled[ci]))
+            bound = max_thickness(widths.get(ci, 1.0), abs(beveled[ci]))
             if params.tau > bound + 1e-12:
                 raise ThickenError(
                     f"thickness {params.tau} exceeds bound {bound:.9g} at crease {ci}"

@@ -34,7 +34,6 @@ from doubleline import (
     corner_coefficients,
     count_modes,
     crease_half_widths,
-    dl_info,
     double_line_ratio,
     enumerate_mode_sequences,
     flat_fold_parameter,
@@ -43,7 +42,6 @@ from doubleline import (
     gen_miura,
     gen_single_deg4,
     gen_yoshimura,
-    get_extra,
     infer_modes,
     load_fold,
     major_coefficient,
@@ -53,6 +51,7 @@ from doubleline import (
     p_coeff,
     pattern_multipliers,
     quarter_angle_coefficient,
+    read_record,
     save_fold,
     solve_fold_angles,
     sweep_motion,
@@ -66,7 +65,6 @@ from doubleline import (
 )
 from doubleline.cli import main as cli_main
 from doubleline.dl import CRITICAL, FINITE, FULL_RANGE
-from doubleline.patterns import NETWORK_KEY
 from doubleline.symmetric import sequence_multipliers
 
 from conftest import deg, star_of
@@ -230,19 +228,19 @@ def test_05_motion_closure_and_pair_sums():
         g = pattern_multipliers(dlp, MODE_A1)
         motion = sweep_motion(dlp, None, _capped_grid(dlp, g, 40), multipliers=g)
         assert max(s.residual for s in motion) < 1e-9
-        axes = dl_info(dlp).axes
+        axes = read_record(dlp).axes
         pairs = [(i, p, m) for i, (p, m) in enumerate(axes)]
         original = np.array(list(mode_vector(star, FoldMode.A)))
         assert _pair_sum_mismatch(motion, pairs, original) < 1e-9
 
         # doubled degree-6 vertex under the alternating sequence
         pat6 = construct_symmetric_dl(3)
-        info6 = dl_info(pat6)
+        info6 = read_record(pat6)
         mult = sequence_multipliers(3, "+-+-+-")
         g6 = np.zeros(len(pat6.creases))
         for i, (p, m) in enumerate(info6.axes):
             g6[p], g6[m] = mult.rays_plus[i], mult.rays_minus[i]
-        for i, side in enumerate(info6.sides):
+        for i, side in enumerate(info6.sides[0]):
             g6[side] = mult.sides[i]
         motion = sweep_motion(pat6, None, _capped_grid(pat6, g6, 40), multipliers=g6)
         assert max(s.residual for s in motion) < 1e-9
@@ -260,13 +258,13 @@ def test_05_motion_closure_and_pair_sums():
             (gen_dl_yoshimura(2, 4, 1.5, math.pi / 2), gen_yoshimura(2, 4, 1.5).pattern),
         )
         for dl_pat, orig in networks:
-            meta = get_extra(dl_pat, NETWORK_KEY)
-            gm = np.asarray(meta["multipliers"], dtype=float)
+            meta = read_record(dl_pat)
+            gm = np.asarray(meta.multipliers, dtype=float)
             motion = sweep_motion(dl_pat, None, _capped_grid(dl_pat, gm, 25),
                                   multipliers=gm)
             assert max(s.residual for s in motion) < 1e-9
             go = network_multipliers(orig, infer_modes(orig))
-            assert _pair_sum_mismatch(motion, meta["pairs"], go) < 1e-9
+            assert _pair_sum_mismatch(motion, meta.pairs, go) < 1e-9
 
 
 def test_06_quarter_angle_law():
@@ -318,9 +316,9 @@ def test_09_thickness_bound_and_clearance():
                 assert max_thickness(c, rho) == c * math.tan((math.pi - rho) / 2.0)
 
         dlm = gen_dl_miura(3, 3, *deg(60, 90))
-        meta = get_extra(dlm, NETWORK_KEY)
-        modes = {v: FoldMode(m) for v, m in meta["corner_modes"]}
-        gm = np.asarray(meta["multipliers"], dtype=float)
+        meta = read_record(dlm)
+        modes = dict(meta.corner_modes)
+        gm = np.asarray(meta.multipliers, dtype=float)
         t_flat = flat_fold_parameter(dlm, gm)
         motion = sweep_motion(dlm, modes, np.geomspace(1e-3, 0.97 * t_flat, 50))
         widths = crease_half_widths(dlm)

@@ -175,6 +175,9 @@ def test_malformed_fold_is_domain_error(tmp_path, capsysbinary, doc, message):
     ("modes", "--n", "1001"),
     ("sweep", "{path}", "--samples", "10001"),
     ("thicken", "{path}", "--tau", "0.01", "--samples", "0"),
+    ("gen", "miura", "--rows", "13", "--cols", "2", "--angle", "60"),
+    ("gen", "dl-yoshimura", "--rows", "2", "--cols", "0", "--elongation", "1.5", "--theta", "90"),
+    ("gen", "symmetric", "--n", "101"),
 ])
 def test_size_arguments_are_capped(tmp_path, capsysbinary, argv):
     path = tmp_path / "single.fold"
@@ -184,6 +187,75 @@ def test_size_arguments_are_capped(tmp_path, capsysbinary, argv):
     assert out == b""
     assert err.startswith(b"error: --") and b"must lie in" in err
     assert err.count(b"\n") == 1
+
+
+def _doubled_single(tmp_path, capsysbinary):
+    """A doubled single vertex with mode a-I fixed, written through the CLI."""
+    single, doubled = tmp_path / "single.fold", tmp_path / "dl.fold"
+    run(capsysbinary, "gen", "single", "--alpha", "60", "--beta", "80", "--out", str(single))
+    run(capsysbinary, "doubleline", str(single), "--theta", "90", "--radii", "0.2,0.2,0.2,0.2",
+        "--mode", "a-I", "--out", str(doubled))
+    return single, doubled
+
+
+def test_analyze_reports_recorded_corner_branches(tmp_path, capsysbinary):
+    _, doubled = _doubled_single(tmp_path, capsysbinary)
+    code, out, _ = run(capsysbinary, "analyze", str(doubled))
+    assert code == 0
+    branches = [ln.rsplit(" ", 1)[1] for ln in out.decode().splitlines() if ln.startswith("vertex ")]
+    assert branches == ["a", "b", "b", "a"]  # mode a-I signs - + + -
+
+
+@pytest.mark.parametrize("command, corrupt, message", [
+    ("sweep", lambda doc: doc["doubleline:network"].update(multipliers={"a": 1}),
+     b"multipliers must be"),
+    ("thicken", lambda doc: doc.update({"doubleline:network": 5}), b"must be an object"),
+    ("thicken", lambda doc: doc.update({"doubleline:network": {"pairs": 5}}), b"must be a list"),
+    ("thicken", lambda doc: doc["doubleline:network"]["pairs"][0].__setitem__(1, 999),
+     b"pairs must be"),
+    ("sweep", lambda doc: doc.update({"doubleline:construction": {"theta": 1.0}}),
+     b"'doubleline:construction' is no longer read"),
+], ids=("multipliers-object", "record-number", "pairs-number", "pair-id-999", "retired-key"))
+def test_malformed_record_is_domain_error(tmp_path, capsysbinary, command, corrupt, message):
+    _, doubled = _doubled_single(tmp_path, capsysbinary)
+    doc = json.loads(doubled.read_text())
+    corrupt(doc)
+    doubled.write_text(json.dumps(doc))
+    tau = ("--tau", "0.01") if command == "thicken" else ()
+    code, out, err = run(capsysbinary, command, str(doubled), *tau)
+    assert code == 1
+    assert out == b""
+    assert err.startswith(b"error: ") and message in err
+    assert err.count(b"\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("doubleline", "{single}", "--theta", "90", "--vertex", "999"), b"--vertex 999 is not an interior"),
+    (("doubleline", "{single}", "--theta", "90", "--vertex", "-1"), b"--vertex -1 is not an interior"),
+    (("solve", "{doubled}", "--driver", "999", "--target", "25"), b"driver crease 999 is not among"),
+    (("sweep", "{doubled}", "--t-max", "nan"), b"--t-max must be finite"),
+], ids=("vertex-999", "vertex-minus-1", "driver-999", "t-max-nan"))
+def test_bad_ids_and_non_finite_values(tmp_path, capsysbinary, argv, message):
+    single, doubled = _doubled_single(tmp_path, capsysbinary)
+    code, out, err = run(capsysbinary, *(a.format(single=single, doubled=doubled) for a in argv))
+    assert code == 1
+    assert out == b""
+    assert err.startswith(b"error: ") and message in err
+    assert err.count(b"\n") == 1
+
+
+def test_sweep_of_doubled_tessellation_follows_its_labels(tmp_path, capsysbinary):
+    # the recorded multipliers carry the motion the M/V labels were assigned
+    # from; at 70 deg the network solve's null vector is their negative
+    path = tmp_path / "dlm.fold"
+    run(capsysbinary, "gen", "dl-miura", "--rows", "3", "--cols", "3", "--angle", "70",
+        "--theta", "90", "--out", str(path))
+    code, out, _ = run(capsysbinary, "sweep", str(path), "--samples", "3")
+    assert code == 0
+    last = [float(x) for x in out.decode().splitlines()[-1].split(",")[1:-1]]
+    labels = [c.assignment for c in load_fold(path.read_bytes()).creases]
+    assert all(rho > 0 for a, rho in zip(labels, last) if a == "V")
+    assert all(rho < 0 for a, rho in zip(labels, last) if a == "M")
 
 
 def _fresh_python(code):

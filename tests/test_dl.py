@@ -18,19 +18,24 @@ from doubleline import (
     DoubleLineParams,
     DoubleLineRatio,
     FoldMode,
+    VertexStar,
     axis_sums,
     classify_theta,
     construct_dl,
     corner_coefficients,
     corner_mode_map,
     critical_thetas,
-    dl_info,
     dl_multipliers,
     double_line_ratio,
     is_flat_foldable_deg4,
     kawasaki_residual,
+    load_fold,
     mode_from_label,
+    mode_is_valid,
     pattern_multipliers,
+    propagate_fold,
+    read_record,
+    save_fold,
     sign_pattern_product,
     theta_for_even_minor,
     theta_for_ratio,
@@ -51,11 +56,11 @@ def test_construct_dl_deg4_shape():
     assert len(pat.creases) == 20
     assert len(pat.faces) == 9
     assert sum(1 for v in range(len(pat.vertices)) if vertex_star(pat, v).interior) == 4
-    info = dl_info(pat)
-    assert info.degree == 4
-    assert info.corners == (0, 1, 2, 3)
+    info = read_record(pat)
+    assert len(info.sectors[0]) == 4
+    assert info.corners[0] == (0, 1, 2, 3)
     assert info.axes == ((0, 4), (1, 5), (2, 6), (3, 7))
-    assert info.sides == (8, 9, 10, 11)
+    assert info.sides[0] == (8, 9, 10, 11)
 
 
 def test_construct_dl_corner_stars():
@@ -74,7 +79,7 @@ def test_corners_flat_foldable_even_when_original_is_not():
     star = star_of(deg(60, 80, 110, 110))
     assert abs(kawasaki_residual(star)) > 0.1
     pat = construct_dl(star, DoubleLineParams(math.pi / 2, (1.0,) * 4))
-    for v in dl_info(pat).corners:
+    for v in read_record(pat).corners[0]:
         assert is_flat_foldable_deg4(vertex_star(pat, v))
 
 
@@ -84,8 +89,32 @@ def test_construct_dl_degree6():
     assert len(pat.vertices) == 18
     assert len(pat.creases) == 30
     assert len(pat.faces) == 13
-    for v in dl_info(pat).corners:
+    for v in read_record(pat).corners[0]:
         assert is_flat_foldable_deg4(vertex_star(pat, v))
+
+
+def _degrees(lo, hi):
+    return st.floats(min_value=math.radians(lo), max_value=math.radians(hi))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(alpha=_degrees(10, 170), beta=_degrees(10, 170), theta=_degrees(20, 160))
+def test_record_round_trips_and_drives_every_closing_mode(alpha, beta, theta):
+    star = VertexStar.from_sectors([alpha, beta, math.pi - alpha, math.pi - beta])
+    try:
+        pat = construct_dl(star, DoubleLineParams(theta, (0.2,) * 4))
+    except DlError:  # a corner inverts: radii too small for this theta
+        assume(False)
+    blob = save_fold(pat)
+    reloaded = load_fold(blob)
+    assert save_fold(reloaded) == blob
+    assert read_record(reloaded) == read_record(pat)
+    for mode in GENERIC_MODES:
+        if not mode_is_valid(mode, alpha, beta, theta):
+            continue
+        g = pattern_multipliers(reloaded, mode)
+        for t in (0.3, 1.0):
+            assert propagate_fold(reloaded, 2.0 * np.arctan(g * t)).max_residual < 1e-9
 
 
 def test_construct_dl_rejects_bad_input():
@@ -295,8 +324,8 @@ def test_pattern_multipliers_layout():
     pat = construct_dl(star, DoubleLineParams(math.pi / 2, (1.0,) * 4))
     g = pattern_multipliers(pat, MODE_A1)
     assert len(g) == len(pat.creases)
-    info = dl_info(pat)
-    interior = {c for ab in info.axes for c in ab} | set(info.sides)
+    info = read_record(pat)
+    interior = {c for ab in info.axes for c in ab} | set(info.sides[0])
     assert all(abs(g[c]) > 1e-12 for c in interior)
     assert all(g[c] == 0.0 for c in range(len(pat.creases)) if c not in interior)
     # modes assign different speeds

@@ -161,7 +161,7 @@ def test_export_obj_square():
         [Crease(0, 1, "B"), Crease(1, 2, "B"), Crease(2, 3, "B"), Crease(3, 0, "B")],
     )
     data = export_obj(propagate_fold(pat, [0.0] * 4))
-    lines = data.decode().splitlines()
+    lines = data.splitlines()
     assert sum(1 for ln in lines if ln.startswith("v ")) == 4
     assert sum(1 for ln in lines if ln.startswith("f ")) == 2
 
@@ -171,6 +171,6 @@ def test_export_obj_welds_and_is_deterministic():
     g = network_multipliers(pat, infer_modes(pat))
     state = propagate_fold(pat, 2.0 * np.arctan(g * 0.4))
     data = export_obj(state)
-    n_v = sum(1 for ln in data.decode().splitlines() if ln.startswith("v "))
+    n_v = sum(1 for ln in data.splitlines() if ln.startswith("v "))
     assert n_v == len(pat.vertices)
     assert export_obj(state) == data

@@ -18,22 +18,21 @@ from doubleline import (
     gen_single_deg4,
     gen_symmetric_vertex,
     gen_yoshimura,
-    get_extra,
     infer_modes,
+    read_record,
     sweep_motion,
     vertex_closure_residual,
     vertex_star,
 )
-from doubleline.patterns import NETWORK_KEY
 
 from conftest import deg
 
 
 def pair_sum_residual(orig_pattern, dl_pattern, ts):
     """Worst original-vertex closure residual of the doubled pair sums."""
-    meta = get_extra(dl_pattern, NETWORK_KEY)
-    g = np.array(meta["multipliers"])
-    pair_of = {orig: (p, m) for orig, p, m in meta["pairs"]}
+    meta = read_record(dl_pattern)
+    g = np.array(meta.multipliers)
+    pair_of = {orig: (p, m) for orig, p, m in meta.pairs}
     worst = 0.0
     for t in ts:
         s_of = {
@@ -153,9 +152,9 @@ def test_gen_dl_miura_shape_and_motion():
     assert len(dl.vertices) == 44
     assert len(dl.creases) == 68
     assert len(dl.faces) == 25
-    meta = get_extra(dl, NETWORK_KEY)
-    assert {s for _, s in meta["signs"]} == {"-++-"}
-    g = np.array(meta["multipliers"])
+    meta = read_record(dl)
+    assert set(meta.signs.values()) == {"-++-"}
+    g = np.array(meta.multipliers)
     samples = sweep_motion(dl, None, np.linspace(0.0, 1.2, 7), multipliers=g)
     assert max(s.residual for s in samples) < 1e-9
     assert pair_sum_residual(net.pattern, dl, (0.2, 0.6, 1.1)) < 1e-9
@@ -179,7 +178,7 @@ def test_gen_dl_yoshimura():
 
 def test_infer_modes_uses_stored_branches():
     dl = gen_dl_miura(2, 2, math.radians(60), math.pi / 2)
-    meta = get_extra(dl, NETWORK_KEY)
+    meta = read_record(dl)
     modes = infer_modes(dl)
     assert set(modes) == set(dl.interior_vertices)
-    assert {v: m.value for v, m in modes.items()} == {v: m for v, m in meta["corner_modes"]}
+    assert {v: m.value for v, m in modes.items()} == {v: m.value for v, m in meta.corner_modes.items()}

@@ -8,10 +8,10 @@ from doubleline import (
     VertexStar,
     construct_symmetric_dl,
     count_modes,
-    dl_info,
     enumerate_mode_sequences,
     is_flat_foldable_deg4,
     quarter_angle_coefficient,
+    read_record,
     symmetric_fold_relation,
     vertex_closure_residual,
     vertex_star,
@@ -29,11 +29,11 @@ def test_construct_symmetric_dl_shape():
     assert len(pat.vertices) == 18
     assert len(pat.creases) == 30
     assert len(pat.faces) == 13
-    info = dl_info(pat)
-    assert info.degree == 6
-    assert all(abs(s - math.pi / 3) < 1e-12 for s in info.sectors)
-    assert abs(info.theta - math.pi / 2) < 1e-12
-    for v in info.corners:
+    info = read_record(pat)
+    assert len(info.sectors[0]) == 6
+    assert all(abs(s - math.pi / 3) < 1e-12 for s in info.sectors[0])
+    assert abs(info.thetas[0] - math.pi / 2) < 1e-12
+    for v in info.corners[0]:
         assert is_flat_foldable_deg4(vertex_star(pat, v))
     with pytest.raises(DlError):
         construct_symmetric_dl(1)

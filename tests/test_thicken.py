@@ -13,21 +13,19 @@ from doubleline import (
     clearance_records,
     construct_dl,
     crease_half_widths,
-    dl_info,
     export_clearance_csv,
     export_solids_obj,
     flat_fold_parameter,
     gen_dl_miura,
     gen_miura,
-    get_extra,
     max_thickness,
     pattern_multipliers,
+    read_record,
     sweep_motion,
     thicken,
     watertight_gap,
 )
 from doubleline.dl import axis_offsets
-from doubleline.patterns import NETWORK_KEY
 
 from conftest import deg, star_of
 
@@ -65,14 +63,14 @@ def test_flat_fold_parameter():
     tf = flat_fold_parameter(pat, g)
     assert abs(tf - 6.531273683369497) < 1e-9
     # the doubled pair sums do reach half turns there
-    info = dl_info(pat)
+    info = read_record(pat)
     for plus, minus in info.axes:
         k = g[plus] * g[minus]
         if k > 0:
             s = 2 * math.atan(g[plus] * tf) + 2 * math.atan(g[minus] * tf)
             assert abs(abs(s) - math.pi) < 1e-9
     dlm = gen_dl_miura(3, 3, math.radians(60), math.pi / 2)
-    gm = np.array(get_extra(dlm, NETWORK_KEY)["multipliers"])
+    gm = np.array(read_record(dlm).multipliers)
     assert abs(flat_fold_parameter(dlm, gm) - math.tan(math.radians(75))) < 1e-9
     plain = gen_miura(3, 3, math.radians(60)).pattern
     assert flat_fold_parameter(plain, np.zeros(len(plain.creases))) is None
@@ -81,8 +79,8 @@ def test_flat_fold_parameter():
 def test_crease_half_widths_match_pair_separation():
     star = star_of(deg(60, 80, 120, 100))
     pat = construct_dl(star, DoubleLineParams(math.pi / 2, (0.2, 0.25, 0.3, 0.22)))
-    info = dl_info(pat)
-    offs = axis_offsets(info.sectors, info.radii, info.theta)
+    info = read_record(pat)
+    offs = axis_offsets(info.sectors[0], info.radii[0], info.thetas[0])
     w = crease_half_widths(pat)
     for i, (plus, minus) in enumerate(info.axes):
         half_sep = abs(offs[i][0] - offs[i][1]) / 2.0
