@@ -27,6 +27,7 @@ from .dl import (
 )
 from .fold3d import export_obj, network_multipliers, propagate_fold, solve_fold_angles, sweep_motion
 from .fold_io import load_fold, save_fold
+from .kinematics import KinematicsError
 from .pattern import CreasePattern, PatternError, is_flat_foldable_deg4, vertex_star
 from .patterns import (
     gen_dl_miura,
@@ -99,7 +100,7 @@ def _cmd_analyze(args) -> bytes:
     ]
     try:
         modes = infer_modes(pattern)
-    except PatternError:
+    except (PatternError, KinematicsError):  # some vertex has no unique branch
         modes = {}
     for v in pattern.interior_vertices:
         star = vertex_star(pattern, v)

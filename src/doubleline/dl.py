@@ -459,7 +459,8 @@ def assign_mode_mv(pattern: CreasePattern, multipliers: np.ndarray) -> CreasePat
             new.append(Crease(c.v0, c.v1, "M", c.fold_angle))
         else:
             new.append(Crease(c.v0, c.v1, "U", c.fold_angle))
-    return CreasePattern.build(pattern.vertices, new, faces=pattern.faces, extras=dict(pattern.extras))
+    # labels change no input of CreasePattern.validate: B stays B, others stay non-B
+    return replace(pattern, creases=tuple(new))
 
 
 # -- axis sums, regimes, ratios ----------------------------------------------

@@ -86,19 +86,10 @@ class FoldedState:
     def face_normal(self, face_id: int) -> np.ndarray:
         return self.isometries[face_id].rot @ np.array([0.0, 0.0, 1.0])
 
-    @cached_property
-    def _directed_face(self) -> dict[tuple[int, int], int]:
-        out = {}
-        for fi, f in enumerate(self.pattern.faces):
-            for aa, bb in zip(f, f[1:] + f[:1]):
-                out[(aa, bb)] = fi
-        return out
-
     def measured_fold_angle(self, crease_id: int) -> float:
         """Signed dihedral read back from the face isometries (valley positive)."""
         c = self.pattern.creases[crease_id]
-        left = self._directed_face.get((c.v0, c.v1))
-        right = self._directed_face.get((c.v1, c.v0))
+        left, right = self.pattern.crease_faces[crease_id]
         if left is None or right is None:
             raise Fold3dError(f"crease {crease_id} does not separate two faces")
         tl = self.isometries[left]
@@ -125,29 +116,14 @@ def propagate_fold(pattern: CreasePattern, angles: Sequence[float]) -> FoldedSta
     if not pattern.faces:
         raise PatternError("pattern has no faces to fold")
 
-    directed = {}
-    for fi, f in enumerate(pattern.faces):
-        for aa, bb in zip(f, f[1:] + f[:1]):
-            directed[(aa, bb)] = fi
-
     iso: list[Isometry | None] = [None] * len(pattern.faces)
     iso[0] = Isometry()
     tree: set[int] = set()
     queue = deque([0])
-    # crease id -> (left face, right face); None on the boundary
-    sides = {}
-    for ci, c in enumerate(pattern.creases):
-        sides[ci] = (directed.get((c.v0, c.v1)), directed.get((c.v1, c.v0)))
-    face_creases: list[list[int]] = [[] for _ in pattern.faces]
-    for ci, (lf, rf) in sorted(sides.items()):
-        if lf is not None:
-            face_creases[lf].append(ci)
-        if rf is not None:
-            face_creases[rf].append(ci)
-
+    sides = pattern.crease_faces
     while queue:
         f = queue.popleft()
-        for ci in face_creases[f]:
+        for ci in sorted(pattern.face_creases[f]):
             lf, rf = sides[ci]
             other = rf if lf == f else lf
             if other is None or iso[other] is not None:
@@ -163,7 +139,7 @@ def propagate_fold(pattern: CreasePattern, angles: Sequence[float]) -> FoldedSta
         raise PatternError("face adjacency graph is disconnected")
 
     crease_res = []
-    for ci, (lf, rf) in sorted(sides.items()):
+    for ci, (lf, rf) in enumerate(sides):
         if lf is None or rf is None or ci in tree:
             continue
         want_left = iso[rf].compose(_crease_fold(pattern, ci, angles[ci]))
@@ -197,7 +173,9 @@ def network_multipliers(
     Each interior vertex contributes the linear constraints g_{c_i} = m_i * s_v
     (its mode vector up to a vertex scale).  The assignment admits a motion
     iff the stacked homogeneous system has a one-dimensional null space; the
-    result is normalized so the largest |g| entry equals +1.
+    result is scaled so the largest |g| equals 1.  Its sign makes the
+    pattern's valleys fold positive (the convention assign_mode_mv writes);
+    without M/V labels the first entry of largest |g| is +1.
     """
     interior_v = pattern.interior_vertices
     if not interior_v:
@@ -239,6 +217,10 @@ def network_multipliers(
     if abs(g[k]) < tol:
         raise Fold3dError("mode assignment freezes every crease")
     x = x / g[k]
+    # many entries tie at |g| = 1, so argmax alone leaves the sign to rounding
+    valley = [{"V": 1.0, "M": -1.0}.get(pattern.creases[ci].assignment, 0.0) for ci in g_index]
+    if np.dot(valley, x[:n_g]) < 0.0:
+        x = -x
     out = np.zeros(len(pattern.creases))
     for ci, k_c in g_index.items():
         out[ci] = x[k_c]

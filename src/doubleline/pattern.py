@@ -89,15 +89,13 @@ class CreasePattern:
     ) -> "CreasePattern":
         verts = tuple((float(p[0]), float(p[1])) for p in vertices)
         cr = tuple(c if isinstance(c, Crease) else Crease(*c) for c in creases)
-        for i, c in enumerate(cr):  # face extraction indexes vertices by these ids
+        for i, c in enumerate(cr):  # the face walk indexes vertices by these ids
             if not (0 <= c.v0 < len(verts) and 0 <= c.v1 < len(verts)):
                 raise PatternError(f"crease {i} references a missing vertex")
-        pat = cls(verts, cr, faces=(), extras=tuple(sorted((extras or {}).items())))
+        items = tuple(sorted((extras or {}).items()))
         if faces is None:
-            face_list = pat._extract_faces() if verts else ()
-        else:
-            face_list = tuple(_canon_cycle(f) for f in faces)
-        pat = cls(verts, cr, tuple(face_list), pat.extras)
+            faces = cls(verts, cr, (), items)._walks[0]
+        pat = cls(verts, cr, tuple(_canon_cycle(f) for f in faces), items)
         pat.validate()
         return pat
 
@@ -145,48 +143,79 @@ class CreasePattern:
             out.append(tuple(items))
         return tuple(out)
 
-    def _extract_faces(self, keep_outer: bool = False) -> tuple[tuple[int, ...], ...]:
-        """Walk the planar embedding and return interior face vertex cycles."""
+    @cached_property
+    def _walks(self) -> tuple[dict[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, ...], ...]]:
+        """Walk every face of the planar embedding once.
+
+        Arriving at a vertex, a walk leaves along the next crease clockwise,
+        so it traces the face on the left of each half-edge: interior faces
+        come out counterclockwise, with positive area.  Returns the interior
+        faces, sorted, as vertex cycle -> crease id of each side (side k runs
+        from cycle[k] to cycle[k+1]), and the vertex cycles of the other
+        walks (the outer face).  Cycles start at their lowest vertex id.
+        """
         nxt: dict[tuple[int, int], tuple[int, int]] = {}
+        crease_of: dict[tuple[int, int], int] = {}
         for v, items in enumerate(self._sorted_incidence):
             k = len(items)
             for j in range(k):
-                # Arriving along crease items[j] (from its far end), continue with
-                # the next crease clockwise: predecessor in the sorted order.
                 w = items[j][2]
-                u = items[(j - 1) % k][2]
-                nxt[(w, v)] = (v, u)
-        faces = []
+                nxt[(w, v)] = (v, items[(j - 1) % k][2])
+                crease_of[(v, w)] = items[j][1]
+        faces = {}
+        outer = []
         seen: set[tuple[int, int]] = set()
         for he in sorted(nxt):
             if he in seen:
                 continue
-            cycle = []
+            cycle, sides = [], []
             cur = he
             while cur not in seen:
                 seen.add(cur)
                 cycle.append(cur[0])
+                sides.append(crease_of[cur])
                 cur = nxt[cur]
             if cur != he:
                 raise PatternError("embedding walk failed to close a face")
-            pts = self.vertices_array[cycle]
-            if polygon_area(pts) > 0 or keep_outer:
-                faces.append(_canon_cycle(cycle))
-        return tuple(sorted(faces))
+            k = cycle.index(min(cycle))
+            cycle, sides = tuple(cycle[k:] + cycle[:k]), tuple(sides[k:] + sides[:k])
+            if polygon_area(self.vertices_array[list(cycle)]) > 0:
+                faces[cycle] = sides
+            else:
+                outer.append(cycle)
+        return dict(sorted(faces.items())), tuple(sorted(outer))
+
+    @cached_property
+    def face_creases(self) -> tuple[tuple[int, ...], ...]:
+        """Crease id on each side of each face; side k runs from faces[f][k] to faces[f][k+1]."""
+        walked = self._walks[0]
+        if sorted(self.faces) != list(walked):
+            raise PatternError("stored faces disagree with the planar embedding")
+        return tuple(walked[f] for f in self.faces)
+
+    @cached_property
+    def crease_faces(self) -> tuple[tuple[int | None, int | None], ...]:
+        """(left, right) face id of each crease directed v0 -> v1; None on the outer side."""
+        out: list[list[int | None]] = [[None, None] for _ in self.creases]
+        for fi, (cycle, sides) in enumerate(zip(self.faces, self.face_creases)):
+            for a, ci in zip(cycle, sides):
+                out[ci][self.creases[ci].v0 != a] = fi
+        return tuple(map(tuple, out))
+
+    @cached_property
+    def outer_cycle(self) -> tuple[int, ...]:
+        """Vertex cycle of the outer face, clockwise from its lowest vertex id."""
+        outer = self._walks[1]
+        if len(outer) != 1:
+            raise PatternError("pattern boundary is not a single cycle")
+        return outer[0]
 
     @cached_property
     def boundary_vertices(self) -> frozenset[int]:
-        """Vertices on the outer face (present in some walk with non-positive area)."""
+        """Vertices on the outer face."""
         if not self.creases:
             return frozenset(range(len(self.vertices)))
-        interior = self._extract_faces(keep_outer=False)
-        outer = set()
-        all_faces = self._extract_faces(keep_outer=True)
-        interior_set = set(interior)
-        for f in all_faces:
-            if f not in interior_set:
-                outer.update(f)
-        return frozenset(outer)
+        return frozenset(v for cycle in self._walks[1] for v in cycle)
 
     def is_interior(self, vertex: int) -> bool:
         return vertex not in self.boundary_vertices
@@ -198,19 +227,6 @@ class CreasePattern:
     @cached_property
     def interior_creases(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.creases) if c.assignment != "B")
-
-    @cached_property
-    def face_pairs(self) -> dict[int, tuple[int, ...]]:
-        """crease id -> ids of stored faces using it (1 for boundary, 2 interior)."""
-        edge_to_faces: dict[tuple[int, int], list[int]] = {}
-        for fi, f in enumerate(self.faces):
-            for a, b in zip(f, f[1:] + f[:1]):
-                edge_to_faces.setdefault((min(a, b), max(a, b)), []).append(fi)
-        out = {}
-        for ci, c in enumerate(self.creases):
-            key = (min(c.v0, c.v1), max(c.v0, c.v1))
-            out[ci] = tuple(edge_to_faces.get(key, ()))
-        return out
 
     # -- validation --------------------------------------------------------
 
@@ -266,16 +282,13 @@ class CreasePattern:
                 if set(used) - comp:
                     raise PatternError("crease graph is disconnected")
 
-            # Faces must match the embedding.
-            recomputed = self._extract_faces()
-            if set(self.faces) != set(recomputed):
-                raise PatternError("stored faces disagree with the planar embedding")
-            for ci, fs in self.face_pairs.items():
-                c = self.creases[ci]
+            # Faces must match the embedding (face_creases checks them).
+            for ci, (c, sides) in enumerate(zip(self.creases, self.crease_faces)):
+                got = sum(f is not None for f in sides)
                 want = 1 if c.assignment == "B" else 2
-                if len(fs) != want:
+                if got != want:
                     raise PatternError(
-                        f"crease {ci} ({c.assignment}) borders {len(fs)} faces, expected {want}"
+                        f"crease {ci} ({c.assignment}) borders {got} faces, expected {want}"
                     )
 
 
@@ -298,14 +311,11 @@ def vertex_star(pattern: CreasePattern, vertex: int) -> VertexStar:
         return VertexStar(vertex, sectors, tuple(ids[j] for j in order), True)
 
     # Boundary vertex: drop the gap that belongs to the outer region and start
-    # the listing just after it.
-    pattern_faces = set(pattern.faces)
-    gap_face = []
-    for j in range(k):
-        # The wedge from az[j] to az[j+1] is the face left of the half-edge
-        # leaving along items[j].
-        he_face = _face_of_halfedge(pattern, vertex, items[j][2])
-        gap_face.append(he_face in pattern_faces)
+    # the listing just after it.  The wedge from az[j] to az[j+1] is the face
+    # left of the half-edge leaving along items[j].
+    gap_face = [
+        pattern.crease_faces[ci][pattern.creases[ci].v0 != vertex] is not None for ci in ids
+    ]
     if all(gap_face):
         # Can happen for flat 180-degree boundary runs; treat the largest gap as exterior.
         gap_face[max(range(k), key=lambda j: angle_ccw(az[j], az[(j + 1) % k]))] = False
@@ -315,22 +325,6 @@ def vertex_star(pattern: CreasePattern, vertex: int) -> VertexStar:
         angle_ccw(az[order[j]], az[order[j + 1]]) for j in range(k - 1)
     )
     return VertexStar(vertex, sectors, tuple(ids[j] for j in order), False)
-
-
-def _face_of_halfedge(pattern: CreasePattern, v: int, w: int) -> tuple[int, ...] | None:
-    """Vertex cycle of the face to the left of directed edge v->w (canonical rotation)."""
-    items_by_vertex = pattern._sorted_incidence
-    cycle = []
-    cur = (v, w)
-    for _ in range(4 * len(pattern.creases) + 4):
-        cycle.append(cur[0])
-        a, b = cur
-        items = items_by_vertex[b]
-        j = next(i for i, it in enumerate(items) if it[2] == a)
-        cur = (b, items[(j - 1) % len(items)][2])
-        if cur == (v, w):
-            return _canon_cycle(cycle)
-    return None
 
 
 def kawasaki_residual(star: VertexStar) -> float:

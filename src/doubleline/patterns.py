@@ -292,20 +292,12 @@ def face_loop_products(network: VertexNetwork) -> dict[int, float]:
     pattern = network.pattern
     interior = set(pattern.interior_vertices)
     out = {}
-    for fi, cycle in enumerate(pattern.faces):
+    for fi, (cycle, sides) in enumerate(zip(pattern.faces, pattern.face_creases)):
         if not set(cycle) <= interior:
             continue
-        crease_of = {}
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            for ci in pattern.incident[a]:
-                if {pattern.creases[ci].v0, pattern.creases[ci].v1} == {a, b}:
-                    crease_of[(a, b)] = ci
         prod = 1.0
-        k = len(cycle)
-        for idx in range(k):
-            v = cycle[idx]
-            c_in = crease_of[(cycle[(idx - 1) % k], v)]
-            c_out = crease_of[(v, cycle[(idx + 1) % k])]
+        for idx, v in enumerate(cycle):
+            c_in, c_out = sides[idx - 1], sides[idx]
             star = vertex_star(pattern, v)
             mv = mode_vector(star, network.modes[v])
             m_in = mv[star.crease_ids.index(c_in)]
@@ -348,14 +340,6 @@ def _corners_valid(azimuths, radii, theta) -> bool:
         if float(np.dot(side, unit(azimuths[i] + theta))) <= 1e-12:
             return False
     return True
-
-
-def _outer_cycle(pattern: CreasePattern) -> tuple[int, ...]:
-    interior = set(pattern._extract_faces(keep_outer=False))
-    outer = [f for f in pattern._extract_faces(keep_outer=True) if f not in interior]
-    if len(outer) != 1:
-        raise DlError("pattern boundary is not a single cycle")
-    return outer[0]
 
 
 def _solve_child(dv: _DlVertex, axis: int, target_plus: float, target_minus: float,
@@ -639,7 +623,7 @@ def _assemble(network: VertexNetwork, dls: dict[int, "_DlVertex"]) -> CreasePatt
             for i in range(4)
         ]
 
-    outer = _outer_cycle(pattern)
+    outer = pattern.outer_cycle
     boundary_pts = [pts_in[v] for v in outer]
     splits: dict[int, list[tuple[float, int]]] = {k: [] for k in range(len(outer))}
 
@@ -733,7 +717,7 @@ def _assemble(network: VertexNetwork, dls: dict[int, "_DlVertex"]) -> CreasePatt
         raise DlError(f"doubled network admits no rigid motion: {exc}") from exc
     k = int(np.argmax(np.abs(g)))
     ref = np.array(mults)
-    if np.max(np.abs(g * ref[k] - ref)) > 1e-8 * np.max(np.abs(ref)):
+    if np.max(np.abs(g * abs(ref[k]) - ref)) > 1e-8 * np.max(np.abs(ref)):
         raise DlError("doubled network motion disagrees with the per-vertex solution")
 
     record = DLRecord(

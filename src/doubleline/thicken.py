@@ -21,6 +21,7 @@ import numpy as np
 
 from .dl import read_record
 from .fold3d import MotionSample, propagate_fold
+from .geometry import Isometry
 from .pattern import CreasePattern
 
 GAP_TOL = 1e-6
@@ -216,18 +217,13 @@ def crease_half_widths(pattern: CreasePattern) -> dict[int, float]:
         d = (pts[cp.v1] - a) / np.linalg.norm(pts[cp.v1] - a)
         off = pts[cm.v0] - a
         out[plus] = out[minus] = abs(float(off[0] * d[1] - off[1] * d[0])) / 2.0
-    edge_key = {
-        (min(c.v0, c.v1), max(c.v0, c.v1)): i for i, c in enumerate(pattern.creases)
-    }
     interior = set(pattern.interior_creases)
     depths: dict[int, float] = {}
-    for cycle in pattern.faces:
+    for cycle, sides in zip(pattern.faces, pattern.face_creases):
         base = pts[list(cycle)]
         n = len(cycle)
         span = float(np.max(base.max(axis=0) - base.min(axis=0)))
-        for k in range(n):
-            a, b = cycle[k], cycle[(k + 1) % n]
-            ci = edge_key[(min(a, b), max(a, b))]
+        for k, ci in enumerate(sides):
             if ci not in interior or ci in out:
                 continue
             lo, hi = 0.0, 2.0 * span
@@ -292,18 +288,13 @@ def thicken(
                 )
 
     pts = pattern.vertices_array
-    edge_key = {
-        (min(c.v0, c.v1), max(c.v0, c.v1)): i for i, c in enumerate(pattern.creases)
-    }
     solids = []
-    for fi, cycle in enumerate(pattern.faces):
+    for fi, (cycle, sides) in enumerate(zip(pattern.faces, pattern.face_creases)):
         base = pts[list(cycle)]
         n = len(cycle)
         slopes = np.zeros(n)
         angles = []
-        for k in range(n):
-            a, b = cycle[k], cycle[(k + 1) % n]
-            ci = edge_key[(min(a, b), max(a, b))]
+        for k, ci in enumerate(sides):
             if ci in beveled:
                 slopes[k] = math.tan(abs(beveled[ci]) / 2.0)
                 angles.append((math.pi - abs(beveled[ci])) / 2.0)
@@ -633,38 +624,23 @@ def watertight_gap(solids: Sequence[PanelSolid]) -> float:
     pattern = solids[0].pattern
     by_face = {s.face: s for s in solids}
     pts = pattern.vertices_array
-    edge_index: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for s in solids:
-        cycle = pattern.faces[s.face]
-        for k in range(len(cycle)):
-            a, b = cycle[k], cycle[(k + 1) % len(cycle)]
-            edge_index.setdefault((min(a, b), max(a, b)), []).append((s.face, k))
     worst = 0.0
-    from .geometry import Isometry
-
     for ci in pattern.interior_creases:
-        c = pattern.creases[ci]
-        key = (min(c.v0, c.v1), max(c.v0, c.v1))
-        users = edge_index.get(key, [])
-        if len(users) != 2:
+        left, right = pattern.crease_faces[ci]
+        if left not in by_face or right not in by_face:
             continue
-        (fa, ka), (fb, kb) = users
-        sa, sb = by_face[fa], by_face[fb]
-        if sa.bevel_angles[ka] >= math.pi / 2 or sb.bevel_angles[kb] >= math.pi / 2:
+        sl, sr = by_face[left], by_face[right]
+        kl, kr = pattern.face_creases[left].index(ci), pattern.face_creases[right].index(ci)
+        if sl.bevel_angles[kl] >= math.pi / 2 or sr.bevel_angles[kr] >= math.pi / 2:
             continue  # square edges stay joined along the base surface
-        rho = math.pi - 2.0 * sa.bevel_angles[ka]
-        quad_a = _side_quad(sa, ka)
-        quad_b = _side_quad(sb, kb)
+        rho = math.pi - 2.0 * sl.bevel_angles[kl]
+        c = pattern.creases[ci]
         p0, p1 = pts[c.v0], pts[c.v1]
         axis = np.array([p1[0] - p0[0], p1[1] - p0[1], 0.0])
         axis /= np.linalg.norm(axis)
-        # rotate the left face of v0 -> v1 by the fold angle, keep the other
-        mid = _face_centroid(pattern, fb)
-        left = (p1[0] - p0[0]) * (mid[1] - p0[1]) - (p1[1] - p0[1]) * (mid[0] - p0[0]) > 0
-        sign = 1.0 if left else -1.0
-        iso = Isometry.about_line(np.array([p0[0], p0[1], 0.0]), axis, sign * rho)
-        quad_b = iso.apply(quad_b)
-        worst = max(worst, _quad_plane_gap(quad_a, quad_b))
+        # fold the left face of v0 -> v1 by the trim angle, keep the right one
+        iso = Isometry.about_line(np.array([p0[0], p0[1], 0.0]), axis, rho)
+        worst = max(worst, _quad_plane_gap(_side_quad(sr, kr), iso.apply(_side_quad(sl, kl))))
     return worst
 
 
@@ -680,10 +656,6 @@ def _side_quad(s: PanelSolid, k: int) -> np.ndarray:
             [s.top[k][0], s.top[k][1], z],
         ]
     )
-
-
-def _face_centroid(pattern: CreasePattern, fi: int) -> np.ndarray:
-    return pattern.vertices_array[list(pattern.faces[fi])].mean(axis=0)
 
 
 def _quad_plane_gap(qa: np.ndarray, qb: np.ndarray) -> float:

@@ -65,6 +65,14 @@ def test_gen_analyze_round_trip(tmp_path, capsysbinary):
     assert "flat-foldable deg-4 yes" in text
 
 
+def test_analyze_vertex_without_unique_branch(tmp_path, capsysbinary):
+    path = tmp_path / "sym.fold"
+    assert run(capsysbinary, "gen", "symmetric", "--n", "3", "--out", str(path))[0] == 0
+    code, out, err = run(capsysbinary, "analyze", str(path))
+    assert (code, err) == (0, b"")
+    assert out.decode().splitlines()[-1] == "vertex 0: degree 6, flat-foldable deg-4 no, branch ?"
+
+
 def test_doubleline_sweep_fold_solve_thicken(tmp_path, capsysbinary):
     single = tmp_path / "single.fold"
     doubled = tmp_path / "dl.fold"

@@ -14,9 +14,11 @@ from doubleline import (
     fold_angles_at,
     gen_dl_miura,
     gen_miura,
+    gen_yoshimura,
     infer_modes,
     network_multipliers,
     propagate_fold,
+    read_record,
     solve_fold_angles,
     sweep_motion,
     vertex_closure_residual,
@@ -79,6 +81,29 @@ def test_network_multipliers_normalization():
     for ci, c in enumerate(pat.creases):
         if c.assignment == "B":
             assert g[ci] == 0.0
+
+
+@pytest.mark.parametrize("n, angle", [(4, 60), (3, 70), (3, 55)])
+def test_network_multipliers_fold_valleys_positive(n, angle):
+    # here many entries tie at |g| = 1 and the largest-entry rule alone
+    # returned the negative of the recorded motion
+    pat = gen_dl_miura(n, n, math.radians(angle), math.pi / 2)
+    g = network_multipliers(pat, infer_modes(pat))
+    ref = np.array(read_record(pat).multipliers)
+    scale = float(g @ ref) / float(ref @ ref)
+    assert scale > 0.0
+    assert np.max(np.abs(g - scale * ref)) < 1e-9
+
+
+def test_network_multipliers_of_plain_tessellations_keep_their_labels():
+    for pat in (gen_miura(3, 3, math.radians(60)).pattern, gen_yoshimura(2, 3, 1.5).pattern):
+        g = network_multipliers(pat, infer_modes(pat))
+        unlabeled = CreasePattern.build(
+            pat.vertices, [Crease(c.v0, c.v1, "B" if c.assignment == "B" else "U") for c in pat.creases]
+        )
+        assert np.array_equal(network_multipliers(unlabeled, infer_modes(unlabeled)), g)
+        for ci, c in enumerate(pat.creases):
+            assert c.assignment == {1.0: "V", -1.0: "M", 0.0: "B"}[float(np.sign(g[ci]))]
 
 
 def test_network_multipliers_needs_all_modes():

@@ -9,6 +9,7 @@ from doubleline import (
     CreasePattern,
     DlError,
     VertexNetwork,
+    assign_mode_mv,
     connect_tree_dl,
     connect_uniform_dl,
     face_loop_products,
@@ -19,6 +20,7 @@ from doubleline import (
     gen_symmetric_vertex,
     gen_yoshimura,
     infer_modes,
+    network_multipliers,
     read_record,
     sweep_motion,
     vertex_closure_residual,
@@ -182,3 +184,24 @@ def test_infer_modes_uses_stored_branches():
     modes = infer_modes(dl)
     assert set(modes) == set(dl.interior_vertices)
     assert {v: m.value for v, m in modes.items()} == {v: m.value for v, m in meta.corner_modes.items()}
+
+
+def test_assign_mode_mv_relabels_without_rebuilding(monkeypatch):
+    cases = []
+    for pat in (gen_miura(3, 3, deg(60)[0]).pattern, gen_yoshimura(2, 3, 1.5).pattern):
+        cases.append((pat, network_multipliers(pat, infer_modes(pat))))
+    for pat in (gen_dl_miura(3, 3, deg(60)[0], math.pi / 2), gen_dl_yoshimura(2, 2, 1.5, math.pi / 2)):
+        cases.append((pat, np.array(read_record(pat).multipliers)))
+    for pat, g in cases:
+        with monkeypatch.context() as m:
+            m.setattr(CreasePattern, "validate", lambda self, tol=1e-9: pytest.fail("rebuilt"))
+            out = assign_mode_mv(pat, -g)  # every label flips
+            with pytest.raises(DlError):
+                assign_mode_mv(pat, g[:-1])
+        assert out == CreasePattern.build(out.vertices, out.creases, out.faces, dict(out.extras))
+        for c, new, x in zip(pat.creases, out.creases, g):
+            assert (new.v0, new.v1, new.fold_angle) == (c.v0, c.v1, c.fold_angle)
+            if c.assignment == "B":
+                assert new.assignment == "B"
+            else:
+                assert new.assignment == ("M" if x > 0 else "V")

@@ -1,0 +1,49 @@
+"""The showcase artifacts of scripts/reproduce.sh, pinned by SHA-256.
+
+The script's nine CLI commands run in process through ``cli.main`` into a
+temporary directory; every artifact must match its recorded digest, so a
+change that alters any output byte has to say so by updating this table.
+"""
+import hashlib
+import shlex
+from pathlib import Path
+
+from doubleline.cli import main
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce.sh"
+
+DIGESTS = {
+    "single.fold": "686d591bf1d699771d82886f8acbea1246cac9a06b8f5c77b6cfe704aa4b26a3",
+    "dl_miura.fold": "4a63277b88aa05c95565488886adcb2c8774bf365986b7c583c4d7900046da3b",
+    "dl_single.fold": "060a856a5f099d475c04fa9a501e6b8b22bac52db672c80e061d8664a670afe0",
+    "regimes.csv": "ab016089fc2c29a3125a39ec45a3aa10734ef4e5fabd1dee6418367cc4dfa8ff",
+    "motion.csv": "af36491b3ab4fe80529f1c0a5214cad9b5552c085ac0585dd5741667eed1acb3",
+    "state.obj": "e91cca150e606b94167ee5f778454433325e0ed7eb84c5dba98006070d22c2cb",
+    "panels.obj": "1dbee4b561f48368fd37067e753ed076430d8ac6a8652c65cf94a99e4a230cdf",
+    "clearance.csv": "0ed0c2495da424fc43333f61e8acc905fc2ffb1a119a8185b3af8d19949ea7ce",
+    "dl_miura.svg": "72c791a131d300179b05d2c92726eecd74e69dd419f0ed7c84dca6506840f48c",
+}
+
+
+def script_commands(out_dir: Path) -> list[list[str]]:
+    """The `python3 -m doubleline ...` argument lists of the script, in order."""
+    text = SCRIPT.read_text().replace("\\\n", " ")
+    prefix = ["python3", "-m", "doubleline"]
+    commands = []
+    for line in text.splitlines():
+        words = shlex.split(line.replace('"$dir', f'"{out_dir}'))
+        if words[:3] == prefix:
+            commands.append(words[3:])
+    return commands
+
+
+def test_reproduce_artifacts_match_recorded_digests(tmp_path, capsysbinary):
+    commands = script_commands(tmp_path)
+    assert len(commands) == len(DIGESTS)
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsysbinary.readouterr().err)
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DIGESTS
+    }
+    assert got == DIGESTS
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(DIGESTS)
