@@ -274,8 +274,10 @@ def _cmd_export(args) -> bytes:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output path (default: stdout)")
-    common.add_argument("--format", choices=("fold", "svg", "obj", "csv"), help="output format")
-    common.add_argument("--tolerance", type=float, help="numeric tolerance override")
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=("fold", "svg", "obj", "csv"), help="output format")
+    tuned = argparse.ArgumentParser(add_help=False)
+    tuned.add_argument("--tolerance", type=float, help="numeric tolerance override")
 
     parser = argparse.ArgumentParser(prog="doubleline", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -284,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern", help="FOLD file")
     p.set_defaults(handler=_cmd_analyze)
 
-    p = sub.add_parser("doubleline", parents=[common], help="double one interior vertex")
+    p = sub.add_parser("doubleline", parents=[common, formatted], help="double one interior vertex")
     p.add_argument("pattern", help="FOLD file")
     p.add_argument("--vertex", type=int, help="interior vertex id (default: lowest)")
     p.add_argument("--theta", type=float, required=True, help="rotation angle in degrees")
@@ -308,24 +310,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true", help="compare count against enumeration")
     p.set_defaults(handler=_cmd_modes)
 
-    p = sub.add_parser("sweep", parents=[common], help="sample the one-parameter motion to CSV")
+    p = sub.add_parser("sweep", parents=[common, tuned], help="sample the one-parameter motion to CSV")
     p.add_argument("pattern", help="FOLD file")
     p.add_argument("--t-max", type=float, help="largest motion parameter (default: near flat)")
     p.add_argument("--samples", type=int, default=50, help="number of samples (1 to 10000)")
     p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("fold", parents=[common], help="fold angles at one motion parameter")
+    p = sub.add_parser("fold", parents=[common, formatted], help="fold angles at one motion parameter")
     p.add_argument("pattern", help="FOLD file")
     p.add_argument("--t", type=float, required=True, help="motion parameter")
     p.set_defaults(handler=_cmd_fold)
 
-    p = sub.add_parser("solve", parents=[common], help="fold by pinning one crease angle")
+    p = sub.add_parser("solve", parents=[common, formatted, tuned], help="fold by pinning one crease angle")
     p.add_argument("pattern", help="FOLD file")
     p.add_argument("--driver", type=int, required=True, help="driver crease id")
     p.add_argument("--target", type=float, required=True, help="driver fold angle in degrees")
     p.set_defaults(handler=_cmd_solve)
 
-    p = sub.add_parser("thicken", parents=[common], help="thick panels and clearance log")
+    p = sub.add_parser("thicken", parents=[common, formatted], help="thick panels and clearance log")
     p.add_argument("pattern", help="FOLD file")
     p.add_argument("--tau", type=float, required=True, help="panel thickness")
     p.add_argument("--side", choices=("above", "below"), default="above", help="panel side")
@@ -334,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ignore-bound", action="store_true", help="allow thickness beyond the bound")
     p.set_defaults(handler=_cmd_thicken)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a standard pattern")
+    p = sub.add_parser("gen", parents=[common, formatted], help="generate a standard pattern")
     p.add_argument("shape", choices=GEN_SHAPES)
     p.add_argument("--rows", type=int, help="tessellation rows")
     p.add_argument("--cols", type=int, help="tessellation columns")
@@ -346,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="half the vertex degree (symmetric)")
     p.set_defaults(handler=_cmd_gen, parser=p)
 
-    p = sub.add_parser("export", parents=[common], help="convert a pattern file")
+    p = sub.add_parser("export", parents=[common, formatted], help="convert a pattern file")
     p.add_argument("pattern", help="FOLD file")
     p.set_defaults(handler=_cmd_export)
 

@@ -128,11 +128,9 @@ def propagate_fold(pattern: CreasePattern, angles: Sequence[float]) -> FoldedSta
             other = rf if lf == f else lf
             if other is None or iso[other] is not None:
                 continue
-            fold = _crease_fold(pattern, ci, angles[ci])
-            if lf == other:  # crossing right -> left applies the fold
-                iso[other] = iso[f].compose(fold)
-            else:
-                iso[other] = iso[f].compose(_crease_fold(pattern, ci, -angles[ci]))
+            # crossing right -> left applies the fold, left -> right undoes it
+            angle = angles[ci] if lf == other else -angles[ci]
+            iso[other] = iso[f].compose(_crease_fold(pattern, ci, angle))
             tree.add(ci)
             queue.append(other)
     if any(t is None for t in iso):

@@ -484,7 +484,6 @@ def _connect_dl(
     theta_root: float | None = None,
     thetas: Mapping[int, float] | None = None,
     require_tree: bool = False,
-    root_variant: int = 0,
 ) -> tuple[dict[int, float], CreasePattern]:
     pattern = network.pattern
     interior = pattern.interior_vertices
@@ -506,7 +505,7 @@ def _connect_dl(
     solve = thetas is None
     root = min(interior)
     rv = dls[root]
-    rv_mode = _FAMILY_MODES[network.modes[root]][root_variant % 2]
+    rv_mode = _FAMILY_MODES[network.modes[root]][0]
     rv.theta = theta_root if solve else thetas[root]
     if not 0.0 < rv.theta < math.pi:
         raise DlError("rotation angle must lie strictly between 0 and pi")
@@ -738,10 +737,12 @@ def _assemble(network: VertexNetwork, dls: dict[int, "_DlVertex"]) -> CreasePatt
 def connect_tree_dl(network: VertexNetwork, theta_root: float) -> tuple[dict[int, float], CreasePattern]:
     """Double every vertex of a tree network, rooted at the lowest vertex id.
 
-    The root gets θ_root; each child's θ is solved so its doubled pair on
-    the shared crease folds with the same angles as the parent's.  When a
-    shared pair lands on an unreachable ratio, θ_root is nudged in ±0.5°
-    steps (up to ±5°) before giving up.
+    The root folds in the first mode of its family (a-I or b-I) at θ_root;
+    each child's mode and θ are solved so its doubled pair on the shared
+    crease folds with the same angles as the parent's.  The root's other
+    mode is not tried: it has never doubled a network the first could not.
+    When a shared pair lands on an unreachable ratio, θ_root is nudged in
+    ±0.5° steps (up to ±5°) before giving up.
     """
     if not 0.0 < theta_root < math.pi:
         raise DlError("theta_root must lie strictly between 0 and pi")
@@ -751,13 +752,10 @@ def connect_tree_dl(network: VertexNetwork, theta_root: float) -> tuple[dict[int
             th = theta_root + sign * k * math.radians(0.5)
             if not 0.0 < th < math.pi:
                 continue
-            for variant in (0, 1):
-                try:
-                    return _connect_dl(
-                        network, theta_root=th, require_tree=True, root_variant=variant
-                    )
-                except DlError as exc:
-                    last = exc
+            try:
+                return _connect_dl(network, theta_root=th, require_tree=True)
+            except DlError as exc:
+                last = exc
     raise DlError(f"no workable rotation angle near the requested root value: {last}")
 
 
@@ -771,13 +769,10 @@ def connect_uniform_dl(network: VertexNetwork, theta: float) -> CreasePattern:
     if not 0.0 < theta < math.pi:
         raise DlError("theta must lie strictly between 0 and pi")
     thetas = {v: theta for v in network.pattern.interior_vertices}
-    last: DlError | None = None
-    for variant in (0, 1):
-        try:
-            return _connect_dl(network, thetas=thetas, root_variant=variant)[1]
-        except DlError as exc:
-            last = exc
-    raise DlError(f"uniform rotation angle does not close this network: {last}")
+    try:
+        return _connect_dl(network, thetas=thetas)[1]
+    except DlError as exc:
+        raise DlError(f"uniform rotation angle does not close this network: {exc}") from None
 
 
 def gen_dl_miura(rows: int, cols: int, angle: float, theta: float) -> CreasePattern:

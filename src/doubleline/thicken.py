@@ -129,59 +129,56 @@ def _ear_clip(poly: np.ndarray) -> list[tuple[int, int, int]]:
     return tris
 
 
-def _inset_polygon(base: np.ndarray, insets: np.ndarray) -> np.ndarray | None:
-    """Moves each edge inward by its inset and re-intersects consecutive edges.
+def _inset_reach(base: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, float]:
+    """Corner velocities and reach of a CCW face whose edges move inward.
 
-    Returns None when the result stops being a simple positive polygon of
-    the same winding.
+    Edge i (base[i] -> base[i+1]) moves inward by h * rates[i], so corner i
+    sits at base[i] + h * V[i].  The reach is the first h > 0 at which the
+    inset stops being the same polygon: an edge shrinks to nothing, or a
+    reflex corner runs into another edge (the edge and split events of the
+    straight skeleton).  A corner between collinear edges moving at one rate
+    is no real corner: it rides along its line and bounds nothing, so events
+    are taken over the edges between real corners.
     """
     n = len(base)
-    lines = []
-    for i in range(n):
-        a, b = base[i], base[(i + 1) % n]
-        d = b - a
-        ln = float(np.hypot(d[0], d[1]))
-        if ln < 1e-14:
-            return None
-        d = d / ln
-        inward = np.array([-d[1], d[0]])  # CCW polygon: interior is left
-        lines.append((a + insets[i] * inward, d))
-    out = np.empty_like(base)
-    for i in range(n):
-        (p0, d0), (p1, d1) = lines[(i - 1) % n], lines[i]
-        det = d0[0] * d1[1] - d0[1] * d1[0]
-        if abs(det) < 1e-12:
-            # consecutive collinear edges: same inset line keeps the corner
-            e = p1 - p0
-            if abs(e[0] * d0[1] - e[1] * d0[0]) > 1e-9:
-                return None
-            out[i] = p1 + ((base[i] - p1) @ d1) * d1
-        else:
-            s = ((p1[0] - p0[0]) * d1[1] - (p1[1] - p0[1]) * d1[0]) / det
-            out[i] = p0 + s * d0
-    area2 = 0.0
-    for i in range(n):
-        j = (i + 1) % n
-        area2 += out[i][0] * out[j][1] - out[j][0] * out[i][1]
-    if area2 <= 1e-14:
-        return None
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if _segs_cross(out[i], out[(i + 1) % n], out[j], out[(j + 1) % n]):
-                return None
-    return out
-
-
-def _segs_cross(p, q, r, s) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    return (
-        orient(p, q, r) * orient(p, q, s) < 0.0
-        and orient(r, s, p) * orient(r, s, q) < 0.0
+    d = np.roll(base, -1, axis=0) - base
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    inward = np.column_stack([-d[:, 1], d[:, 0]])
+    d_in, r_in = np.roll(d, 1, axis=0), np.roll(rates, 1)  # edge ending at each corner
+    cross = d_in[:, 0] * d[:, 1] - d_in[:, 1] * d[:, 0]
+    riding = np.abs(cross) < 1e-12
+    if np.any(riding & (r_in != rates)):
+        return np.zeros((n, 2)), 0.0  # a split corner would open a step
+    safe = np.where(riding, 1.0, cross)[:, None]
+    V = np.where(
+        riding[:, None],
+        rates[:, None] * inward,
+        (r_in[:, None] * d - rates[:, None] * d_in) / safe,
     )
+    real = [i for i in range(n) if not riding[i]]
+    edges = list(zip(real, real[1:] + real[:1]))
+    scale = float(np.max(np.ptp(base, axis=0)))
+    reach = math.inf
+    for a, b in edges:
+        shrink = float((V[a] - V[b]) @ d[a])
+        if shrink > 0.0:
+            reach = min(reach, float((base[b] - base[a]) @ d[a]) / shrink)
+    for i in real:
+        if cross[i] >= 0.0:
+            continue  # convex corners cannot reach an edge first
+        for a, b in edges:
+            if i in (a, b):
+                continue
+            approach = rates[a] - float(inward[a] @ V[i])
+            gap = float(inward[a] @ (base[i] - base[a]))
+            if approach <= 0.0 or gap < 0.0 or gap / approach >= reach:
+                continue
+            h = gap / approach
+            along = float((base[i] + h * V[i] - base[a] - h * V[a]) @ d[a])
+            length = float((base[b] + h * V[b] - base[a] - h * V[a]) @ d[a])
+            if -1e-12 * scale <= along <= length + 1e-12 * scale:
+                reach = h
+    return V, reach
 
 
 def flat_fold_parameter(pattern: CreasePattern, multipliers: np.ndarray) -> float | None:
@@ -221,21 +218,12 @@ def crease_half_widths(pattern: CreasePattern) -> dict[int, float]:
     depths: dict[int, float] = {}
     for cycle, sides in zip(pattern.faces, pattern.face_creases):
         base = pts[list(cycle)]
-        n = len(cycle)
-        span = float(np.max(base.max(axis=0) - base.min(axis=0)))
         for k, ci in enumerate(sides):
             if ci not in interior or ci in out:
                 continue
-            lo, hi = 0.0, 2.0 * span
-            insets = np.zeros(n)
-            for _ in range(60):
-                mid = (lo + hi) / 2.0
-                insets[k] = mid
-                if _inset_polygon(base, insets) is not None:
-                    lo = mid
-                else:
-                    hi = mid
-            depths[ci] = min(depths.get(ci, math.inf), lo / 2.0)
+            rates = np.zeros(len(cycle))
+            rates[k] = 1.0
+            depths[ci] = min(depths.get(ci, math.inf), _inset_reach(base, rates)[1] / 2.0)
     out.update(depths)
     return out
 
@@ -300,22 +288,14 @@ def thicken(
                 angles.append((math.pi - abs(beveled[ci])) / 2.0)
             else:
                 angles.append(math.pi / 2.0)
-        top = _inset_polygon(base, slopes * params.tau)
-        h = params.tau
-        if top is None:
-            if params.enforce_bound:
-                raise ThickenError(f"panel for face {fi} vanishes at this thickness")
-            lo, hi = 0.0, params.tau
-            for _ in range(80):  # largest height with a valid inset top
-                mid = (lo + hi) / 2.0
-                if _inset_polygon(base, slopes * mid) is not None:
-                    lo = mid
-                else:
-                    hi = mid
-            h = lo * (1.0 - 1e-9)
-            top = _inset_polygon(base, slopes * h)
-            if top is None:
-                raise ThickenError(f"panel for face {fi} admits no valid top")
+        V, reach = _inset_reach(base, slopes)
+        # stop short of the reach: a top within rounding of it is degenerate
+        h = min(params.tau, reach * (1.0 - 1e-9))
+        if h < params.tau and params.enforce_bound:
+            raise ThickenError(f"panel for face {fi} vanishes at this thickness")
+        if h <= 0.0:
+            raise ThickenError(f"panel for face {fi} admits no valid top")
+        top = base + h * V
         solids.append(_build_solid(pattern, fi, base, top, params.tau, h, tuple(angles), sign_up))
     return tuple(solids)
 
@@ -633,12 +613,13 @@ def watertight_gap(solids: Sequence[PanelSolid]) -> float:
         kl, kr = pattern.face_creases[left].index(ci), pattern.face_creases[right].index(ci)
         if sl.bevel_angles[kl] >= math.pi / 2 or sr.bevel_angles[kr] >= math.pi / 2:
             continue  # square edges stay joined along the base surface
-        rho = math.pi - 2.0 * sl.bevel_angles[kl]
+        # panels below the pattern bevel for creases folding toward -z
+        rho = math.copysign(math.pi - 2.0 * sl.bevel_angles[kl], sl.vertices[-1, 2])
         c = pattern.creases[ci]
         p0, p1 = pts[c.v0], pts[c.v1]
         axis = np.array([p1[0] - p0[0], p1[1] - p0[1], 0.0])
         axis /= np.linalg.norm(axis)
-        # fold the left face of v0 -> v1 by the trim angle, keep the right one
+        # fold the left face of v0 -> v1 by the signed trim angle, keep the right one
         iso = Isometry.about_line(np.array([p0[0], p0[1], 0.0]), axis, rho)
         worst = max(worst, _quad_plane_gap(_side_quad(sr, kr), iso.apply(_side_quad(sl, kl))))
     return worst

@@ -81,7 +81,7 @@ def test_doubleline_sweep_fold_solve_thicken(tmp_path, capsysbinary):
                      "--radii", "0.2,0.2,0.2,0.2", "--mode", "a-I", "--out", str(doubled))
     assert code == 0
 
-    code, out, _ = run(capsysbinary, "sweep", str(doubled), "--samples", "9")
+    code, out, _ = run(capsysbinary, "sweep", str(doubled), "--samples", "9", "--tolerance", "1e-9")
     assert code == 0
     lines = out.decode().splitlines()
     assert lines[0].startswith("t,rho_0,") and lines[0].endswith(",residual")
@@ -93,7 +93,7 @@ def test_doubleline_sweep_fold_solve_thicken(tmp_path, capsysbinary):
     assert out.startswith(b"# doubleline folded state")
 
     code, out, _ = run(capsysbinary, "solve", str(doubled), "--driver", "0",
-                       "--target", "25")
+                       "--target", "25", "--tolerance", "1e-10")
     assert code == 0
     lines = out.decode().splitlines()
     assert lines[0] == "crease,rho_deg"
@@ -140,6 +140,30 @@ def test_usage_error_exit_code(tmp_path, capsysbinary):
     assert b"--angle" in err
     code, _, _ = run(capsysbinary, "modes")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "p.fold", "--format", "svg"),
+        ("analyze", "p.fold", "--tolerance", "1e-6"),
+        ("classify", "--alpha", "50", "--beta", "70", "--format", "csv"),
+        ("classify", "--alpha", "50", "--beta", "70", "--tolerance", "1e-6"),
+        ("modes", "--n", "3", "--format", "csv"),
+        ("modes", "--n", "3", "--tolerance", "1e-6"),
+        ("sweep", "p.fold", "--format", "csv"),
+        ("doubleline", "p.fold", "--theta", "90", "--tolerance", "1e-6"),
+        ("fold", "p.fold", "--t", "0.5", "--tolerance", "1e-6"),
+        ("thicken", "p.fold", "--tau", "0.01", "--tolerance", "1e-6"),
+        ("gen", "single", "--alpha", "60", "--beta", "80", "--tolerance", "1e-6"),
+        ("export", "p.fold", "--tolerance", "1e-6"),
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_flags_a_subcommand_ignores_are_usage_errors(capsysbinary, argv):
+    code, _, err = run(capsysbinary, *argv)
+    assert code == 2
+    assert f"unrecognized arguments: {argv[-2]}".encode() in err
 
 
 def test_missing_file_is_domain_error(capsysbinary):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from doubleline import patterns
 from doubleline import (
     Crease,
     CreasePattern,
@@ -146,6 +147,36 @@ def test_connect_uniform_rejects_asymmetric_loop():
     # at 90 deg every row's minor ratio is 1:1, so one angle still closes
     dl = connect_uniform_dl(net, math.pi / 2)
     assert pair_sum_residual(net.pattern, dl, (0.3, 0.9)) < 1e-9
+
+
+def test_second_root_mode_doubles_nothing_the_first_cannot(monkeypatch):
+    nets = [
+        gen_miura(2, 3, math.radians(60)),
+        gen_miura(2, 4, math.radians(60)),
+        rowwise_miura(3, 2, [0.5, 0.7, 0.9, 1.1]),
+        rowwise_miura(3, 3, [0.5, 0.65, 0.8, 0.95]),
+    ]
+
+    connectors = {"tree": lambda net, th: connect_tree_dl(net, th)[1], "uniform": connect_uniform_dl}
+
+    def doubled():
+        out = {}
+        for k, net in enumerate(nets):
+            for theta in deg(30, 60, 80, 100, 150):
+                for name, connect in connectors.items():
+                    try:
+                        out[k, theta, name] = read_record(connect(net, theta)).corner_modes
+                    except DlError:
+                        continue
+        return out
+
+    first = doubled()
+    monkeypatch.setattr(
+        patterns, "_FAMILY_MODES", {f: modes[::-1] for f, modes in patterns._FAMILY_MODES.items()}
+    )
+    second = doubled()
+    assert second.keys() <= first.keys()
+    assert any(second[key] != first[key] for key in second)  # the other root mode ran
 
 
 def test_gen_dl_miura_shape_and_motion():
