@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -227,12 +227,17 @@ def network_multipliers(
 
 @dataclass(frozen=True)
 class MotionSample:
-    """One point of a rigid folding motion in the t parameterization."""
+    """One point of a rigid folding motion in the t parameterization.
+
+    ``isometries`` place each face as the fold that measured the residual
+    did, so later stages need not fold the sample again.
+    """
 
     t: float
     fold_angles: np.ndarray
     residual: float
     valid: bool
+    isometries: tuple[Isometry, ...] = field(repr=False)
 
 
 def sweep_motion(
@@ -252,7 +257,7 @@ def sweep_motion(
         state = propagate_fold(pattern, angles)
         res = state.max_residual
         angles.setflags(write=False)
-        samples.append(MotionSample(float(t), angles, res, res < residual_tol))
+        samples.append(MotionSample(float(t), angles, res, res < residual_tol, state.isometries))
     return tuple(samples)
 
 

@@ -7,9 +7,12 @@ intended motion, so adjacent panels arrive face to face exactly at full
 fold.  The panel thickness is bounded by the doubled-pair half-width; the
 bound can be lifted to study what goes wrong beyond it.
 
-Collision checking samples the given motion, transforms each panel by its
-face's rigid placement, and measures signed pairwise clearance between the
-triangulated solids (negative means penetration).
+Each panel is also kept as a union of convex pieces: its face cut at every
+reflex corner along the corner's straight-skeleton ray.  Collision checking
+places the pieces by each sample's face isometries and measures signed
+clearance between every pair of pieces with a separating-axis test: the
+exact distance between pieces apart, the exact penetration depth (negative)
+between pieces that overlap.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .dl import read_record
-from .fold3d import MotionSample, propagate_fold
+from .fold3d import MotionSample
 from .geometry import Isometry
 from .pattern import CreasePattern
 
@@ -70,12 +73,35 @@ def max_thickness(half_width: float, rho_max: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
+class ConvexPiece:
+    """A convex prismatoid: m corners of a convex face piece, then their tops.
+
+    Side k spans corners k and k + 1.  ``normals`` are the outward face
+    normals (sides, bottom, top); ``directions`` the unit directions of the
+    base and lateral edges (top edges parallel their base edges); ``edges``
+    index the base, top and lateral edges; ``loops`` index each face's
+    corners, padded by repeating the last one.
+    """
+
+    vertices: np.ndarray
+    normals: np.ndarray
+    directions: np.ndarray
+    edges: np.ndarray
+    loops: np.ndarray
+
+    def placed(self, iso: Isometry) -> ConvexPiece:
+        rot = iso.rot.T
+        return ConvexPiece(iso.apply(self.vertices), self.normals @ rot, self.directions @ rot, self.edges, self.loops)
+
+
+@dataclass(frozen=True, eq=False)
 class PanelSolid:
     """One face's panel: a prismatoid between the face and its inset top.
 
-    Mesh vertices live in the flat pattern's frame (face in z = 0); the top
-    may sit lower than the full thickness when bevel planes from opposite
-    edges meet below it (the panel then ends in a ridge).
+    Mesh vertices and convex pieces live in the flat pattern's frame (face
+    in z = 0); the top may sit lower than the full thickness when bevel
+    planes from opposite edges meet below it (the panel then ends in a
+    ridge).
     """
 
     pattern: CreasePattern
@@ -87,6 +113,7 @@ class PanelSolid:
     bevel_angles: tuple[float, ...]
     vertices: np.ndarray = field(repr=False)
     triangles: np.ndarray = field(repr=False)
+    pieces: tuple[ConvexPiece, ...] = field(repr=False)
 
 
 def _ear_clip(poly: np.ndarray) -> list[tuple[int, int, int]]:
@@ -129,6 +156,23 @@ def _ear_clip(poly: np.ndarray) -> list[tuple[int, int, int]]:
     return tris
 
 
+def _corners(base: np.ndarray, rates: np.ndarray):
+    """Unit edge directions, corner turns, riding corners and corner velocities.
+
+    Corner i joins the edge ending there to edge i; its turn is the cross
+    product of their directions (negative at a reflex corner).  A corner
+    between collinear edges rides: its velocity is left zero here.
+    """
+    d = np.roll(base, -1, axis=0) - base
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    d_in, r_in = np.roll(d, 1, axis=0), np.roll(rates, 1)  # edge ending at each corner
+    turn = d_in[:, 0] * d[:, 1] - d_in[:, 1] * d[:, 0]
+    riding = np.abs(turn) < 1e-12
+    safe = np.where(riding, 1.0, turn)[:, None]
+    V = np.where(riding[:, None], 0.0, (r_in[:, None] * d - rates[:, None] * d_in) / safe)
+    return d, turn, riding, V
+
+
 def _inset_reach(base: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, float]:
     """Corner velocities and reach of a CCW face whose edges move inward.
 
@@ -137,26 +181,22 @@ def _inset_reach(base: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, float
     inset stops being the same polygon: an edge shrinks to nothing, or a
     reflex corner runs into another edge (the edge and split events of the
     straight skeleton).  A corner between collinear edges moving at one rate
-    is no real corner: it rides along its line and bounds nothing, so events
-    are taken over the edges between real corners.
+    is no real corner: it bounds nothing, so events are taken over the edges
+    between real corners, and it keeps to the moved line between its real
+    neighbours at the fraction of the base edge where it sits.
     """
     n = len(base)
-    d = np.roll(base, -1, axis=0) - base
-    d /= np.linalg.norm(d, axis=1)[:, None]
-    inward = np.column_stack([-d[:, 1], d[:, 0]])
-    d_in, r_in = np.roll(d, 1, axis=0), np.roll(rates, 1)  # edge ending at each corner
-    cross = d_in[:, 0] * d[:, 1] - d_in[:, 1] * d[:, 0]
-    riding = np.abs(cross) < 1e-12
-    if np.any(riding & (r_in != rates)):
+    d, turn, riding, V = _corners(base, rates)
+    if np.any(riding & (np.roll(rates, 1) != rates)):
         return np.zeros((n, 2)), 0.0  # a split corner would open a step
-    safe = np.where(riding, 1.0, cross)[:, None]
-    V = np.where(
-        riding[:, None],
-        rates[:, None] * inward,
-        (r_in[:, None] * d - rates[:, None] * d_in) / safe,
-    )
+    inward = np.column_stack([-d[:, 1], d[:, 0]])
     real = [i for i in range(n) if not riding[i]]
     edges = list(zip(real, real[1:] + real[:1]))
+    for a, b in edges:
+        span = float((base[b] - base[a]) @ d[a])
+        for k in range(a + 1, a + (b - a) % n):
+            s = float((base[k % n] - base[a]) @ d[a]) / span
+            V[k % n] = (1.0 - s) * V[a] + s * V[b]
     scale = float(np.max(np.ptp(base, axis=0)))
     reach = math.inf
     for a, b in edges:
@@ -164,7 +204,7 @@ def _inset_reach(base: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, float
         if shrink > 0.0:
             reach = min(reach, float((base[b] - base[a]) @ d[a]) / shrink)
     for i in real:
-        if cross[i] >= 0.0:
+        if turn[i] >= 0.0:
             continue  # convex corners cannot reach an edge first
         for a, b in edges:
             if i in (a, b):
@@ -179,6 +219,50 @@ def _inset_reach(base: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, float
             if -1e-12 * scale <= along <= length + 1e-12 * scale:
                 reach = h
     return V, reach
+
+
+def _convex_pieces(base: np.ndarray, rates: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Convex pieces of a CCW face as (corners, edge rates, corner velocities).
+
+    Riding corners are dropped first.  Then the face is cut at a reflex
+    corner along its velocity, the corner's straight-skeleton ray, so the
+    inset corner stays on the cut at every height; a corner that does not
+    move (both edges square) is cut along its interior bisector.  The cut is
+    a square wall (rate 0) to the first point of the boundary the ray meets,
+    a vertex when it lands on one.  Both sides are cut again until no
+    reflex corner is left.
+    """
+    d, turn, riding, V = _corners(base, rates)
+    keep = ~(riding & (np.roll(rates, 1) == rates))
+    base, rates, d, turn, V = base[keep], rates[keep], d[keep], turn[keep], V[keep]
+    reflex = np.flatnonzero(turn < 0.0)
+    if not len(reflex):
+        return [(base, rates, V)]
+    r = int(reflex[0])
+    ray = V[r] if np.any(V[r]) else d[r - 1] - d[r]
+    B, R = np.roll(base, -r, axis=0), np.roll(rates, -r)  # the cut corner first
+    n = len(B)
+    hit = (math.inf, 0, 0.0)
+    for j in range(1, n - 1):
+        e, off = B[j + 1] - B[j], B[j] - B[0]
+        det = ray[0] * e[1] - ray[1] * e[0]
+        if det == 0.0:
+            continue
+        s = (off[0] * e[1] - off[1] * e[0]) / det
+        u = (off[0] * ray[1] - off[1] * ray[0]) / det
+        if 0.0 < s < hit[0] and -1e-12 <= u <= 1.0 + 1e-12:
+            hit = (s, j, u)
+    _, j, u = hit
+    if u <= 1e-12 or u >= 1.0 - 1e-12:
+        k = j if u <= 1e-12 else j + 1
+        sides = (B[: k + 1], np.append(R[:k], 0.0)), (np.vstack([B[k:], B[:1]]), np.append(R[k:], 0.0))
+    else:
+        P = B[j] + u * (B[j + 1] - B[j])
+        sides = (
+            (np.vstack([B[: j + 1], P]), np.append(R[: j + 1], 0.0)),
+            (np.vstack([P, B[j + 1 :], B[:1]]), np.append(R[j:], 0.0)),
+        )
+    return [piece for side in sides for piece in _convex_pieces(*side)]
 
 
 def flat_fold_parameter(pattern: CreasePattern, multipliers: np.ndarray) -> float | None:
@@ -296,11 +380,35 @@ def thicken(
         if h <= 0.0:
             raise ThickenError(f"panel for face {fi} admits no valid top")
         top = base + h * V
-        solids.append(_build_solid(pattern, fi, base, top, params.tau, h, tuple(angles), sign_up))
+        pieces = tuple(_convex_piece(b, b + h * v, r, sign_up * h) for b, r, v in _convex_pieces(base, slopes))
+        solids.append(_build_solid(pattern, fi, base, top, params.tau, h, tuple(angles), sign_up, pieces))
     return tuple(solids)
 
 
-def _build_solid(pattern, fi, base, top, tau, h, angles, sign_up) -> PanelSolid:
+def _convex_piece(base: np.ndarray, top: np.ndarray, rates: np.ndarray, z_top: float) -> ConvexPiece:
+    """The prismatoid between a convex CCW piece at z = 0 and its top at z_top."""
+    m = len(base)
+    verts = np.vstack([np.column_stack([base, np.zeros(m)]), np.column_stack([top, np.full(m, z_top)])])
+    d = np.roll(base, -1, axis=0) - base
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    up = math.copysign(1.0, z_top)
+    # a side leans inward by its rate per unit of height
+    sides = np.column_stack([d[:, 1], -d[:, 0], up * rates])
+    normals = np.vstack([sides / np.linalg.norm(sides, axis=1)[:, None], [[0.0, 0.0, -up], [0.0, 0.0, up]]])
+    lateral = verts[m:] - verts[:m]
+    directions = np.vstack([np.column_stack([d, np.zeros(m)]), lateral / np.linalg.norm(lateral, axis=1)[:, None]])
+    k = np.arange(m)
+    k1 = (k + 1) % m
+    edges = np.vstack([np.column_stack([k, k1]), np.column_stack([k, k1]) + m, np.column_stack([k, k + m])])
+    width = max(m, 4)
+    loops = np.empty((m + 2, width), dtype=int)
+    loops[:m] = np.column_stack([k, k1, k1 + m] + [k + m] * (width - 3))
+    loops[m] = np.append(k, [m - 1] * (width - m))
+    loops[m + 1] = loops[m] + m
+    return ConvexPiece(verts, normals, directions, edges, loops)
+
+
+def _build_solid(pattern, fi, base, top, tau, h, angles, sign_up, pieces) -> PanelSolid:
     n = len(base)
     z_top = sign_up * h
     verts = np.vstack(
@@ -331,6 +439,7 @@ def _build_solid(pattern, fi, base, top, tau, h, angles, sign_up) -> PanelSolid:
         bevel_angles=angles,
         vertices=verts,
         triangles=tri,
+        pieces=pieces,
     )
 
 
@@ -358,173 +467,37 @@ def _seg_seg_dist(p1, q1, p2, q2) -> np.ndarray:
     return np.linalg.norm(diff, axis=1)
 
 
-def _point_tri_dist(p, a, b, c) -> np.ndarray:
-    """Batched point-triangle distances; inputs (k, 3)."""
-    ab = b - a
-    ac = c - a
-    ap = p - a
-    d1 = np.einsum("ij,ij->i", ab, ap)
-    d2 = np.einsum("ij,ij->i", ac, ap)
-    bp = p - b
-    d3 = np.einsum("ij,ij->i", ab, bp)
-    d4 = np.einsum("ij,ij->i", ac, bp)
-    cp = p - c
-    d5 = np.einsum("ij,ij->i", ab, cp)
-    d6 = np.einsum("ij,ij->i", ac, cp)
-    vc = d1 * d4 - d3 * d2
-    vb = d5 * d2 - d1 * d6
-    va = d3 * d6 - d5 * d4
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_ab = np.where(np.abs(d1 - d3) > 1e-300, d1 / (d1 - d3), 0.0)
-        t_ac = np.where(np.abs(d2 - d6) > 1e-300, d2 / (d2 - d6), 0.0)
-        den_bc = (d4 - d3) + (d5 - d6)
-        t_bc = np.where(np.abs(den_bc) > 1e-300, (d4 - d3) / den_bc, 0.0)
-        nrm = np.cross(ab, ac)
-        nn = np.einsum("ij,ij->i", nrm, nrm)
-        t_in = np.where(nn > 1e-300, np.einsum("ij,ij->i", ap, nrm) / np.sqrt(np.maximum(nn, 1e-300)), 0.0)
-    chosen = np.zeros(len(p), dtype=bool)
-    out = np.empty((len(p), 3))
+def _piece_clearance(a: ConvexPiece, b: ConvexPiece) -> float:
+    """Signed clearance between two placed convex pieces.
 
-    def put(mask, point):
-        nonlocal chosen
-        use = mask & ~chosen
-        out[use] = point[use]
-        chosen = chosen | mask
-
-    put((d1 <= 0) & (d2 <= 0), a)
-    put((d3 >= 0) & (d4 <= d3), b)
-    put((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + np.clip(t_ab, 0, 1)[:, None] * ab)
-    put((d6 >= 0) & (d5 <= d6), c)
-    put((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + np.clip(t_ac, 0, 1)[:, None] * ac)
-    put((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0), b + np.clip(t_bc, 0, 1)[:, None] * (c - b))
-    put(np.ones(len(p), dtype=bool), p - t_in[:, None] * (nrm / np.sqrt(np.maximum(nn, 1e-300))[:, None]))
-    return np.linalg.norm(p - out, axis=1)
+    The axes are both pieces' face normals and the cross products of their
+    edge directions.  When the largest separation over them is negative it
+    is the penetration depth, exact for convex pieces; otherwise the exact
+    distance is the least over edge pairs and over vertices facing a face.
+    """
+    cross = np.cross(a.directions[:, None], b.directions[None]).reshape(-1, 3)
+    size = np.linalg.norm(cross, axis=1)
+    keep = size > 1e-12
+    axes = np.vstack([a.normals, b.normals, cross[keep] / size[keep, None]])
+    pa, pb = axes @ a.vertices.T, axes @ b.vertices.T
+    sep = float(np.max(np.maximum(pb.min(axis=1) - pa.max(axis=1), pa.min(axis=1) - pb.max(axis=1))))
+    if sep < 0.0:
+        return sep
+    ea, eb = a.vertices[a.edges], b.vertices[b.edges]
+    i, j = np.repeat(np.arange(len(ea)), len(eb)), np.tile(np.arange(len(eb)), len(ea))
+    best = float(np.min(_seg_seg_dist(ea[i, 0], ea[i, 1], eb[j, 0], eb[j, 1])))
+    return min(best, _vertex_face_dist(a.vertices, b), _vertex_face_dist(b.vertices, a))
 
 
-def _tri_pair_arrays(ta: np.ndarray, tb: np.ndarray):
-    m, k = len(ta), len(tb)
-    A = np.repeat(ta, k, axis=0)
-    B = np.tile(tb, (m, 1, 1))
-    return A, B
-
-
-def _tri_tri_min_dist(ta: np.ndarray, tb: np.ndarray) -> float:
-    """Min distance between two triangle soups, assuming no interpenetration."""
-    A, B = _tri_pair_arrays(ta, tb)
-    best = np.full(len(A), np.inf)
-    for i in range(3):
-        for j in range(3):
-            d = _seg_seg_dist(A[:, i], A[:, (i + 1) % 3], B[:, j], B[:, (j + 1) % 3])
-            best = np.minimum(best, d)
-    for i in range(3):
-        best = np.minimum(best, _point_tri_dist(A[:, i], B[:, 0], B[:, 1], B[:, 2]))
-        best = np.minimum(best, _point_tri_dist(B[:, i], A[:, 0], A[:, 1], A[:, 2]))
-    return float(np.min(best))
-
-
-def _tri_tri_any_cross(ta: np.ndarray, tb: np.ndarray) -> bool:
-    """Whether any triangle of one soup properly crosses one of the other."""
-    A, B = _tri_pair_arrays(ta, tb)
-    return bool(np.any(_cross_mask(A, B)))
-
-
-def _cross_mask(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    def plane_side(tri, pts):
-        n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        return np.stack(
-            [np.einsum("ij,ij->i", n, pts[:, k] - tri[:, 0]) for k in range(3)], axis=1
-        )
-
-    sa = plane_side(B, A)
-    sb = plane_side(A, B)
-    eps = 1e-12
-    a_split = ~(np.all(sa > eps, axis=1) | np.all(sa < -eps, axis=1))
-    b_split = ~(np.all(sb > eps, axis=1) | np.all(sb < -eps, axis=1))
-    cand = a_split & b_split
-    if not np.any(cand):
-        return np.zeros(len(A), dtype=bool)
-    # candidates: do any edges of one triangle pierce the other's interior?
-    out = np.zeros(len(A), dtype=bool)
-    idx = np.nonzero(cand)[0]
-    for i in range(3):
-        pa, qa = A[idx, i], A[idx, (i + 1) % 3]
-        out[idx] |= _seg_pierces(pa, qa, B[idx])
-        pb, qb = B[idx, i], B[idx, (i + 1) % 3]
-        out[idx] |= _seg_pierces(pb, qb, A[idx])
-    return out
-
-
-def _seg_pierces(p, q, tri) -> np.ndarray:
-    """Batched proper segment-triangle piercing test."""
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    d = q - p
-    e1 = b - a
-    e2 = c - a
-    h = np.cross(d, e2)
-    det = np.einsum("ij,ij->i", e1, h)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(np.abs(det) > 1e-30, 1.0 / det, 0.0)
-        s = p - a
-        u = np.einsum("ij,ij->i", s, h) * inv
-        qv = np.cross(s, e1)
-        v = np.einsum("ij,ij->i", d, qv) * inv
-        t = np.einsum("ij,ij->i", e2, qv) * inv
-    eps = 1e-9
-    return (
-        (np.abs(det) > 1e-30)
-        & (u > eps)
-        & (v > eps)
-        & (u + v < 1.0 - eps)
-        & (t > eps)
-        & (t < 1.0 - eps)
-    )
-
-
-def _points_inside(points: np.ndarray, verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Parity ray cast along a fixed skew direction."""
-    direction = np.array([0.57735026919, 0.26726124191, 0.77459666924])
-    tri = verts[tris]
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    e1 = b - a
-    e2 = c - a
-    h = np.cross(direction[None, :], e2)
-    det = np.einsum("ij,ij->i", e1, h)
-    counts = np.zeros(len(points), dtype=int)
-    good = np.abs(det) > 1e-30
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(good, 1.0 / det, 0.0)
-        for k, pt in enumerate(points):
-            s = pt[None, :] - a
-            u = np.einsum("ij,ij->i", s, h) * inv
-            qv = np.cross(s, e1)
-            v = np.einsum("j,ij->i", direction, qv) * inv
-            t = np.einsum("ij,ij->i", e2, qv) * inv
-            hit = good & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 1e-12)
-            counts[k] = int(np.sum(hit))
-    return counts % 2 == 1
-
-
-def _pair_clearance(va, ta, vb, tb) -> float:
-    """Signed clearance between two closed triangle meshes."""
-    tris_a = va[ta]
-    tris_b = vb[tb]
-    inside_a = _points_inside(va, vb, tb)
-    inside_b = _points_inside(vb, va, ta)
-    crossing = _tri_tri_any_cross(tris_a, tris_b)
-    if crossing or np.any(inside_a) or np.any(inside_b):
-        depth = 1e-12
-        for pts, mask, verts, tris in (
-            (va, inside_a, vb, tb),
-            (vb, inside_b, va, ta),
-        ):
-            if np.any(mask):
-                tri = verts[tris]
-                for p in pts[mask]:
-                    pk = np.broadcast_to(p, (len(tri), 3))
-                    d = float(np.min(_point_tri_dist(pk, tri[:, 0], tri[:, 1], tri[:, 2])))
-                    depth = max(depth, d)
-        return -depth
-    return _tri_tri_min_dist(tris_a, tris_b)
+def _vertex_face_dist(points: np.ndarray, piece: ConvexPiece) -> float:
+    """Least plane distance from a point to a face of the piece it projects into."""
+    corners = piece.vertices[piece.loops]
+    rims = np.cross(piece.normals[:, None], np.roll(corners, -1, axis=1) - corners)
+    side = np.einsum("fwk,pk->pfw", rims, points) - np.einsum("fwk,fwk->fw", rims, corners)
+    # one sign on every rim means inside, whichever way the loop turns
+    inside = (side.min(axis=2) >= 0.0) | (side.max(axis=2) <= 0.0)
+    plane = np.abs(points @ piece.normals.T - np.einsum("fk,fk->f", piece.normals, corners[:, 0]))
+    return float(np.min(plane, where=inside, initial=math.inf))
 
 
 def _adjacent_faces(pattern: CreasePattern) -> set[tuple[int, int]]:
@@ -552,13 +525,13 @@ def clearance_records(
     order = sorted(range(len(solids)), key=lambda k: solids[k].face)
     records = []
     for sample in motion:
-        state = propagate_fold(pattern, np.asarray(sample.fold_angles))
         placed = []
         boxes = []
         for k in order:
             s = solids[k]
-            v = state.isometries[s.face].apply(s.vertices)
-            placed.append(v)
+            pieces = [p.placed(sample.isometries[s.face]) for p in s.pieces]
+            v = np.vstack([p.vertices for p in pieces])
+            placed.append(pieces)
             boxes.append((v.min(axis=0), v.max(axis=0)))
         cands = []
         for i in range(len(order)):
@@ -578,9 +551,7 @@ def clearance_records(
         for lb, i, j in cands:
             if lb >= best:
                 break
-            d = _pair_clearance(
-                placed[i], solids[order[i]].triangles, placed[j], solids[order[j]].triangles
-            )
+            d = min(_piece_clearance(p, q) for p in placed[i] for q in placed[j])
             if d < best:
                 best = d
                 best_pair = (solids[order[i]].face, solids[order[j]].face)

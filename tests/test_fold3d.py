@@ -124,6 +124,9 @@ def test_sweep_modes_and_multipliers_agree():
     for sa, sb in zip(a, b):
         assert sa.t == sb.t
         assert np.array_equal(sa.fold_angles, sb.fold_angles)
+        # each sample keeps the placement its residual was measured on
+        for got, want in zip(sb.isometries, propagate_fold(pat, sb.fold_angles).isometries):
+            assert np.array_equal(got.rot, want.rot) and np.array_equal(got.trans, want.trans)
 
 
 def test_sweep_rejects_bad_multiplier_length():

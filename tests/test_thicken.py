@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubleline import (
     MODE_A1,
@@ -28,8 +30,11 @@ from doubleline import (
     watertight_gap,
 )
 from doubleline.dl import axis_offsets
+from doubleline.geometry import Isometry, polygon_area, rot_x, rot_z
+from doubleline.thicken import _convex_piece, _convex_pieces, _inset_reach, _piece_clearance
 
 from conftest import deg, star_of
+from soup_reference import soup_clearance
 
 
 def single_dl(radius=0.2):
@@ -293,3 +298,130 @@ def test_export_formats():
     lines = csv.splitlines()
     assert lines[0] == "t,min_clearance,pair"
     assert len(lines) == 1 + len(motion)
+
+
+def bench_panels(n, factor, samples=8):
+    """Doubled Miura n x n 60/90 panels trimmed 0.002 rad past the motion's
+    extreme folds, motion to 0.97 of flat, thickness factor x the bound."""
+    pat = gen_dl_miura(n, n, math.radians(60), math.pi / 2)
+    g = np.array(read_record(pat).multipliers)
+    t_max = 0.97 * flat_fold_parameter(pat, g)
+    motion = sweep_motion(pat, None, np.geomspace(t_max * 1e-3, t_max, samples), multipliers=g)
+    widths = crease_half_widths(pat)
+    rho = {}
+    for ci in pat.interior_creases:
+        v = max((s.fold_angles[ci] for s in motion), key=abs)
+        rho[ci] = v + math.copysign(0.002, v)
+    bound = min(max_thickness(widths[ci], r) for ci, r in rho.items() if r > 0)
+    params = ThickPanelParams(factor * bound, rho_max=rho, enforce_bound=factor < 1.0)
+    return motion, thicken(pat, motion, params)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_top_edges_follow_their_base_edges(n):
+    # a corner between collinear edges rides between its real neighbours;
+    # moved at its own edge's rate it was overrun and the top edge reversed
+    for factor in (0.9, 2.0):
+        for s in bench_panels(n, factor)[1]:
+            base_edges = np.roll(s.base, -1, axis=0) - s.base
+            top_edges = np.roll(s.top, -1, axis=0) - s.top
+            assert np.all(np.einsum("ij,ij->i", base_edges, top_edges) > 0.0), (factor, s.face)
+
+
+def _turns(poly):
+    d = np.roll(poly, -1, axis=0) - poly
+    d_in = np.roll(d, 1, axis=0)
+    return d_in[:, 0] * d[:, 1] - d_in[:, 1] * d[:, 0]
+
+
+def _check_pieces(base, top, pieces):
+    """Convex pieces tile the face at the base and at the top."""
+    bottoms = [p.vertices[: len(p.vertices) // 2, :2] for p in pieces]
+    tops = [p.vertices[len(p.vertices) // 2 :, :2] for p in pieces]
+    for poly in bottoms + tops:
+        assert np.all(_turns(poly) > -1e-12)
+    assert abs(sum(map(polygon_area, bottoms)) - polygon_area(base)) < 1e-12
+    assert abs(sum(map(polygon_area, tops)) - polygon_area(top)) < 1e-12
+
+
+@pytest.mark.parametrize("n, reflex", [(2, 1), (3, 2)])
+def test_panels_split_into_convex_pieces(n, reflex):
+    # every reflex face of a doubled Miura is a pentagon with one reflex corner
+    solids = bench_panels(n, 0.9)[1]
+    for s in solids:
+        assert len(s.pieces) == (2 if np.any(_turns(s.base) < -1e-12) else 1)
+        _check_pieces(s.base, s.top, s.pieces)
+    assert sum(len(s.pieces) > 1 for s in solids) == reflex
+
+
+@pytest.mark.parametrize("moving", [(), (4,), tuple(range(8))], ids=["square", "one-bevel", "all-bevel"])
+def test_face_with_two_reflex_corners_splits_into_convex_pieces(moving):
+    # a U: reflex corners at (2, 1) and (1, 1); square corners are cut along
+    # their bisectors, which end on the outer corners (3, 0) and (0, 0)
+    u = np.array([[0, 0], [3, 0], [3, 2], [2, 2], [2, 1], [1, 1], [1, 2], [0, 2]], dtype=float)
+    rates = np.zeros(len(u))
+    rates[list(moving)] = 1.0
+    V, reach = _inset_reach(u, rates)
+    h = 0.4 * min(reach, 1.0)
+    pieces = [_convex_piece(b, b + h * v, r, h) for b, r, v in _convex_pieces(u, rates)]
+    assert len(pieces) == 3
+    _check_pieces(u, u + h * V, pieces)
+
+
+def cube(side=1.0):
+    square = np.array([[0.0, 0.0], [side, 0.0], [side, side], [0.0, side]])
+    return _convex_piece(square, square, np.zeros(4), side)
+
+
+@pytest.mark.parametrize("gap", [0.25, 1e-3, -1e-3, -0.25])
+def test_boxes_face_to_face(gap):
+    a = cube()
+    b = cube().placed(Isometry(trans=np.array([0.3, 0.2, 1.0 + gap])))
+    assert abs(_piece_clearance(a, b) - gap) < 1e-12
+    assert abs(_piece_clearance(b, a) - gap) < 1e-12
+
+
+@pytest.mark.parametrize("depth", [0.2, 0.01, -0.01, -0.2])
+def test_boxes_edge_through_edge(depth):
+    # A's edge along x at y = z = 1 and B's edge along (0, 1, -1) cross at
+    # x = 0.5, B's edge pushed toward A by depth along u = (0, 1, 1)/sqrt 2:
+    # no vertex of either box lies inside the other (a triangle soup reads
+    # such a crossing as -1e-12)
+    r2 = math.sqrt(2.0)
+    e_b, u = np.array([0.0, 1.0, -1.0]) / r2, np.array([0.0, 1.0, 1.0]) / r2
+    # the cube's edge on the x axis, body toward +u, turned onto e_b
+    x = np.array([1.0, 0.0, 0.0])
+    rot = np.column_stack([e_b, u, x]) @ np.column_stack([x, u, -e_b]).T
+    at = np.array([0.5, 1.0, 1.0]) - depth * u
+    b = cube().placed(Isometry(rot, at - rot @ np.array([0.5, 0.0, 0.0])))
+    assert abs(_piece_clearance(cube(), b) + depth) < 1e-12
+    assert abs(_piece_clearance(b, cube()) + depth) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def miura22_panels():
+    return bench_panels(2, 0.9)[1]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    faces=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+    angles=st.tuples(*[st.floats(-math.pi, math.pi)] * 3),
+    offset=st.tuples(*[st.floats(-0.6, 0.6)] * 3),
+)
+def test_piece_clearance_matches_the_triangle_soup(miura22_panels, faces, angles, offset):
+    a, b = miura22_panels[faces[0]], miura22_panels[faces[1]]
+    # fixed generic turns keep shrunk examples off coplanar placements
+    rot = rot_z(angles[0] + 0.3) @ rot_x(angles[1] + 0.7) @ rot_z(angles[2] + 1.1)
+    centre_a, centre_b = a.vertices.mean(axis=0), b.vertices.mean(axis=0)
+    iso = Isometry(rot, centre_a + np.array(offset) + 0.013 - rot @ centre_b)
+    got = min(_piece_clearance(p, q.placed(iso)) for p in a.pieces for q in b.pieces)
+    want = soup_clearance(a.vertices, a.triangles, iso.apply(b.vertices), b.triangles)
+    assert (got < 0.0) == (want < 0.0)
+    if want > 0.0:
+        assert abs(got - want) <= 1e-12 * want
+    elif len(a.pieces) == len(b.pieces) == 1:
+        # a translation that separates convex panels frees every vertex, so
+        # the depth is at least the deepest vertex inside; a piece of a
+        # split panel can hold a vertex that is deep only in the whole panel
+        assert got <= want + 1e-12
