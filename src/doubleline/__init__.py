@@ -22,6 +22,7 @@ from .dl import (
     DoubleLineRatio,
     ThetaRegime,
     assign_mode_mv,
+    axis_class,
     axis_offsets,
     axis_sums,
     classify_theta,
@@ -59,7 +60,7 @@ from .kinematics import (
     FoldMode,
     KinematicsError,
     ModeVector,
-    SpeedCoefficient,
+    branch_multipliers,
     fold_angles_at,
     loop_closure_product,
     mode_vector,

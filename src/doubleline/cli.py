@@ -49,7 +49,16 @@ from .thicken import (
     thicken,
 )
 
-GEN_SHAPES = ("miura", "yoshimura", "dl-miura", "dl-yoshimura", "single", "symmetric")
+# The flags each gen shape takes; it requires all of them and refuses the rest.
+GEN_SHAPE_FLAGS = {
+    "miura": ("rows", "cols", "angle"),
+    "yoshimura": ("rows", "cols", "elongation"),
+    "dl-miura": ("rows", "cols", "angle", "theta"),
+    "dl-yoshimura": ("rows", "cols", "elongation", "theta"),
+    "single": ("alpha", "beta"),
+    "symmetric": ("n",),
+}
+GEN_FLAGS = tuple(dict.fromkeys(name for names in GEN_SHAPE_FLAGS.values() for name in names))
 
 # Caps on the size arguments, so that no call asks for unbounded rows or samples.
 GRID_STEP_RANGE = (0.01, 90.0)  # classify --grid, degrees: at most 17,999 rows per mode
@@ -127,9 +136,7 @@ def _cmd_doubleline(args) -> bytes:
     doubled = construct_dl(star, params, outer_length=args.outer_length)
     if args.mode:
         doubled = fix_mode(doubled, mode_from_label(args.mode))
-    if (args.format or "fold") == "svg":
-        return save_svg(doubled)
-    return save_fold(doubled)
+    return save_svg(doubled) if args.format == "svg" else save_fold(doubled)
 
 
 def _cmd_classify(args) -> bytes:
@@ -182,19 +189,16 @@ def _cmd_sweep(args) -> bytes:
     mult = _motion_multipliers(pattern)
     t_max = args.t_max if args.t_max is not None else _default_t_max(pattern, mult)
     grid = np.linspace(0.0, t_max, args.samples)
-    tol = args.tolerance if args.tolerance is not None else 1e-9
-    motion = sweep_motion(pattern, None, grid, residual_tol=tol, multipliers=mult)
-    return _motion_csv(pattern, motion)
+    return _motion_csv(pattern, sweep_motion(pattern, None, grid, multipliers=mult))
 
 
 def _cmd_fold(args) -> bytes:
     pattern = _load(args.pattern)
     mult = _motion_multipliers(pattern)
     angles = 2.0 * np.arctan(mult * args.t)
-    fmt = args.format or "fold"
-    if fmt == "obj":
+    if args.format == "obj":
         return export_obj(propagate_fold(pattern, angles)).encode()
-    if fmt == "csv":
+    if args.format == "csv":
         motion = sweep_motion(pattern, None, [args.t], multipliers=mult)
         return _motion_csv(pattern, motion)
     return save_fold(pattern, angles)
@@ -202,9 +206,8 @@ def _cmd_fold(args) -> bytes:
 
 def _cmd_solve(args) -> bytes:
     pattern = _load(args.pattern)
-    tol = args.tolerance if args.tolerance is not None else 1e-10
-    angles = solve_fold_angles(pattern, args.driver, math.radians(args.target), tol=tol)
-    if (args.format or "csv") == "fold":
+    angles = solve_fold_angles(pattern, args.driver, math.radians(args.target), tol=args.tolerance)
+    if args.format == "fold":
         return save_fold(pattern, angles)
     rows = ["crease,rho_deg"]
     rows.extend(f"{i},{_fmt(math.degrees(a))}" for i, a in enumerate(angles))
@@ -220,29 +223,24 @@ def _cmd_thicken(args) -> bytes:
     motion = sweep_motion(pattern, None, grid, multipliers=mult)
     params = ThickPanelParams(tau=args.tau, side=args.side, enforce_bound=not args.ignore_bound)
     solids = thicken(pattern, motion, params)
-    if (args.format or "obj") == "csv":
+    if args.format == "csv":
         return export_clearance_csv(clearance_records(solids, motion)).encode()
     return export_solids_obj(solids).encode()
 
 
-def _require(args, names: Sequence[str]) -> None:
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            args.parser.error(f"--{name} is required for shape {args.shape}")
-
-
 def _cmd_gen(args) -> bytes:
     shape = args.shape
+    for name in GEN_FLAGS:
+        given, takes = getattr(args, name) is not None, name in GEN_SHAPE_FLAGS[shape]
+        if given != takes:
+            args.parser.error(f"shape {shape} does not take --{name}" if given
+                              else f"--{name} is required for shape {shape}")
     if shape == "single":
-        _require(args, ("alpha", "beta"))
         pattern = gen_single_deg4(math.radians(args.alpha), math.radians(args.beta))
     elif shape == "symmetric":
-        _require(args, ("n",))
         _check_range("--n", args.n, SYMMETRIC_N_RANGE)
         pattern = gen_symmetric_vertex(args.n)
     else:
-        shape_args = ("angle",) if shape.endswith("miura") else ("elongation",)
-        _require(args, ("rows", "cols") + shape_args + (("theta",) if shape.startswith("dl-") else ()))
         _check_range("--rows", args.rows, GEN_SIZE_RANGE)
         _check_range("--cols", args.cols, GEN_SIZE_RANGE)
         if shape == "miura":
@@ -253,31 +251,28 @@ def _cmd_gen(args) -> bytes:
             pattern = gen_dl_miura(args.rows, args.cols, math.radians(args.angle), math.radians(args.theta))
         else:
             pattern = gen_dl_yoshimura(args.rows, args.cols, args.elongation, math.radians(args.theta))
-    if (args.format or "fold") == "svg":
-        return save_svg(pattern)
-    return save_fold(pattern)
+    return save_svg(pattern) if args.format == "svg" else save_fold(pattern)
 
 
 def _cmd_export(args) -> bytes:
     pattern = _load(args.pattern)
-    fmt = args.format or "svg"
-    if fmt == "svg":
+    if args.format == "svg":
         return save_svg(pattern)
-    if fmt == "fold":
+    if args.format == "fold":
         return save_fold(pattern)
-    if fmt == "obj":
-        angles = np.array([c.fold_angle if c.fold_angle is not None else 0.0 for c in pattern.creases])
-        return export_obj(propagate_fold(pattern, angles)).encode()
-    raise ValueError("csv export needs a motion; use the sweep subcommand")
+    angles = np.array([c.fold_angle if c.fold_angle is not None else 0.0 for c in pattern.creases])
+    return export_obj(propagate_fold(pattern, angles)).encode()
+
+
+def _add_format(p: argparse.ArgumentParser, *choices: str) -> None:
+    """--format taking only the formats this subcommand writes; the first is the default."""
+    p.add_argument("--format", choices=choices, default=choices[0],
+                   help=f"output format (default: {choices[0]})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output path (default: stdout)")
-    formatted = argparse.ArgumentParser(add_help=False)
-    formatted.add_argument("--format", choices=("fold", "svg", "obj", "csv"), help="output format")
-    tuned = argparse.ArgumentParser(add_help=False)
-    tuned.add_argument("--tolerance", type=float, help="numeric tolerance override")
 
     parser = argparse.ArgumentParser(prog="doubleline", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -286,8 +281,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern", help="FOLD file")
     p.set_defaults(handler=_cmd_analyze)
 
-    p = sub.add_parser("doubleline", parents=[common, formatted], help="double one interior vertex")
+    p = sub.add_parser("doubleline", parents=[common], help="double one interior vertex")
     p.add_argument("pattern", help="FOLD file")
+    _add_format(p, "fold", "svg")
     p.add_argument("--vertex", type=int, help="interior vertex id (default: lowest)")
     p.add_argument("--theta", type=float, required=True, help="rotation angle in degrees")
     p.add_argument("--radii", help="comma-separated polygon distances r_i")
@@ -310,25 +306,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true", help="compare count against enumeration")
     p.set_defaults(handler=_cmd_modes)
 
-    p = sub.add_parser("sweep", parents=[common, tuned], help="sample the one-parameter motion to CSV")
+    p = sub.add_parser("sweep", parents=[common], help="sample the one-parameter motion to CSV")
     p.add_argument("pattern", help="FOLD file")
     p.add_argument("--t-max", type=float, help="largest motion parameter (default: near flat)")
     p.add_argument("--samples", type=int, default=50, help="number of samples (1 to 10000)")
     p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("fold", parents=[common, formatted], help="fold angles at one motion parameter")
+    p = sub.add_parser("fold", parents=[common], help="fold angles at one motion parameter")
     p.add_argument("pattern", help="FOLD file")
+    _add_format(p, "fold", "obj", "csv")
     p.add_argument("--t", type=float, required=True, help="motion parameter")
     p.set_defaults(handler=_cmd_fold)
 
-    p = sub.add_parser("solve", parents=[common, formatted, tuned], help="fold by pinning one crease angle")
+    p = sub.add_parser("solve", parents=[common], help="fold by pinning one crease angle")
     p.add_argument("pattern", help="FOLD file")
+    _add_format(p, "csv", "fold")
+    p.add_argument("--tolerance", type=float, default=1e-10, help="Newton residual tolerance")
     p.add_argument("--driver", type=int, required=True, help="driver crease id")
     p.add_argument("--target", type=float, required=True, help="driver fold angle in degrees")
     p.set_defaults(handler=_cmd_solve)
 
-    p = sub.add_parser("thicken", parents=[common, formatted], help="thick panels and clearance log")
+    p = sub.add_parser("thicken", parents=[common], help="thick panels and clearance log")
     p.add_argument("pattern", help="FOLD file")
+    _add_format(p, "obj", "csv")
     p.add_argument("--tau", type=float, required=True, help="panel thickness")
     p.add_argument("--side", choices=("above", "below"), default="above", help="panel side")
     p.add_argument("--t-max", type=float, help="largest motion parameter (default: near flat)")
@@ -336,8 +336,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ignore-bound", action="store_true", help="allow thickness beyond the bound")
     p.set_defaults(handler=_cmd_thicken)
 
-    p = sub.add_parser("gen", parents=[common, formatted], help="generate a standard pattern")
-    p.add_argument("shape", choices=GEN_SHAPES)
+    p = sub.add_parser("gen", parents=[common], help="generate a standard pattern")
+    p.add_argument("shape", choices=tuple(GEN_SHAPE_FLAGS))
+    _add_format(p, "fold", "svg")
     p.add_argument("--rows", type=int, help="tessellation rows")
     p.add_argument("--cols", type=int, help="tessellation columns")
     p.add_argument("--angle", type=float, help="parallelogram angle in degrees (miura)")
@@ -348,8 +349,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="half the vertex degree (symmetric)")
     p.set_defaults(handler=_cmd_gen, parser=p)
 
-    p = sub.add_parser("export", parents=[common, formatted], help="convert a pattern file")
+    p = sub.add_parser("export", parents=[common], help="convert a pattern file")
     p.add_argument("pattern", help="FOLD file")
+    _add_format(p, "svg", "fold", "obj")
     p.set_defaults(handler=_cmd_export)
 
     return parser

@@ -23,7 +23,7 @@ import numpy as np
 
 from .fold_io import get_extra, is_index, is_number, set_extra
 from .geometry import intersect_lines, unit
-from .kinematics import DEGENERACY_TOL, FoldMode, p_coeff, q_coeff, tan_half
+from .kinematics import DEGENERACY_TOL, FoldMode, branch_multipliers, p_coeff, q_coeff, tan_half
 from .pattern import Crease, CreasePattern, PatternError, VertexStar, vertex_star
 
 NETWORK_KEY = "doubleline:network"
@@ -66,18 +66,20 @@ def mode_from_label(label: str) -> DLMode:
     raise DlError(f"unknown double-line mode {label!r}")
 
 
+def _branch(sign: str) -> FoldMode:
+    return FoldMode.A if sign == "-" else FoldMode.B
+
+
 def corner_modes(mode: DLMode) -> tuple[FoldMode, ...]:
     """Local folding mode of each corner vertex: sign '-' is a, '+' is b."""
-    return tuple(FoldMode.A if s == "-" else FoldMode.B for s in mode.signs)
+    return tuple(map(_branch, mode.signs))
 
 
 def _corner_coefficient(sign: str, sigma: float, theta: float) -> float:
-    if sign != "-":
-        return -q_coeff(sigma, theta)
-    p = p_coeff(sigma, theta)
-    if abs(p) < DEGENERACY_TOL:
+    ray_plus, ray_minus, _, _ = branch_multipliers(_branch(sign), sigma, theta)
+    if abs(ray_minus) < DEGENERACY_TOL:
         raise DlError(f"pole: p({sigma:.6f}, {theta:.6f}) = 0 cannot be inverted")
-    return -1.0 / p
+    return ray_plus / ray_minus
 
 
 def corner_coefficients(
@@ -140,40 +142,29 @@ class DLMultipliers:
 def dl_multipliers(sectors: Sequence[float], signs: Sequence[str], theta: float) -> DLMultipliers:
     """Propagate corner speed coefficients around the central polygon.
 
-    Corner i carries a scale s_i; matching the shared polygon sides gives
-    s_{i+1} = s_i * f_i / g_{i+1} with f, g from the corner branches.  Works
-    for any even or odd degree; the caller decides what closure error means.
+    Corner i carries a scale s_i and the branch multipliers m_i of its
+    creases (ray_i^+, ray_{i+1}^-, side_{i+1}, side_i); matching the shared
+    polygon sides gives s_{i+1} = s_i·m_i[2] / m_{i+1}[3].  Works for any
+    even or odd degree; the caller decides what closure error means.
     """
     n = len(sectors)
     if len(signs) != n:
         raise DlError("need one sign per corner")
-    p = [p_coeff(s, theta) for s in sectors]
-    q = [q_coeff(s, theta) for s in sectors]
-    # f: multiplier of side_{i+1} at corner i; g: multiplier of side_i at corner i
-    f = [1.0 if s == "-" else q[i] for i, s in enumerate(signs)]
-    g = [p[i] if s == "-" else 1.0 for i, s in enumerate(signs)]
-
+    m = [branch_multipliers(_branch(s), sigma, theta) for s, sigma in zip(signs, sectors)]
     scale = [1.0]
     for i in range(n - 1):
-        if abs(g[i + 1]) < DEGENERACY_TOL:
+        if abs(m[i + 1][3]) < DEGENERACY_TOL:
             raise DlError(f"corner {i + 1} has a vanishing side coefficient at this theta")
-        scale.append(scale[i] * f[i] / g[i + 1])
-    left = f[n - 1] * scale[n - 1]
-    right = g[0] * scale[0]
+        scale.append(scale[i] * m[i][2] / m[i + 1][3])
+    left = m[n - 1][2] * scale[n - 1]
+    right = m[0][3] * scale[0]
     closure = abs(left - right) / max(abs(left), abs(right), DEGENERACY_TOL)
-
-    rays_plus = []
-    rays_minus = [0.0] * n
-    sides = [0.0] * n
-    for i, s in enumerate(signs):
-        if s == "-":
-            rays_plus.append(scale[i])
-            rays_minus[(i + 1) % n] = -p[i] * scale[i]
-        else:
-            rays_plus.append(-q[i] * scale[i])
-            rays_minus[(i + 1) % n] = scale[i]
-        sides[(i + 1) % n] = f[i] * scale[i]
-    return DLMultipliers(tuple(rays_plus), tuple(rays_minus), tuple(sides), closure)
+    return DLMultipliers(
+        tuple(m[i][0] * scale[i] for i in range(n)),
+        tuple(m[i - 1][1] * scale[i - 1] for i in range(n)),
+        tuple(m[i - 1][2] * scale[i - 1] for i in range(n)),
+        closure,
+    )
 
 
 # -- the doubled-pattern record ----------------------------------------------
@@ -466,25 +457,58 @@ def assign_mode_mv(pattern: CreasePattern, multipliers: np.ndarray) -> CreasePat
 # -- axis sums, regimes, ratios ----------------------------------------------
 
 
+# The doubled pairs of each generic mode as signed products of p/q factors.
+# A factor (kind, k) is the coefficient p or q of sector k (0: α, 1: β)
+# against θ.  Each row holds the major pair (1, sign·x·y) as (sign, x, y),
+# the minor pair (s1·x, s2·y) as ((s1, x), (s2, y)), and per star axis the
+# class of its doubled pair and whether its (ray^+, ray^-) multipliers are
+# that pair reversed.  a-I lists its β factor first, so critical_thetas
+# reads (β, π−α) in that order.
+_MODE_TABLE = {
+    MODE_A1: ((1.0, ("q", 1), ("p", 0)), ((1.0, ("p", 0)), (1.0, ("q", 1))),
+              (("major", False), ("minor", True), ("major", True), ("minor", False))),
+    MODE_A2: ((1.0, ("q", 0), ("p", 1)), ((1.0, ("p", 1)), (1.0, ("q", 0))),
+              (("major", True), ("minor", True), ("major", False), ("minor", False))),
+    MODE_B1: ((-1.0, ("q", 0), ("q", 1)), ((-1.0, ("q", 0)), (1.0, ("q", 1))),
+              (("minor", False), ("major", True), ("minor", True), ("major", False))),
+    MODE_B2: ((-1.0, ("p", 0), ("p", 1)), ((1.0, ("p", 1)), (-1.0, ("p", 0))),
+              (("minor", False), ("major", False), ("minor", True), ("major", True))),
+}
+
+
+def _mode_row(mode: DLMode) -> tuple:
+    """(major, minor, axes) of a generic mode in _MODE_TABLE."""
+    row = _MODE_TABLE.get(mode)
+    if row is None:
+        raise DlError(f"mode {mode.label} has no major/minor axis split")
+    return row
+
+
+def _factor(factor: tuple[str, int], alpha: float, beta: float, theta: float) -> float:
+    kind, k = factor
+    return (p_coeff if kind == "p" else q_coeff)((alpha, beta)[k], theta)
+
+
+def axis_class(mode: DLMode, axis: int) -> tuple[str, bool]:
+    """(class, reversed) of a generic mode's doubled pair on one star axis.
+
+    The class is "major" or "minor"; reversed tells whether the pair's
+    (ray^+, ray^-) multipliers are that class's pair in reverse order.
+    """
+    return _mode_row(mode)[2][axis]
+
+
 def _mode_pairs(mode: DLMode, alpha: float, beta: float, theta: float):
     """(major pair, minor pair) of tan-half multipliers for the generic modes."""
-    pa, pb = p_coeff(alpha, theta), p_coeff(beta, theta)
-    qa, qb = q_coeff(alpha, theta), q_coeff(beta, theta)
-    if mode == MODE_A1:
-        return (1.0, pa * qb), (pa, qb)
-    if mode == MODE_A2:
-        return (1.0, qa * pb), (pb, qa)
-    if mode == MODE_B1:
-        return (1.0, -qa * qb), (-qa, qb)
-    if mode == MODE_B2:
-        return (1.0, -pa * pb), (pb, -pa)
-    raise DlError(f"mode {mode.label} has no major/minor axis split")
+    (s1, x), (s2, y) = _mode_row(mode)[1]
+    minor = (s1 * _factor(x, alpha, beta, theta), s2 * _factor(y, alpha, beta, theta))
+    return (1.0, major_coefficient(mode, alpha, beta, theta)), minor
 
 
 def major_coefficient(mode: DLMode, alpha: float, beta: float, theta: float) -> float:
     """Second multiplier of the major pair (the first is 1)."""
-    (_, k), _ = _mode_pairs(mode, alpha, beta, theta)
-    return k
+    sign, x, y = _mode_row(mode)[0]
+    return sign * _factor(x, alpha, beta, theta) * _factor(y, alpha, beta, theta)
 
 
 def axis_sums(
@@ -579,16 +603,13 @@ def double_line_ratio(
 
 
 def critical_thetas(mode: DLMode, alpha: float, beta: float) -> tuple[float, float]:
-    """The two θ values where one crease of every doubled pair freezes."""
-    table = {
-        MODE_A1.label: (beta, math.pi - alpha),
-        MODE_A2.label: (alpha, math.pi - beta),
-        MODE_B1.label: (alpha, beta),
-        MODE_B2.label: (math.pi - alpha, math.pi - beta),
-    }
-    if mode.label not in table:
-        raise DlError(f"mode {mode.label} has no critical-theta table")
-    return table[mode.label]
+    """The two θ values where one crease of every doubled pair freezes.
+
+    They are the zeros of the major pair's factors: q(σ, θ) vanishes at
+    θ = σ and p(σ, θ) at θ = π − σ.
+    """
+    _, *factors = _mode_row(mode)[0]
+    return tuple((alpha, beta)[k] if kind == "q" else math.pi - (alpha, beta)[k] for kind, k in factors)
 
 
 def theta_for_even_minor(mode: DLMode, alpha: float, beta: float) -> float:
@@ -620,24 +641,21 @@ def _ratio_polynomial(
     Both denominators are positive for h > 0, so multiplying by them keeps
     the roots on h > 0 and leaves a polynomial of degree at most 2.
     """
-    ta, tb = tan_half(alpha), tan_half(beta)
-    pa, pb = ((1.0, -ta), (1.0, ta)), ((1.0, -tb), (1.0, tb))
-    qa, qb = ((-ta, 1.0), (ta, 1.0)), ((-tb, 1.0), (tb, 1.0))
-    # per mode: major m2 = sign·x·y (m1 = 1); minor (m1, m2) = (sign·x, sign·y)
-    table = {
-        MODE_A1.label: ((1.0, pa, qb), ((1.0, pa), (1.0, qb))),
-        MODE_A2.label: ((1.0, qa, pb), ((1.0, pb), (1.0, qa))),
-        MODE_B1.label: ((-1.0, qa, qb), ((-1.0, qa), (1.0, qb))),
-        MODE_B2.label: ((-1.0, pa, pb), ((1.0, pb), (-1.0, pa))),
-    }
-    if mode.label not in table:
-        raise DlError(f"mode {mode.label} has no major/minor axis split")
-    major, minor = table[mode.label]
+    major, minor, _ = _mode_row(mode)
+    ts = (tan_half(alpha), tan_half(beta))
+
+    def moebius(factor: tuple[str, int]) -> tuple[tuple[float, float], tuple[float, float]]:
+        kind, k = factor  # (numerator, denominator), each in rising powers of h
+        t = ts[k]
+        return ((1.0, -t), (1.0, t)) if kind == "p" else ((-t, 1.0), (t, 1.0))
+
     if axis == "major":
         sign, x, y = major
+        x, y = moebius(x), moebius(y)
         u, v, fu, sv = _lin_mul(x[0], y[0]), _lin_mul(x[1], y[1]), f * sign, s
     else:
         (s1, x), (s2, y) = minor
+        x, y = moebius(x), moebius(y)
         u, v, fu, sv = _lin_mul(y[0], x[1]), _lin_mul(x[0], y[1]), f * s2, s * s1
     return tuple(fu * a - sv * b for a, b in zip(u, v))
 

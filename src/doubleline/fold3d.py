@@ -244,7 +244,6 @@ def sweep_motion(
     pattern: CreasePattern,
     modes: Mapping[int, FoldMode] | None,
     t_grid: Sequence[float],
-    residual_tol: float = RESIDUAL_TOL,
     multipliers: np.ndarray | None = None,
 ) -> tuple[MotionSample, ...]:
     """Sample the motion tan(rho_c/2) = g_c * t over a grid of t values."""
@@ -257,7 +256,7 @@ def sweep_motion(
         state = propagate_fold(pattern, angles)
         res = state.max_residual
         angles.setflags(write=False)
-        samples.append(MotionSample(float(t), angles, res, res < residual_tol, state.isometries))
+        samples.append(MotionSample(float(t), angles, res, res < RESIDUAL_TOL, state.isometries))
     return tuple(samples)
 
 
@@ -347,9 +346,12 @@ def solve_fold_angles(
 def export_obj(state: FoldedState) -> str:
     """Wavefront OBJ of the folded faces, triangulated by fans.
 
-    Vertices shared between faces are welded to the image under their
-    lowest-id incident face; a valid state keeps every face's own image of
-    the vertex within the weld tolerance of that position.
+    Each face is fanned from its first corner whose fan triangles are all
+    counterclockwise in the flat pattern, so no triangle leaves a reflex
+    face; a face with no such corner raises Fold3dError.  Vertices shared
+    between faces are welded to the image under their lowest-id incident
+    face; a valid state keeps every face's own image of the vertex within
+    the weld tolerance of that position.
     """
     owner: dict[int, int] = {}
     for fi, f in enumerate(state.pattern.faces):
@@ -366,7 +368,18 @@ def export_obj(state: FoldedState) -> str:
         index[v] = len(index) + 1
         x, y, z = pos[v]
         lines.append(f"v {x:.9f} {y:.9f} {z:.9f}")
-    for f in state.pattern.faces:
-        for k in range(1, len(f) - 1):
-            lines.append(f"f {index[f[0]]} {index[f[k]]} {index[f[k + 1]]}")
+    flat = state.pattern.vertices_array
+    for fi, f in enumerate(state.pattern.faces):
+        fans = (f[c:] + f[:c] for c in range(len(f)))
+        fan = next((cycle for cycle in fans if _fans_ccw(flat[list(cycle)])), None)
+        if fan is None:
+            raise Fold3dError(f"face {fi} has no corner to fan from without folding a triangle over")
+        for k in range(1, len(fan) - 1):
+            lines.append(f"f {index[fan[0]]} {index[fan[k]]} {index[fan[k + 1]]}")
     return "\n".join(lines) + "\n"
+
+
+def _fans_ccw(cycle: np.ndarray) -> bool:
+    """Whether every fan triangle from the first point of the cycle turns counterclockwise."""
+    d = cycle[1:] - cycle[0]
+    return bool(np.all(d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0] > 0.0))

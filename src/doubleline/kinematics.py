@@ -56,16 +56,6 @@ def q_coeff(alpha: float, beta: float) -> float:
 
 
 @dataclass(frozen=True)
-class SpeedCoefficient:
-    """Constant ratio tan(ρ_to/2) / tan(ρ_from/2) between adjacent creases."""
-
-    value: float
-
-    def __float__(self) -> float:
-        return self.value
-
-
-@dataclass(frozen=True)
 class ModeVector:
     """Multipliers m_0..m_3 with tan(ρ_i/2) = m_i·t, in star crease order.
 
@@ -85,20 +75,25 @@ class ModeVector:
         return self.multipliers[i]
 
 
-def mode_vector(star: VertexStar, mode: FoldMode) -> ModeVector:
-    """Fold-speed multipliers of one folding mode.
+def branch_multipliers(mode: FoldMode, alpha: float, beta: float) -> tuple[float, float, float, float]:
+    """Multipliers of one folding branch of the vertex with sectors (α, β, π−α, π−β).
 
-    Mode a: (1, −p(α,β), 1, p(α,β)) with e_0, e_2 major.
-    Mode b: (−q(α,β), 1, q(α,β), 1) with e_1, e_3 major.
+    Branch a: (1, −p(α,β), 1, p(α,β)) with e_0, e_2 major.
+    Branch b: (−q(α,β), 1, q(α,β), 1) with e_1, e_3 major.
     """
-    if not is_flat_foldable_deg4(star):
-        raise KinematicsError("mode_vector requires a flat-foldable degree-4 vertex")
-    alpha, beta = star.sectors[0], star.sectors[1]
     if mode is FoldMode.A:
         p = p_coeff(alpha, beta)
-        return ModeVector((1.0, -p, 1.0, p), mode, abs(p) < DEGENERACY_TOL)
+        return (1.0, -p, 1.0, p)
     q = q_coeff(alpha, beta)
-    return ModeVector((-q, 1.0, q, 1.0), mode, abs(q) < DEGENERACY_TOL)
+    return (-q, 1.0, q, 1.0)
+
+
+def mode_vector(star: VertexStar, mode: FoldMode) -> ModeVector:
+    """Fold-speed multipliers of one folding mode (see branch_multipliers)."""
+    if not is_flat_foldable_deg4(star):
+        raise KinematicsError("mode_vector requires a flat-foldable degree-4 vertex")
+    m = branch_multipliers(mode, star.sectors[0], star.sectors[1])
+    return ModeVector(m, mode, min(map(abs, m)) < DEGENERACY_TOL)
 
 
 def fold_angles_at(star: VertexStar, mode: FoldMode, t: float) -> np.ndarray:
@@ -110,22 +105,22 @@ def fold_angles_at(star: VertexStar, mode: FoldMode, t: float) -> np.ndarray:
     return 2.0 * np.arctan(np.array(mv.multipliers) * float(t))
 
 
-def speed_coefficient(star: VertexStar, mode: FoldMode, from_crease: int) -> SpeedCoefficient:
+def speed_coefficient(star: VertexStar, mode: FoldMode, from_crease: int) -> float:
     """Ratio m_{i+1}/m_i taking crease index i to its counterclockwise neighbor."""
     mv = mode_vector(star, mode)
     cur = mv[from_crease % 4]
     nxt = mv[(from_crease + 1) % 4]
     if abs(cur) < DEGENERACY_TOL:
         raise KinematicsError("speed coefficient from a frozen crease is undefined")
-    return SpeedCoefficient(nxt / cur)
+    return nxt / cur
 
 
-def loop_closure_product(coefficients: Iterable[SpeedCoefficient | float]) -> float:
+def loop_closure_product(coefficients: Iterable[float]) -> float:
     """Product of speed coefficients around one interior face.
 
     The face admits the finite rigid folding iff the product is 1.
     """
-    values = [float(c) for c in coefficients]
+    values = list(coefficients)
     if not values:
         raise KinematicsError("loop closure product of an empty sequence")
     return math.prod(values)

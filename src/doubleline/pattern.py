@@ -265,22 +265,10 @@ class CreasePattern:
                     raise PatternError(f"creases {i} and {j} cross: non-planar embedding")
 
         if self.creases:
-            # Connectivity (the pattern region is a single disk).
-            adj: list[set[int]] = [set() for _ in range(n)]
-            for c in self.creases:
-                adj[c.v0].add(c.v1)
-                adj[c.v1].add(c.v0)
-            used = [v for v in range(n) if adj[v]]
-            if used:
-                stack, comp = [used[0]], {used[0]}
-                while stack:
-                    v = stack.pop()
-                    for w in adj[v]:
-                        if w not in comp:
-                            comp.add(w)
-                            stack.append(w)
-                if set(used) - comp:
-                    raise PatternError("crease graph is disconnected")
+            # Connectivity: each component of a planar graph has its own
+            # outer walk, so the creases are connected exactly when one is.
+            if len(self._walks[1]) > 1:
+                raise PatternError("crease graph is disconnected")
 
             # Faces must match the embedding (face_creases checks them).
             for ci, (c, sides) in enumerate(zip(self.creases, self.crease_faces)):

@@ -29,6 +29,7 @@ from .dl import (  # noqa: F401  (NETWORK_KEY is re-exported for its importers)
     DlError,
     DoubleLineRatio,
     assign_mode_mv,
+    axis_class,
     axis_offsets,
     classify_theta,
     dl_multipliers,
@@ -52,16 +53,6 @@ from .pattern import (
 # Every doubled polygon is scaled to reach at most this share of the
 # shortest crease at its vertex.
 _REACH_FRACTION = 0.3
-
-#: Axis class of each doubled pair in the generic modes: whether the pair is
-#: major or minor, and whether (ray^+, ray^-) is the representative pair of
-#: the mode reversed.  Index is the axis number of the vertex star.
-_AXIS_CLASS = {
-    "a-I": (("major", False), ("minor", True), ("major", True), ("minor", False)),
-    "a-II": (("major", True), ("minor", True), ("major", False), ("minor", False)),
-    "b-I": (("minor", False), ("major", True), ("minor", True), ("major", False)),
-    "b-II": (("minor", False), ("major", False), ("minor", True), ("major", True)),
-}
 
 _FAMILY_MODES = {FoldMode.A: (MODE_A1, MODE_A2), FoldMode.B: (MODE_B1, MODE_B2)}
 
@@ -350,7 +341,7 @@ def _solve_child(dv: _DlVertex, axis: int, target_plus: float, target_minus: flo
     for mode in _FAMILY_MODES[family]:
         try:
             if fixed_theta is None:
-                cls, swapped = _AXIS_CLASS[mode.label][axis]
+                cls, swapped = axis_class(mode, axis)
                 pair = (target_plus, target_minus) if not swapped else (target_minus, target_plus)
                 theta = theta_for_ratio(mode, cls, alpha, beta, DoubleLineRatio(*pair))
             else:
@@ -691,24 +682,15 @@ def _assemble(network: VertexNetwork, dls: dict[int, "_DlVertex"]) -> CreasePatt
         raise DlError(f"doubled network has a degenerate embedding: {exc}") from exc
     out = assign_mode_mv(out, np.array(mults))
 
-    # Every corner follows the branch whose multipliers it carries; recovering
-    # the branches lets an independent network solve confirm the assembly.
+    # Sign '-' puts corner i on branch a of its construction star, whose
+    # crease e_2 is side_{i+1}.  The pattern's star of the corner may start
+    # elsewhere; where side_{i+1} sits at an odd position the letters swap.
+    # An independent network solve then confirms the assembly.
     corner_modes: dict[int, FoldMode] = {}
     for v in sorted(interior):
-        for cv in corner_ids[v]:
-            star = vertex_star(out, cv)
-            want = np.array([mults[ci] for ci in star.crease_ids])
-            best, best_d = None, math.inf
-            for fm in (FoldMode.A, FoldMode.B):
-                mv = np.array(mode_vector(star, fm).multipliers)
-                d = float(
-                    np.linalg.norm(want - mv * (want @ mv) / (mv @ mv))
-                ) / max(float(np.linalg.norm(want)), 1e-300)
-                if d < best_d:
-                    best, best_d = fm, d
-            if best_d > 1e-8:
-                raise DlError(f"corner {cv} multipliers match neither folding branch")
-            corner_modes[cv] = best
+        for i, cv in enumerate(corner_ids[v]):
+            even = vertex_star(out, cv).crease_ids.index(side_ids[v][(i + 1) % 4]) % 2 == 0
+            corner_modes[cv] = FoldMode.A if (dls[v].signs[i] == "-") == even else FoldMode.B
 
     try:
         g = network_multipliers(out, corner_modes)

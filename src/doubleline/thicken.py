@@ -523,38 +523,31 @@ def clearance_records(
     pattern = solids[0].pattern
     skip = _adjacent_faces(pattern)
     order = sorted(range(len(solids)), key=lambda k: solids[k].face)
+    faces = [solids[k].face for k in order]
+    # non-adjacent pairs (i, j), i < j, in positions of `order`
+    pairs = np.array([(i, j) for i in range(len(order)) for j in range(i + 1, len(order))
+                      if (min(faces[i], faces[j]), max(faces[i], faces[j])) not in skip],
+                     dtype=int).reshape(-1, 2)
+    first, second = pairs[:, 0], pairs[:, 1]
     records = []
     for sample in motion:
-        placed = []
-        boxes = []
-        for k in order:
-            s = solids[k]
-            pieces = [p.placed(sample.isometries[s.face]) for p in s.pieces]
-            v = np.vstack([p.vertices for p in pieces])
-            placed.append(pieces)
-            boxes.append((v.min(axis=0), v.max(axis=0)))
-        cands = []
-        for i in range(len(order)):
-            fi = solids[order[i]].face
-            for j in range(i + 1, len(order)):
-                fj = solids[order[j]].face
-                key = (min(fi, fj), max(fi, fj))
-                if key in skip:
-                    continue
-                lo_i, hi_i = boxes[i]
-                lo_j, hi_j = boxes[j]
-                gap = np.maximum(0.0, np.maximum(lo_j - hi_i, lo_i - hi_j))
-                cands.append((float(np.linalg.norm(gap)), i, j))
-        cands.sort()
+        placed = [[p.placed(sample.isometries[f]) for p in solids[k].pieces] for k, f in zip(order, faces)]
+        v = [np.vstack([p.vertices for p in pieces]) for pieces in placed]
+        lo, hi = np.array([x.min(axis=0) for x in v]), np.array([x.max(axis=0) for x in v])
+        gap = np.maximum(0.0, np.maximum(lo[second] - hi[first], lo[first] - hi[second]))
+        # AABB gaps are lower bounds, tried in ascending order, ties in pair
+        # order; matmul takes the same dot product as np.linalg.norm
+        lbs = np.sqrt((gap[:, None, :] @ gap[:, :, None]).ravel())
         best = math.inf
         best_pair = (-1, -1)
-        for lb, i, j in cands:
+        for c in np.argsort(lbs, kind="stable"):
+            lb, i, j = lbs[c], first[c], second[c]
             if lb >= best:
                 break
             d = min(_piece_clearance(p, q) for p in placed[i] for q in placed[j])
             if d < best:
                 best = d
-                best_pair = (solids[order[i]].face, solids[order[j]].face)
+                best_pair = (faces[i], faces[j])
         records.append((float(sample.t), best, best_pair))
     return records
 

@@ -81,7 +81,7 @@ def test_doubleline_sweep_fold_solve_thicken(tmp_path, capsysbinary):
                      "--radii", "0.2,0.2,0.2,0.2", "--mode", "a-I", "--out", str(doubled))
     assert code == 0
 
-    code, out, _ = run(capsysbinary, "sweep", str(doubled), "--samples", "9", "--tolerance", "1e-9")
+    code, out, _ = run(capsysbinary, "sweep", str(doubled), "--samples", "9")
     assert code == 0
     lines = out.decode().splitlines()
     assert lines[0].startswith("t,rho_0,") and lines[0].endswith(",residual")
@@ -121,8 +121,18 @@ def test_export_svg(tmp_path, capsysbinary):
     assert code == 0
     assert b"<svg" in out and b"path" in out
     code, _, err = run(capsysbinary, "export", str(path), "--format", "csv")
-    assert code == 1
-    assert b"sweep subcommand" in err
+    assert code == 2
+    assert b"argument --format: invalid choice: 'csv'" in err
+
+
+def test_export_obj_of_a_face_without_a_fan_corner_is_domain_error(tmp_path, capsysbinary):
+    path = tmp_path / "c.fold"
+    pts = [[0, 0], [3, 0], [3, 1], [1, 1], [1, 2], [3, 2], [3, 3], [0, 3]]
+    path.write_text(json.dumps({"vertices_coords": pts, "edges_vertices": [[i, (i + 1) % 8] for i in range(8)],
+                                "edges_assignment": ["B"] * 8}))
+    code, out, err = run(capsysbinary, "export", str(path), "--format", "obj")
+    assert (code, out) == (1, b"")
+    assert err.startswith(b"error: face 0 has no corner to fan from")
 
 
 def test_domain_error_exit_code(tmp_path, capsysbinary):
@@ -142,28 +152,40 @@ def test_usage_error_exit_code(tmp_path, capsysbinary):
     assert code == 2
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("analyze", "p.fold", "--format", "svg"),
-        ("analyze", "p.fold", "--tolerance", "1e-6"),
-        ("classify", "--alpha", "50", "--beta", "70", "--format", "csv"),
-        ("classify", "--alpha", "50", "--beta", "70", "--tolerance", "1e-6"),
-        ("modes", "--n", "3", "--format", "csv"),
-        ("modes", "--n", "3", "--tolerance", "1e-6"),
-        ("sweep", "p.fold", "--format", "csv"),
-        ("doubleline", "p.fold", "--theta", "90", "--tolerance", "1e-6"),
-        ("fold", "p.fold", "--t", "0.5", "--tolerance", "1e-6"),
-        ("thicken", "p.fold", "--tau", "0.01", "--tolerance", "1e-6"),
-        ("gen", "single", "--alpha", "60", "--beta", "80", "--tolerance", "1e-6"),
-        ("export", "p.fold", "--tolerance", "1e-6"),
-    ],
-    ids=lambda argv: f"{argv[0]}{argv[-2]}",
-)
-def test_flags_a_subcommand_ignores_are_usage_errors(capsysbinary, argv):
+_IGNORED_FLAGS = [  # (argv, what the usage error says)
+    (("analyze", "p.fold", "--format", "svg"), "unrecognized arguments: --format"),
+    (("analyze", "p.fold", "--tolerance", "1e-6"), "unrecognized arguments: --tolerance"),
+    (("classify", "--alpha", "50", "--beta", "70", "--format", "csv"), "unrecognized arguments: --format"),
+    (("classify", "--alpha", "50", "--beta", "70", "--tolerance", "1e-6"), "unrecognized arguments: --tolerance"),
+    (("modes", "--n", "3", "--format", "csv"), "unrecognized arguments: --format"),
+    (("modes", "--n", "3", "--tolerance", "1e-6"), "unrecognized arguments: --tolerance"),
+    (("sweep", "p.fold", "--format", "csv"), "unrecognized arguments: --format"),
+    (("sweep", "p.fold", "--tolerance", "1e-9"), "unrecognized arguments: --tolerance"),
+    (("doubleline", "p.fold", "--theta", "90", "--tolerance", "1e-6"), "unrecognized arguments: --tolerance"),
+    (("fold", "p.fold", "--t", "0.5", "--tolerance", "1e-6"), "unrecognized arguments: --tolerance"),
+    (("thicken", "p.fold", "--tau", "0.01", "--tolerance", "1e-6"), "unrecognized arguments: --tolerance"),
+    (("gen", "single", "--alpha", "60", "--beta", "80", "--tolerance", "1e-6"), "unrecognized arguments: --tolerance"),
+    (("export", "p.fold", "--tolerance", "1e-6"), "unrecognized arguments: --tolerance"),
+    # a format the subcommand cannot write
+    (("doubleline", "p.fold", "--theta", "90", "--format", "obj"), "invalid choice: 'obj'"),
+    (("fold", "p.fold", "--t", "0.5", "--format", "svg"), "invalid choice: 'svg'"),
+    (("solve", "p.fold", "--driver", "0", "--target", "25", "--format", "obj"), "invalid choice: 'obj'"),
+    (("thicken", "p.fold", "--tau", "0.01", "--format", "svg"), "invalid choice: 'svg'"),
+    (("gen", "single", "--alpha", "60", "--beta", "80", "--format", "csv"), "invalid choice: 'csv'"),
+    (("export", "p.fold", "--format", "csv"), "invalid choice: 'csv'"),
+    # a flag the generated shape does not take
+    (("gen", "single", "--alpha", "60", "--beta", "80", "--rows", "5"), "shape single does not take --rows"),
+    (("gen", "miura", "--rows", "2", "--cols", "2", "--angle", "60", "--theta", "3"),
+     "shape miura does not take --theta"),
+    (("gen", "symmetric", "--n", "3", "--alpha", "60"), "shape symmetric does not take --alpha"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _IGNORED_FLAGS, ids=[f"{a[0]}{a[-2]}" for a, _ in _IGNORED_FLAGS])
+def test_flags_a_subcommand_ignores_are_usage_errors(capsysbinary, argv, message):
     code, _, err = run(capsysbinary, *argv)
     assert code == 2
-    assert f"unrecognized arguments: {argv[-2]}".encode() in err
+    assert message.encode() in err
 
 
 def test_missing_file_is_domain_error(capsysbinary):

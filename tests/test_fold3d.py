@@ -194,6 +194,31 @@ def test_export_obj_square():
     assert sum(1 for ln in lines if ln.startswith("f ")) == 2
 
 
+def _obj_triangles(data):
+    lines = data.splitlines()
+    verts = np.array([[float(x) for x in ln.split()[1:]] for ln in lines if ln.startswith("v ")])
+    faces = np.array([[int(i) - 1 for i in ln.split()[1:]] for ln in lines if ln.startswith("f ")])
+    return verts[faces]
+
+
+def test_export_obj_triangles_stay_inside_reflex_faces():
+    # face 18 of this pattern is a reflex pentagon whose fan from corner 0
+    # turns one triangle clockwise, outside the face
+    pat = gen_dl_miura(3, 3, math.radians(60), math.pi / 2)
+    tri = _obj_triangles(export_obj(propagate_fold(pat, [0.0] * len(pat.creases))))
+    assert len(tri) == sum(len(f) - 2 for f in pat.faces)
+    a, b = tri[:, 1, :2] - tri[:, 0, :2], tri[:, 2, :2] - tri[:, 0, :2]
+    assert np.all(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] > 0.0)
+
+
+def test_export_obj_refuses_a_face_without_a_fan_corner():
+    # a C-shaped face: from every corner some fan triangle turns clockwise
+    pts = [(0, 0), (3, 0), (3, 1), (1, 1), (1, 2), (3, 2), (3, 3), (0, 3)]
+    pat = CreasePattern.build(pts, [Crease(i, (i + 1) % 8, "B") for i in range(8)])
+    with pytest.raises(Fold3dError, match="face 0"):
+        export_obj(propagate_fold(pat, [0.0] * 8))
+
+
 def test_export_obj_welds_and_is_deterministic():
     pat = gen_dl_miura(2, 2, math.radians(60), math.pi / 2)
     g = network_multipliers(pat, infer_modes(pat))

@@ -60,6 +60,29 @@ def test_crossing_creases_rejected():
         )
 
 
+def _square(k, x=0.0, y=0.0, size=1.0):
+    """Vertices and boundary creases of an axis-aligned square, ids from k."""
+    pts = [(x, y), (x + size, y), (x + size, y + size), (x, y + size)]
+    return pts, [Crease(k + i, k + (i + 1) % 4, "B") for i in range(4)]
+
+
+@pytest.mark.parametrize("extra", [
+    _square(4, x=2.0),  # a second square beside the first
+    _square(4, x=0.25, y=0.25, size=0.5),  # a square inside the first
+    ([(2.0, 0.0), (3.0, 0.0)], [Crease(4, 5, "B")]),  # a loose segment
+], ids=["two-squares", "nested-square", "loose-segment"])
+def test_disconnected_crease_graph_rejected(extra):
+    pts, creases = _square(0)
+    with pytest.raises(PatternError, match="crease graph is disconnected"):
+        CreasePattern.build(pts + extra[0], creases + extra[1])
+
+
+def test_isolated_vertex_accepted():
+    pts, creases = _square(0)
+    pat = CreasePattern.build(pts + [(5.0, 5.0)], creases)
+    assert len(pat.faces) == 1 and pat.outer_cycle == (0, 3, 2, 1)
+
+
 def test_interior_bookkeeping():
     net = gen_miura(2, 2, math.radians(60))
     p = net.pattern
