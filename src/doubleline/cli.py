@@ -111,8 +111,8 @@ def _cmd_analyze(args) -> bytes:
         modes = infer_modes(pattern)
     except (PatternError, KinematicsError):  # some vertex has no unique branch
         modes = {}
-    for v in pattern.interior_vertices:
-        star = vertex_star(pattern, v)
+    for star in pattern.interior_stars:
+        v = star.vertex
         flat = star.degree == 4 and is_flat_foldable_deg4(star)
         branch = modes[v].value if v in modes else "?"
         lines.append(

@@ -1,23 +1,22 @@
 """3D realization of fold angles: closure residuals, sweeps, solving, export.
 
-A folded state assigns each face a rigid isometry.  Fold angles follow the
-valley-positive convention: at a crease directed v0 -> v1 with the left
-face rotated relative to the right face, a positive angle lifts the left
-face toward +z from the flat state.
+A folded state places each face by a rotation and a translation, stacked
+into one array each.  Fold angles follow the valley-positive convention:
+at a crease directed v0 -> v1 with the left face rotated relative to the
+right face, a positive angle lifts the left face toward +z from the flat
+state.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Isometry, rot_x, rot_z
+from .geometry import rot_x, rot_z, rotation_about_axis
 from .kinematics import FoldMode, mode_vector
-from .pattern import CreasePattern, PatternError, VertexStar, vertex_star
+from .pattern import CreasePattern, PatternError, VertexStar
 
 WELD_TOL = 1e-6
 RESIDUAL_TOL = 1e-9
@@ -42,125 +41,96 @@ def vertex_closure_residual(star: VertexStar, angles: Sequence[float]) -> float:
         raise PatternError("closure residual requires an interior vertex")
     if len(angles) != star.degree:
         raise PatternError("need one fold angle per crease of the star")
-    a = np.eye(3)
-    for rho, sigma in zip(angles, star.sectors):
-        a = a @ rot_x(rho) @ rot_z(sigma)
-    return float(np.linalg.norm(a - np.eye(3)))
+    return float(np.linalg.norm(_closure_defects((star,), dict(zip(star.crease_ids, angles)))))
 
 
-def _crease_fold(pattern: CreasePattern, crease_id: int, angle: float) -> Isometry:
-    """Rotation about the (unfolded) crease line by a signed fold angle."""
+def crease_rotation(pattern: CreasePattern, crease_id: int, angle: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation x -> R x + t by a signed angle about the flat crease line, as (R, t)."""
     c = pattern.creases[crease_id]
     p0 = np.array([*pattern.vertices[c.v0], 0.0])
     p1 = np.array([*pattern.vertices[c.v1], 0.0])
     axis = p1 - p0
-    return Isometry.about_line(p0, axis / np.linalg.norm(axis), angle)
+    rot = rotation_about_axis(axis / np.linalg.norm(axis), angle)
+    return rot, p0 - rot @ p0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldedState:
-    """Per-face isometries realizing one fold-angle vector."""
+    """One fold-angle vector realized: face f maps a flat point x to rotations[f] @ x + translations[f].
+
+    ``residual`` is the largest defect over the creases off the face tree
+    (placement mismatch across the crease) and the interior vertices
+    (rotation-loop closure); it vanishes iff the angles lie in the
+    configuration space.  The arrays are read-only.
+    """
 
     pattern: CreasePattern
-    isometries: tuple[Isometry, ...]
-    fold_angles: tuple[float, ...]
-    crease_residuals: tuple[tuple[int, float], ...]  # non-tree creases
-    vertex_residuals: tuple[tuple[int, float], ...]  # interior vertices
-
-    @cached_property
-    def max_residual(self) -> float:
-        vals = [r for _, r in self.crease_residuals] + [r for _, r in self.vertex_residuals]
-        return max(vals) if vals else 0.0
+    rotations: np.ndarray = field(repr=False)
+    translations: np.ndarray = field(repr=False)
+    fold_angles: np.ndarray
+    residual: float
 
     @property
     def valid(self) -> bool:
-        return self.max_residual < RESIDUAL_TOL
+        return self.residual < RESIDUAL_TOL
 
     def face_points(self, face_id: int) -> np.ndarray:
         cycle = self.pattern.faces[face_id]
         flat = np.hstack(
             [self.pattern.vertices_array[list(cycle)], np.zeros((len(cycle), 1))]
         )
-        return self.isometries[face_id].apply(flat)
-
-    def face_normal(self, face_id: int) -> np.ndarray:
-        return self.isometries[face_id].rot @ np.array([0.0, 0.0, 1.0])
+        return flat @ self.rotations[face_id].T + self.translations[face_id]
 
     def measured_fold_angle(self, crease_id: int) -> float:
-        """Signed dihedral read back from the face isometries (valley positive)."""
+        """Signed dihedral read back from the face placements (valley positive)."""
         c = self.pattern.creases[crease_id]
         left, right = self.pattern.crease_faces[crease_id]
         if left is None or right is None:
             raise Fold3dError(f"crease {crease_id} does not separate two faces")
-        tl = self.isometries[left]
-        p0 = tl.apply(np.array([*self.pattern.vertices[c.v0], 0.0]))
-        p1 = tl.apply(np.array([*self.pattern.vertices[c.v1], 0.0]))
-        d = p1 - p0
+        pts = self.pattern.vertices_array
+        d = self.rotations[left][:, :2] @ (pts[c.v1] - pts[c.v0])
         d /= np.linalg.norm(d)
-        nl = self.face_normal(left)
-        nr = self.face_normal(right)
+        nl, nr = self.rotations[left][:, 2], self.rotations[right][:, 2]
         return math.atan2(float(np.dot(np.cross(nr, nl), d)), float(np.clip(np.dot(nr, nl), -1, 1)))
 
 
 def propagate_fold(pattern: CreasePattern, angles: Sequence[float]) -> FoldedState:
-    """Realize a fold-angle vector by walking a spanning tree of the faces.
+    """Realize a fold-angle vector by walking the pattern's face tree.
 
-    The lowest-id face stays at the identity.  Residuals are recorded for
-    every crease outside the spanning tree (isometry mismatch across it) and
-    every interior vertex (rotation-loop closure); all of them vanish iff the
-    vector lies in the configuration space.
+    Face 0 stays at the identity.  The residual covers every crease off the
+    tree and every interior vertex; it vanishes iff the vector lies in the
+    configuration space.
     """
-    angles = np.asarray(angles, dtype=float)
+    angles = np.array(angles, dtype=float)
     if angles.shape != (len(pattern.creases),):
         raise PatternError("need one fold angle per crease")
-    if not pattern.faces:
-        raise PatternError("pattern has no faces to fold")
+    tree = pattern.face_tree
+    rot = np.empty((len(pattern.faces), 3, 3))
+    trans = np.empty((len(pattern.faces), 3))
+    rot[0], trans[0] = np.eye(3), 0.0
+    for f, parent, ci, left in tree.rows:
+        # crossing right -> left applies the fold, left -> right undoes it
+        r, t = crease_rotation(pattern, ci, angles[ci] if left else -angles[ci])
+        rot[f] = rot[parent] @ r
+        trans[f] = rot[parent] @ t + trans[parent]
 
-    iso: list[Isometry | None] = [None] * len(pattern.faces)
-    iso[0] = Isometry()
-    tree: set[int] = set()
-    queue = deque([0])
-    sides = pattern.crease_faces
-    while queue:
-        f = queue.popleft()
-        for ci in sorted(pattern.face_creases[f]):
-            lf, rf = sides[ci]
-            other = rf if lf == f else lf
-            if other is None or iso[other] is not None:
-                continue
-            # crossing right -> left applies the fold, left -> right undoes it
-            angle = angles[ci] if lf == other else -angles[ci]
-            iso[other] = iso[f].compose(_crease_fold(pattern, ci, angle))
-            tree.add(ci)
-            queue.append(other)
-    if any(t is None for t in iso):
-        raise PatternError("face adjacency graph is disconnected")
-
-    crease_res = []
-    for ci, (lf, rf) in enumerate(sides):
-        if lf is None or rf is None or ci in tree:
-            continue
-        want_left = iso[rf].compose(_crease_fold(pattern, ci, angles[ci]))
+    residuals = []
+    for ci in tree.off_tree:
+        lf, rf = pattern.crease_faces[ci]
+        r, t = crease_rotation(pattern, ci, angles[ci])
+        want_rot, want_trans = rot[rf] @ r, rot[rf] @ t + trans[rf]
         c = pattern.creases[ci]
-        r = float(np.linalg.norm(iso[lf].rot - want_left.rot))
+        res = float(np.linalg.norm(rot[lf] - want_rot))
         for v in (c.v0, c.v1):
-            p = np.array([*pattern.vertices[v], 0.0])
-            r += float(np.linalg.norm(iso[lf].apply(p) - want_left.apply(p)))
-        crease_res.append((ci, r))
+            p = np.atleast_2d([*pattern.vertices[v], 0.0])
+            res += float(np.linalg.norm((p @ rot[lf].T + trans[lf]) - (p @ want_rot.T + want_trans)))
+        residuals.append(res)
+    defects = _closure_defects(pattern.interior_stars, angles)
+    residuals.extend(float(np.linalg.norm(d)) for d in defects.reshape(-1, 9))
 
-    vertex_res = []
-    for v in pattern.interior_vertices:
-        star = vertex_star(pattern, v)
-        local = angles[list(star.crease_ids)]
-        vertex_res.append((v, vertex_closure_residual(star, local)))
-
-    return FoldedState(
-        pattern=pattern,
-        isometries=tuple(iso),
-        fold_angles=tuple(float(a) for a in angles),
-        crease_residuals=tuple(crease_res),
-        vertex_residuals=tuple(vertex_res),
-    )
+    for a in (rot, trans, angles):
+        a.setflags(write=False)
+    return FoldedState(pattern, rot, trans, angles, max(residuals, default=0.0))
 
 
 def network_multipliers(
@@ -186,9 +156,8 @@ def network_multipliers(
     n_g = len(g_index)
     covered = set()
     rows = []
-    for k_v, v in enumerate(interior_v):
-        star = vertex_star(pattern, v)
-        mv = mode_vector(star, modes[v])
+    for k_v, star in enumerate(pattern.interior_stars):
+        mv = mode_vector(star, modes[star.vertex])
         for i, ci in enumerate(star.crease_ids):
             row = np.zeros(n_g + len(interior_v))
             row[g_index[ci]] = 1.0
@@ -225,19 +194,11 @@ def network_multipliers(
     return out
 
 
-@dataclass(frozen=True)
-class MotionSample:
-    """One point of a rigid folding motion in the t parameterization.
-
-    ``isometries`` place each face as the fold that measured the residual
-    did, so later stages need not fold the sample again.
-    """
+@dataclass(frozen=True, eq=False)
+class MotionSample(FoldedState):
+    """The folded state at one point t of a rigid folding motion tan(rho_c/2) = g_c * t."""
 
     t: float
-    fold_angles: np.ndarray
-    residual: float
-    valid: bool
-    isometries: tuple[Isometry, ...] = field(repr=False)
 
 
 def sweep_motion(
@@ -252,23 +213,21 @@ def sweep_motion(
         raise Fold3dError("multiplier vector length must match crease count")
     samples = []
     for t in t_grid:
-        angles = 2.0 * np.arctan(g * float(t))
-        state = propagate_fold(pattern, angles)
-        res = state.max_residual
-        angles.setflags(write=False)
-        samples.append(MotionSample(float(t), angles, res, res < RESIDUAL_TOL, state.isometries))
+        s = propagate_fold(pattern, 2.0 * np.arctan(g * float(t)))
+        samples.append(MotionSample(pattern, s.rotations, s.translations, s.fold_angles, s.residual, float(t)))
     return tuple(samples)
 
 
-def _closure_defects(stars: Sequence[VertexStar], angles: np.ndarray) -> np.ndarray:
-    parts = []
+def _closure_defects(stars: Sequence[VertexStar], angles: np.ndarray | Mapping[int, float]) -> np.ndarray:
+    """Rotation loop minus identity of each star, 9 entries per star; angles are indexed by crease id."""
+    out = np.empty((len(stars), 9))
     eye = np.eye(3)
-    for star in stars:
+    for k, star in enumerate(stars):
         a = eye
         for ci, sigma in zip(star.crease_ids, star.sectors):
             a = a @ rot_x(angles[ci]) @ rot_z(sigma)
-        parts.append((a - eye).ravel())
-    return np.concatenate(parts)
+        out[k] = (a - eye).ravel()
+    return out.ravel()
 
 
 def solve_fold_angles(
@@ -291,7 +250,7 @@ def solve_fold_angles(
         raise Fold3dError(f"driver crease {driver_crease} is not among the {len(pattern.creases)} creases")
     if pattern.creases[driver_crease].assignment == "B":
         raise Fold3dError("driver crease must be interior")
-    stars = [vertex_star(pattern, v) for v in pattern.interior_vertices]
+    stars = pattern.interior_stars
     if not stars:
         raise Fold3dError("pattern has no interior vertices to constrain")
     free = [ci for ci in pattern.interior_creases if ci != driver_crease]
@@ -359,8 +318,8 @@ def export_obj(state: FoldedState) -> str:
             owner.setdefault(v, fi)
     pos = {}
     for v, fi in owner.items():
-        p = np.array([*state.pattern.vertices[v], 0.0])
-        pos[v] = state.isometries[fi].apply(p)
+        p = np.atleast_2d([*state.pattern.vertices[v], 0.0])
+        pos[v] = (p @ state.rotations[fi].T + state.translations[fi])[0]
 
     index = {}
     lines = ["# doubleline folded state"]

@@ -111,28 +111,3 @@ def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     )
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
-
-class Isometry:
-    """Rigid motion x -> R x + t of 3-space."""
-
-    __slots__ = ("rot", "trans")
-
-    def __init__(self, rot: np.ndarray | None = None, trans: np.ndarray | None = None):
-        self.rot = np.eye(3) if rot is None else np.asarray(rot, dtype=float)
-        self.trans = np.zeros(3) if trans is None else np.asarray(trans, dtype=float)
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = pts @ self.rot.T + self.trans
-        return out[0] if np.asarray(points).ndim == 1 else out
-
-    def compose(self, other: "Isometry") -> "Isometry":
-        """self after other: (self*other)(x) = self(other(x))."""
-        return Isometry(self.rot @ other.rot, self.rot @ other.trans + self.trans)
-
-    @staticmethod
-    def about_line(point: np.ndarray, axis: np.ndarray, angle: float) -> "Isometry":
-        """Rotation by angle about the line through `point` with direction `axis`."""
-        point = np.asarray(point, dtype=float)
-        rot = rotation_about_axis(axis, angle)
-        return Isometry(rot, point - rot @ point)

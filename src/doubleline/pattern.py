@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,6 +57,18 @@ class VertexStar:
     @property
     def degree(self) -> int:
         return len(self.crease_ids)
+
+
+class FaceTree(NamedTuple):
+    """Breadth-first spanning tree of a pattern's faces, rooted at face 0.
+
+    ``rows`` are (face, parent face, crease, whether the face is the
+    crease's left face) in visiting order; ``off_tree`` are the creases
+    between two faces that no row crosses, by id.
+    """
+
+    rows: tuple[tuple[int, int, int, bool], ...]
+    off_tree: tuple[int, ...]
 
 
 def _canon_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
@@ -227,6 +239,37 @@ class CreasePattern:
     @cached_property
     def interior_creases(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.creases) if c.assignment != "B")
+
+    @cached_property
+    def interior_stars(self) -> tuple[VertexStar, ...]:
+        """Star of each interior vertex, aligned with interior_vertices."""
+        return tuple(vertex_star(self, v) for v in self.interior_vertices)
+
+    @cached_property
+    def face_tree(self) -> FaceTree:
+        """The face tree folding carries placements along, each face's creases taken by id."""
+        if not self.faces:
+            raise PatternError("pattern has no faces to fold")
+        sides = self.crease_faces
+        seen = [False] * len(self.faces)
+        seen[0] = True
+        order, rows = [0], []
+        for f in order:
+            for ci in sorted(self.face_creases[f]):
+                lf, rf = sides[ci]
+                other = rf if lf == f else lf
+                if other is None or seen[other]:
+                    continue
+                seen[other] = True
+                rows.append((other, f, ci, lf == other))
+                order.append(other)
+        if not all(seen):
+            raise PatternError("face adjacency graph is disconnected")
+        tree = {ci for _, _, ci, _ in rows}
+        off_tree = tuple(
+            ci for ci, (lf, rf) in enumerate(sides) if lf is not None and rf is not None and ci not in tree
+        )
+        return FaceTree(tuple(rows), off_tree)
 
     # -- validation --------------------------------------------------------
 

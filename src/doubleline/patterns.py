@@ -47,7 +47,6 @@ from .pattern import (
     PatternError,
     VertexStar,
     is_flat_foldable_deg4,
-    vertex_star,
 )
 
 # Every doubled polygon is scaled to reach at most this share of the
@@ -167,12 +166,12 @@ def infer_modes(pattern: CreasePattern) -> dict[int, FoldMode]:
     rec = read_record(pattern)
     if rec is not None and rec.corner_modes is not None:
         return dict(rec.corner_modes)
-    return {v: _branch_of(vertex_star(pattern, v)) for v in pattern.interior_vertices}
+    return {star.vertex: _branch_of(star) for star in pattern.interior_stars}
 
 
 def _finish_network(pattern: CreasePattern) -> VertexNetwork:
     """Assign branches and M/V labels from the network's one-parameter motion."""
-    modes = {v: _branch_of(vertex_star(pattern, v)) for v in pattern.interior_vertices}
+    modes = {star.vertex: _branch_of(star) for star in pattern.interior_stars}
     if modes:
         g = network_multipliers(pattern, modes)
         pattern = assign_mode_mv(pattern, g)
@@ -281,15 +280,15 @@ def face_loop_products(network: VertexNetwork) -> dict[int, float]:
     equals 1; tree networks have no such faces.
     """
     pattern = network.pattern
-    interior = set(pattern.interior_vertices)
+    stars = {star.vertex: star for star in pattern.interior_stars}
     out = {}
     for fi, (cycle, sides) in enumerate(zip(pattern.faces, pattern.face_creases)):
-        if not set(cycle) <= interior:
+        if not all(v in stars for v in cycle):
             continue
         prod = 1.0
         for idx, v in enumerate(cycle):
             c_in, c_out = sides[idx - 1], sides[idx]
-            star = vertex_star(pattern, v)
+            star = stars[v]
             mv = mode_vector(star, network.modes[v])
             m_in = mv[star.crease_ids.index(c_in)]
             if abs(m_in) < 1e-15:
@@ -486,8 +485,7 @@ def _connect_dl(
         raise DlError("interior vertices do not form a connected network")
 
     dls: dict[int, _DlVertex] = {}
-    for v in interior:
-        star = vertex_star(pattern, v)
+    for v, star in zip(interior, pattern.interior_stars):
         if not is_flat_foldable_deg4(star):
             raise DlError(f"vertex {v} is not a flat-foldable degree-4 vertex")
         az = [pattern.crease_azimuth(ci, v) for ci in star.crease_ids]
@@ -687,9 +685,10 @@ def _assemble(network: VertexNetwork, dls: dict[int, "_DlVertex"]) -> CreasePatt
     # elsewhere; where side_{i+1} sits at an odd position the letters swap.
     # An independent network solve then confirms the assembly.
     corner_modes: dict[int, FoldMode] = {}
+    stars = {star.vertex: star for star in out.interior_stars}
     for v in sorted(interior):
         for i, cv in enumerate(corner_ids[v]):
-            even = vertex_star(out, cv).crease_ids.index(side_ids[v][(i + 1) % 4]) % 2 == 0
+            even = stars[cv].crease_ids.index(side_ids[v][(i + 1) % 4]) % 2 == 0
             corner_modes[cv] = FoldMode.A if (dls[v].signs[i] == "-") == even else FoldMode.B
 
     try:

@@ -9,10 +9,10 @@ bound can be lifted to study what goes wrong beyond it.
 
 Each panel is also kept as a union of convex pieces: its face cut at every
 reflex corner along the corner's straight-skeleton ray.  Collision checking
-places the pieces by each sample's face isometries and measures signed
-clearance between every pair of pieces with a separating-axis test: the
-exact distance between pieces apart, the exact penetration depth (negative)
-between pieces that overlap.
+places the pieces by each sample's face rotations and translations and
+measures signed clearance between every pair of pieces with a
+separating-axis test: the exact distance between pieces apart, the exact
+penetration depth (negative) between pieces that overlap.
 """
 from __future__ import annotations
 
@@ -23,8 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .dl import read_record
-from .fold3d import MotionSample
-from .geometry import Isometry
+from .fold3d import MotionSample, crease_rotation
 from .pattern import CreasePattern
 
 GAP_TOL = 1e-6
@@ -89,9 +88,10 @@ class ConvexPiece:
     edges: np.ndarray
     loops: np.ndarray
 
-    def placed(self, iso: Isometry) -> ConvexPiece:
-        rot = iso.rot.T
-        return ConvexPiece(iso.apply(self.vertices), self.normals @ rot, self.directions @ rot, self.edges, self.loops)
+    def placed(self, rot: np.ndarray, trans: np.ndarray) -> ConvexPiece:
+        """The piece moved by x -> rot @ x + trans."""
+        rt = rot.T
+        return ConvexPiece(self.vertices @ rt + trans, self.normals @ rt, self.directions @ rt, self.edges, self.loops)
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,6 +467,13 @@ def _seg_seg_dist(p1, q1, p2, q2) -> np.ndarray:
     return np.linalg.norm(diff, axis=1)
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products of broadcast stacks of 3-vectors: np.cross's arithmetic without its overhead."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def _piece_clearance(a: ConvexPiece, b: ConvexPiece) -> float:
     """Signed clearance between two placed convex pieces.
 
@@ -475,7 +482,7 @@ def _piece_clearance(a: ConvexPiece, b: ConvexPiece) -> float:
     is the penetration depth, exact for convex pieces; otherwise the exact
     distance is the least over edge pairs and over vertices facing a face.
     """
-    cross = np.cross(a.directions[:, None], b.directions[None]).reshape(-1, 3)
+    cross = _cross(a.directions[:, None], b.directions[None]).reshape(-1, 3)
     size = np.linalg.norm(cross, axis=1)
     keep = size > 1e-12
     axes = np.vstack([a.normals, b.normals, cross[keep] / size[keep, None]])
@@ -492,7 +499,7 @@ def _piece_clearance(a: ConvexPiece, b: ConvexPiece) -> float:
 def _vertex_face_dist(points: np.ndarray, piece: ConvexPiece) -> float:
     """Least plane distance from a point to a face of the piece it projects into."""
     corners = piece.vertices[piece.loops]
-    rims = np.cross(piece.normals[:, None], np.roll(corners, -1, axis=1) - corners)
+    rims = _cross(piece.normals[:, None], np.roll(corners, -1, axis=1) - corners)
     side = np.einsum("fwk,pk->pfw", rims, points) - np.einsum("fwk,fwk->fw", rims, corners)
     # one sign on every rim means inside, whichever way the loop turns
     inside = (side.min(axis=2) >= 0.0) | (side.max(axis=2) <= 0.0)
@@ -516,8 +523,12 @@ def _adjacent_faces(pattern: CreasePattern) -> set[tuple[int, int]]:
 
 def clearance_records(
     solids: Sequence[PanelSolid], motion: Sequence[MotionSample]
-) -> list[tuple[float, float, tuple[int, int]]]:
-    """Per-sample minimum clearance: (t, clearance, worst face pair)."""
+) -> list[tuple[float, float, tuple[int, int] | None]]:
+    """Per-sample minimum clearance: (t, clearance, worst face pair).
+
+    When every pair of panels shares a pattern vertex no pair is checked:
+    the clearance is inf and the pair None.
+    """
     if not solids:
         raise ThickenError("no panels to check")
     pattern = solids[0].pattern
@@ -531,7 +542,8 @@ def clearance_records(
     first, second = pairs[:, 0], pairs[:, 1]
     records = []
     for sample in motion:
-        placed = [[p.placed(sample.isometries[f]) for p in solids[k].pieces] for k, f in zip(order, faces)]
+        rot, trans = sample.rotations, sample.translations
+        placed = [[p.placed(rot[f], trans[f]) for p in solids[k].pieces] for k, f in zip(order, faces)]
         v = [np.vstack([p.vertices for p in pieces]) for pieces in placed]
         lo, hi = np.array([x.min(axis=0) for x in v]), np.array([x.max(axis=0) for x in v])
         gap = np.maximum(0.0, np.maximum(lo[second] - hi[first], lo[first] - hi[second]))
@@ -539,7 +551,7 @@ def clearance_records(
         # order; matmul takes the same dot product as np.linalg.norm
         lbs = np.sqrt((gap[:, None, :] @ gap[:, :, None]).ravel())
         best = math.inf
-        best_pair = (-1, -1)
+        best_pair = None
         for c in np.argsort(lbs, kind="stable"):
             lb, i, j = lbs[c], first[c], second[c]
             if lb >= best:
@@ -567,7 +579,6 @@ def watertight_gap(solids: Sequence[PanelSolid]) -> float:
         raise ThickenError("no panels to check")
     pattern = solids[0].pattern
     by_face = {s.face: s for s in solids}
-    pts = pattern.vertices_array
     worst = 0.0
     for ci in pattern.interior_creases:
         left, right = pattern.crease_faces[ci]
@@ -579,13 +590,9 @@ def watertight_gap(solids: Sequence[PanelSolid]) -> float:
             continue  # square edges stay joined along the base surface
         # panels below the pattern bevel for creases folding toward -z
         rho = math.copysign(math.pi - 2.0 * sl.bevel_angles[kl], sl.vertices[-1, 2])
-        c = pattern.creases[ci]
-        p0, p1 = pts[c.v0], pts[c.v1]
-        axis = np.array([p1[0] - p0[0], p1[1] - p0[1], 0.0])
-        axis /= np.linalg.norm(axis)
         # fold the left face of v0 -> v1 by the signed trim angle, keep the right one
-        iso = Isometry.about_line(np.array([p0[0], p0[1], 0.0]), axis, rho)
-        worst = max(worst, _quad_plane_gap(_side_quad(sr, kr), iso.apply(_side_quad(sl, kl))))
+        rot, trans = crease_rotation(pattern, ci, rho)
+        worst = max(worst, _quad_plane_gap(_side_quad(sr, kr), _side_quad(sl, kl) @ rot.T + trans))
     return worst
 
 
@@ -632,9 +639,9 @@ def export_solids_obj(solids: Sequence[PanelSolid]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_clearance_csv(records: Iterable[tuple[float, float, tuple[int, int]]]) -> str:
-    """CSV log of clearance_records rows."""
+def export_clearance_csv(records: Iterable[tuple[float, float, tuple[int, int] | None]]) -> str:
+    """CSV log of clearance_records rows; the pair field is empty where no pair was checked."""
     lines = ["t,min_clearance,pair"]
-    for t, d, (i, j) in records:
-        lines.append("%.12g,%.12g,%d-%d" % (t, d, i, j))
+    for t, d, pair in records:
+        lines.append("%.12g,%.12g,%s" % (t, d, "%d-%d" % pair if pair else ""))
     return "\n".join(lines) + "\n"

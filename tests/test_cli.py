@@ -135,6 +135,25 @@ def test_export_obj_of_a_face_without_a_fan_corner_is_domain_error(tmp_path, cap
     assert err.startswith(b"error: face 0 has no corner to fan from")
 
 
+def test_export_obj_of_faces_sharing_only_a_vertex_is_domain_error(tmp_path, capsysbinary):
+    # a bowtie: two triangles meeting at vertex 2, no crease between them
+    path = tmp_path / "bowtie.fold"
+    path.write_text(json.dumps({"vertices_coords": [[0, 0], [1, 0], [1, 1], [2, 1], [2, 2]],
+                                "edges_vertices": [[0, 1], [1, 2], [2, 0], [2, 3], [3, 4], [4, 2]],
+                                "edges_assignment": ["B"] * 6}))
+    code, out, err = run(capsysbinary, "export", str(path), "--format", "obj")
+    assert (code, out, err) == (1, b"", b"error: face adjacency graph is disconnected\n")
+
+
+def test_clearance_csv_without_a_checked_pair(tmp_path, capsysbinary):
+    # every pair of the four Miura panels shares the centre vertex
+    path = tmp_path / "miura.fold"
+    run(capsysbinary, "gen", "miura", "--rows", "2", "--cols", "2", "--angle", "60", "--out", str(path))
+    code, out, _ = run(capsysbinary, "thicken", str(path), "--tau", "0.01", "--samples", "3", "--format", "csv")
+    assert code == 0
+    assert out == b"t,min_clearance,pair\n0.001,inf,\n0.0316227766017,inf,\n1,inf,\n"
+
+
 def test_domain_error_exit_code(tmp_path, capsysbinary):
     bad = tmp_path / "empty.fold"
     bad.write_bytes(b"")

@@ -114,7 +114,7 @@ def test_record_round_trips_and_drives_every_closing_mode(alpha, beta, theta):
             continue
         g = pattern_multipliers(reloaded, mode)
         for t in (0.3, 1.0):
-            assert propagate_fold(reloaded, 2.0 * np.arctan(g * t)).max_residual < 1e-9
+            assert propagate_fold(reloaded, 2.0 * np.arctan(g * t)).residual < 1e-9
 
 
 def test_construct_dl_rejects_bad_input():

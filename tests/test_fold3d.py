@@ -58,7 +58,7 @@ def test_propagate_dl_sample():
     angles = 2.0 * np.arctan(g * 0.6)
     state = propagate_fold(pat, angles)
     assert state.valid
-    assert state.max_residual < 1e-9
+    assert state.residual < 1e-9
     for ci in pat.interior_creases[:6]:
         assert abs(state.measured_fold_angle(ci) - angles[ci]) < 1e-9
 
@@ -71,7 +71,7 @@ def test_propagate_flags_random_angles():
     )
     state = propagate_fold(pat, angles)
     assert not state.valid
-    assert state.max_residual > 1e-3
+    assert state.residual > 1e-3
 
 
 def test_network_multipliers_normalization():
@@ -125,8 +125,8 @@ def test_sweep_modes_and_multipliers_agree():
         assert sa.t == sb.t
         assert np.array_equal(sa.fold_angles, sb.fold_angles)
         # each sample keeps the placement its residual was measured on
-        for got, want in zip(sb.isometries, propagate_fold(pat, sb.fold_angles).isometries):
-            assert np.array_equal(got.rot, want.rot) and np.array_equal(got.trans, want.trans)
+        want = propagate_fold(pat, sb.fold_angles)
+        assert np.array_equal(sb.rotations, want.rotations) and np.array_equal(sb.translations, want.translations)
 
 
 def test_sweep_rejects_bad_multiplier_length():

@@ -30,7 +30,7 @@ from doubleline import (
     watertight_gap,
 )
 from doubleline.dl import axis_offsets
-from doubleline.geometry import Isometry, polygon_area, rot_x, rot_z
+from doubleline.geometry import polygon_area, rot_x, rot_z
 from doubleline.thicken import _convex_piece, _convex_pieces, _inset_reach, _piece_clearance
 
 from conftest import deg, star_of
@@ -376,7 +376,7 @@ def cube(side=1.0):
 @pytest.mark.parametrize("gap", [0.25, 1e-3, -1e-3, -0.25])
 def test_boxes_face_to_face(gap):
     a = cube()
-    b = cube().placed(Isometry(trans=np.array([0.3, 0.2, 1.0 + gap])))
+    b = cube().placed(np.eye(3), np.array([0.3, 0.2, 1.0 + gap]))
     assert abs(_piece_clearance(a, b) - gap) < 1e-12
     assert abs(_piece_clearance(b, a) - gap) < 1e-12
 
@@ -393,7 +393,7 @@ def test_boxes_edge_through_edge(depth):
     x = np.array([1.0, 0.0, 0.0])
     rot = np.column_stack([e_b, u, x]) @ np.column_stack([x, u, -e_b]).T
     at = np.array([0.5, 1.0, 1.0]) - depth * u
-    b = cube().placed(Isometry(rot, at - rot @ np.array([0.5, 0.0, 0.0])))
+    b = cube().placed(rot, at - rot @ np.array([0.5, 0.0, 0.0]))
     assert abs(_piece_clearance(cube(), b) + depth) < 1e-12
     assert abs(_piece_clearance(b, cube()) + depth) < 1e-12
 
@@ -414,9 +414,9 @@ def test_piece_clearance_matches_the_triangle_soup(miura22_panels, faces, angles
     # fixed generic turns keep shrunk examples off coplanar placements
     rot = rot_z(angles[0] + 0.3) @ rot_x(angles[1] + 0.7) @ rot_z(angles[2] + 1.1)
     centre_a, centre_b = a.vertices.mean(axis=0), b.vertices.mean(axis=0)
-    iso = Isometry(rot, centre_a + np.array(offset) + 0.013 - rot @ centre_b)
-    got = min(_piece_clearance(p, q.placed(iso)) for p in a.pieces for q in b.pieces)
-    want = soup_clearance(a.vertices, a.triangles, iso.apply(b.vertices), b.triangles)
+    trans = centre_a + np.array(offset) + 0.013 - rot @ centre_b
+    got = min(_piece_clearance(p, q.placed(rot, trans)) for p in a.pieces for q in b.pieces)
+    want = soup_clearance(a.vertices, a.triangles, b.vertices @ rot.T + trans, b.triangles)
     assert (got < 0.0) == (want < 0.0)
     if want > 0.0:
         assert abs(got - want) <= 1e-12 * want
