@@ -66,6 +66,7 @@ SAMPLES_RANGE = (1, 10_000)  # sweep and thicken --samples
 MODES_N_RANGE = (1, 1_000)  # modes --n
 GEN_SIZE_RANGE = (1, 12)  # gen --rows and --cols: a 12x12 Miura builds in about 3 s
 SYMMETRIC_N_RANGE = (2, 100)  # gen symmetric --n: n = 100 builds in about 1.3 s
+TARGET_RANGE = (-180.0, 180.0)  # solve --target, degrees: a fold angle
 
 
 def _fmt(x: float) -> str:
@@ -205,6 +206,9 @@ def _cmd_fold(args) -> bytes:
 
 
 def _cmd_solve(args) -> bytes:
+    _check_range("--target", args.target, TARGET_RANGE)
+    if args.tolerance <= 0.0:
+        raise ValueError(f"--tolerance must be positive, got {args.tolerance:g}")
     pattern = _load(args.pattern)
     angles = solve_fold_angles(pattern, args.driver, math.radians(args.target), tol=args.tolerance)
     if args.format == "fold":
@@ -216,6 +220,8 @@ def _cmd_solve(args) -> bytes:
 
 def _cmd_thicken(args) -> bytes:
     _check_range("--samples", args.samples, SAMPLES_RANGE)
+    if args.t_max is not None and args.t_max <= 0.0:
+        raise ValueError(f"--t-max must be positive, got {args.t_max:g}")
     pattern = _load(args.pattern)
     mult = _motion_multipliers(pattern)
     t_max = args.t_max if args.t_max is not None else _default_t_max(pattern, mult)

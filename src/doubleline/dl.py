@@ -27,6 +27,7 @@ from .kinematics import DEGENERACY_TOL, FoldMode, branch_multipliers, p_coeff, q
 from .pattern import Crease, CreasePattern, PatternError, VertexStar, vertex_star
 
 NETWORK_KEY = "doubleline:network"
+MATCH_TOL = 1e-9  # mode closure products, symmetric sectors and θ, unreachable ratios
 
 
 class DlError(ValueError):
@@ -102,7 +103,7 @@ def sign_pattern_product(signs: Sequence[str], sectors: Sequence[float], theta: 
         return math.inf
 
 
-def mode_is_valid(mode: DLMode, alpha: float, beta: float, theta: float, tol: float = 1e-9) -> bool:
+def mode_is_valid(mode: DLMode, alpha: float, beta: float, theta: float) -> bool:
     """Whether a mode produces a rigid motion of DL(V,θ) for this vertex.
 
     The four generic modes always close up.  The alternating sym± modes
@@ -111,13 +112,13 @@ def mode_is_valid(mode: DLMode, alpha: float, beta: float, theta: float, tol: fl
     """
     if mode in GENERIC_MODES:
         sigmas = (alpha, beta, math.pi - alpha, math.pi - beta)
-        return abs(sign_pattern_product(mode.signs, sigmas, theta) - 1.0) <= tol
-    symmetric = abs(alpha - beta) <= tol or abs(alpha - (math.pi - beta)) <= tol
-    return symmetric and abs(theta - math.pi / 2) <= tol
+        return abs(sign_pattern_product(mode.signs, sigmas, theta) - 1.0) <= MATCH_TOL
+    symmetric = abs(alpha - beta) <= MATCH_TOL or abs(alpha - (math.pi - beta)) <= MATCH_TOL
+    return symmetric and abs(theta - math.pi / 2) <= MATCH_TOL
 
 
-def valid_modes(alpha: float, beta: float, theta: float, tol: float = 1e-9) -> tuple[DLMode, ...]:
-    return tuple(m for m in ALL_MODES if mode_is_valid(m, alpha, beta, theta, tol))
+def valid_modes(alpha: float, beta: float, theta: float) -> tuple[DLMode, ...]:
+    return tuple(m for m in ALL_MODES if mode_is_valid(m, alpha, beta, theta))
 
 
 # -- multiplier engine -------------------------------------------------------
@@ -666,7 +667,6 @@ def theta_for_ratio(
     alpha: float,
     beta: float,
     target: DoubleLineRatio,
-    tol: float = 1e-9,
 ) -> float:
     """Solve for θ giving a prescribed doubled-pair ratio on one axis.
 
@@ -684,10 +684,10 @@ def theta_for_ratio(
     if scale == 0:
         raise DlError("ratio 0:0 is undefined")
     if axis == "major":
-        if abs(abs(s) - abs(f)) <= tol * scale:
+        if abs(abs(s) - abs(f)) <= MATCH_TOL * scale:
             raise DlError("a major axis cannot reach ratio 1:1 or 1:-1")
     elif axis == "minor":
-        if abs(s + f) <= tol * scale:
+        if abs(s + f) <= MATCH_TOL * scale:
             raise DlError("a minor axis cannot reach ratio 1:-1")
     else:
         raise DlError(f"axis must be 'major' or 'minor', not {axis!r}")

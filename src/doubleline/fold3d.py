@@ -20,6 +20,8 @@ from .pattern import CreasePattern, PatternError, VertexStar
 
 WELD_TOL = 1e-6
 RESIDUAL_TOL = 1e-9
+NULL_SPACE_TOL = 1e-9  # relative singular values spanning a motion; smallest usable motion entry
+NEWTON_MAX_ITER = 50
 
 
 class Fold3dError(ValueError):
@@ -134,7 +136,7 @@ def propagate_fold(pattern: CreasePattern, angles: Sequence[float]) -> FoldedSta
 
 
 def network_multipliers(
-    pattern: CreasePattern, modes: Mapping[int, FoldMode], tol: float = 1e-9
+    pattern: CreasePattern, modes: Mapping[int, FoldMode]
 ) -> np.ndarray:
     """Per-crease multipliers g with tan(rho_c/2) = g_c * t for a mode assignment.
 
@@ -170,7 +172,7 @@ def network_multipliers(
 
     a = np.array(rows)
     _, s, vt = np.linalg.svd(a)
-    null = [vt[i] for i in range(len(vt)) if i >= len(s) or s[i] <= tol * s[0]]
+    null = [vt[i] for i in range(len(vt)) if i >= len(s) or s[i] <= NULL_SPACE_TOL * s[0]]
     if not null:
         raise Fold3dError(
             "mode assignment admits no motion (smallest singular value "
@@ -181,7 +183,7 @@ def network_multipliers(
     x = null[0]
     g = x[:n_g]
     k = int(np.argmax(np.abs(g)))
-    if abs(g[k]) < tol:
+    if abs(g[k]) < NULL_SPACE_TOL:
         raise Fold3dError("mode assignment freezes every crease")
     x = x / g[k]
     # many entries tie at |g| = 1, so argmax alone leaves the sign to rounding
@@ -235,7 +237,6 @@ def solve_fold_angles(
     driver_crease: int,
     target_angle: float,
     initial_guess: Sequence[float] | None = None,
-    max_iter: int = 50,
     tol: float = 1e-10,
 ) -> np.ndarray:
     """Numerically fold a pattern by pinning one crease angle.
@@ -244,8 +245,11 @@ def solve_fold_angles(
     defects) over all interior crease angles except the pinned driver.
     Without an initial guess, continuation walks the driver from nearly
     flat to the target in small steps.  Raises SolveError on
-    non-convergence or a singular Jacobian.
+    non-convergence or a singular Jacobian, Fold3dError for a target
+    outside [−π, π].
     """
+    if not abs(target_angle) <= math.pi:
+        raise Fold3dError(f"target angle {target_angle:.6g} rad lies outside [-pi, pi]")
     if not 0 <= driver_crease < len(pattern.creases):
         raise Fold3dError(f"driver crease {driver_crease} is not among the {len(pattern.creases)} creases")
     if pattern.creases[driver_crease].assignment == "B":
@@ -259,7 +263,7 @@ def solve_fold_angles(
         x = x0.copy()
         x[driver_crease] = driver
         h = 1e-7
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             r = _closure_defects(stars, x)
             if float(np.max(np.abs(r))) < tol:
                 return x
@@ -281,7 +285,7 @@ def solve_fold_angles(
                 x[ci] += delta[j]
         r = _closure_defects(stars, x)
         raise SolveError(
-            f"no convergence after {max_iter} iterations at driver {driver:.6f} rad "
+            f"no convergence after {NEWTON_MAX_ITER} iterations at driver {driver:.6f} rad "
             f"(residual {float(np.max(np.abs(r))):.3e})"
         )
 

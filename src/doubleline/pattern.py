@@ -17,6 +17,7 @@ import numpy as np
 from .geometry import angle_ccw, polygon_area, segments_intersect
 
 ASSIGNMENTS = ("M", "V", "B", "U")
+GEOMETRY_TOL = 1e-9  # shortest crease length; slack on angle bounds and sector sums
 
 
 class PatternError(ValueError):
@@ -273,7 +274,7 @@ class CreasePattern:
 
     # -- validation --------------------------------------------------------
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         n = len(self.vertices)
         if n == 0:
             if self.creases or self.faces:
@@ -292,9 +293,9 @@ class CreasePattern:
             if key in seen_pairs:
                 raise PatternError(f"duplicate crease between vertices {key}")
             seen_pairs.add(key)
-            if np.linalg.norm(pts[c.v1] - pts[c.v0]) < tol:
+            if np.linalg.norm(pts[c.v1] - pts[c.v0]) < GEOMETRY_TOL:
                 raise PatternError(f"crease {i} has zero length")
-            if c.fold_angle is not None and abs(c.fold_angle) > math.pi + tol:
+            if c.fold_angle is not None and abs(c.fold_angle) > math.pi + GEOMETRY_TOL:
                 raise PatternError(f"crease {i} fold angle outside [-pi, pi]")
 
         # Planarity: creases may meet only at shared endpoints.
@@ -368,9 +369,9 @@ def kawasaki_residual(star: VertexStar) -> float:
     return abs(alt)
 
 
-def is_flat_foldable_deg4(star: VertexStar, tol: float = 1e-9) -> bool:
+def is_flat_foldable_deg4(star: VertexStar) -> bool:
     """True for an interior degree-4 vertex whose opposite sectors sum to pi."""
     if not star.interior or star.degree != 4:
         return False
     s = star.sectors
-    return abs(s[0] + s[2] - math.pi) <= tol and abs(s[1] + s[3] - math.pi) <= tol
+    return abs(s[0] + s[2] - math.pi) <= GEOMETRY_TOL and abs(s[1] + s[3] - math.pi) <= GEOMETRY_TOL

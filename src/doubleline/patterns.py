@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -39,7 +40,7 @@ from .dl import (  # noqa: F401  (NETWORK_KEY is re-exported for its importers)
     write_record,
 )
 from .fold3d import Fold3dError, network_multipliers
-from .geometry import polygon_area, unit
+from .geometry import unit
 from .kinematics import FoldMode, mode_vector
 from .pattern import (
     Crease,
@@ -117,34 +118,34 @@ class VertexNetwork:
         )
         return cls(pattern, dict(modes), shared)
 
-    def adjacency(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """Interior vertex -> ((neighbor vertex, shared crease id), ...)."""
-        out: dict[int, list[tuple[int, int]]] = {v: [] for v in self.pattern.interior_vertices}
+    @cached_property
+    def spanning_tree(self) -> tuple[tuple[int, int, int], ...]:
+        """Breadth-first spanning tree of the interior vertices over shared creases.
+
+        Rows are (vertex, parent vertex, shared crease) in visiting order
+        from the lowest interior vertex, each vertex's neighbours taken as
+        sorted (neighbour, crease) pairs; a vertex the tree does not reach
+        has no row.
+        """
+        verts = self.pattern.interior_vertices
+        nbrs: dict[int, list[tuple[int, int]]] = {v: [] for v in verts}
         for ci in self.shared_creases:
             c = self.pattern.creases[ci]
-            out[c.v0].append((c.v1, ci))
-            out[c.v1].append((c.v0, ci))
-        return {v: tuple(sorted(items)) for v, items in out.items()}
-
-    def is_tree(self) -> bool:
-        verts = self.pattern.interior_vertices
-        if len(self.shared_creases) != len(verts) - 1:
-            return False
-        return self._connected()
-
-    def _connected(self) -> bool:
-        verts = self.pattern.interior_vertices
-        if not verts:
-            return False
-        adj = self.adjacency()
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            for w, _ in adj[stack.pop()]:
+            nbrs[c.v0].append((c.v1, ci))
+            nbrs[c.v1].append((c.v0, ci))
+        order, rows = list(verts[:1]), []
+        seen = set(order)
+        for u in order:
+            for w, ci in sorted(nbrs[u]):
                 if w not in seen:
                     seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(verts)
+                    rows.append((w, u, ci))
+                    order.append(w)
+        return tuple(rows)
+
+    def is_tree(self) -> bool:
+        n = len(self.pattern.interior_vertices)
+        return len(self.shared_creases) == n - 1 == len(self.spanning_tree)
 
 
 def _branch_of(star: VertexStar) -> FoldMode:
@@ -316,22 +317,6 @@ class _DlVertex:
         return [origin + c for c in polygon_corners(self.azimuths, self.radii, self.theta)]
 
 
-def _corners_valid(azimuths, radii, theta) -> bool:
-    """Positive polygon with every side running along its construction line."""
-    try:
-        pts = polygon_corners(azimuths, radii, theta)
-    except DlError:
-        return False
-    if polygon_area(np.array(pts)) <= 0.0:
-        return False
-    n = len(pts)
-    for i in range(n):
-        side = pts[i] - pts[(i - 1) % n]
-        if float(np.dot(side, unit(azimuths[i] + theta))) <= 1e-12:
-            return False
-    return True
-
-
 def _solve_child(dv: _DlVertex, axis: int, target_plus: float, target_minus: float,
                  fixed_theta: float | None, family: FoldMode) -> None:
     """Pick the child's mode variant (and θ when not fixed) matching a pair ratio."""
@@ -372,7 +357,8 @@ def _solve_radii(network: VertexNetwork, dls: dict[int, "_DlVertex"],
     validity conditions (positive distances, positive polygon side lengths)
     are all linear in the distances, so one linear program maximizing the
     smallest of them either finds a uniformly safe solution or proves the
-    chosen rotation angles admit none.
+    chosen rotation angles admit none.  Positive sides turning through the
+    sectors also make each polygon convex and counterclockwise.
     """
     # scipy.optimize takes most of a cold start; only doubling a network needs it
     from scipy.optimize import linprog
@@ -381,91 +367,55 @@ def _solve_radii(network: VertexNetwork, dls: dict[int, "_DlVertex"],
     interior = sorted(dls)
     pos = {v: 4 * k for k, v in enumerate(interior)}
     n = 4 * len(interior)
+    basis = np.eye(4)
 
     # axis_offsets is linear in the distances: offsets[v][k, i, s] is the
     # offset of line s (0: ray^+, 1: ray^-) of axis i per unit of distance k
-    offsets = {
-        v: np.array([
-            axis_offsets(dls[v].star.sectors, [1.0 if j == k else 0.0 for j in range(4)], dls[v].theta)
-            for k in range(4)
-        ])
-        for v in interior
-    }
+    offsets = {v: np.array([axis_offsets(dls[v].star.sectors, e, dls[v].theta) for e in basis])
+               for v in interior}
 
-    eq_rows: list[np.ndarray] = []
-    for ci in network.shared_creases:
+    # each line of u's pair on the opposite line of w's, two rows per shared crease
+    eq = np.zeros((2 * len(network.shared_creases), n))
+    for k, ci in enumerate(network.shared_creases):
         u, w = pattern.creases[ci].v0, pattern.creases[ci].v1
-        for su, sw in ((0, 1), (1, 0)):  # each line of u's pair on the opposite line of w's
-            row = np.zeros(n)
-            row[pos[u]: pos[u] + 4] = offsets[u][:, axis_of[u][ci], su]
-            row[pos[w]: pos[w] + 4] = offsets[w][:, axis_of[w][ci], sw]
-            eq_rows.append(row)
+        eq[2 * k: 2 * k + 2, pos[u]: pos[u] + 4] = offsets[u][:, axis_of[u][ci], :].T
+        eq[2 * k: 2 * k + 2, pos[w]: pos[w] + 4] = offsets[w][:, axis_of[w][ci], ::-1].T
 
-    side_rows: list[np.ndarray] = []
+    # per vertex: its four side lengths, then the separation of each axis's pair
+    side = np.zeros((2 * n, n))
     for v in interior:
-        dv = dls[v]
-        base = pos[v]
-        basis = [
-            polygon_corners(dv.azimuths, [1.0 if j == k else 0.0 for j in range(4)], dv.theta)
-            for k in range(4)
-        ]
+        dv, p = dls[v], pos[v]
+        corners = [polygon_corners(dv.azimuths, e, dv.theta) for e in basis]
         for i in range(4):
             d = unit(dv.azimuths[i] + dv.theta)
-            row = np.zeros(n)
-            for k in range(4):
-                row[base + k] = float(np.dot(basis[k][i] - basis[k][(i - 1) % 4], d))
-            side_rows.append(row)
-        for i in range(4):
-            # pair separation: keep the doubled lines of each axis well apart
-            row = np.zeros(n)
-            row[base: base + 4] = offsets[v][:, i, 0] - offsets[v][:, i, 1]
-            side_rows.append(row)
+            side[2 * p + i, p: p + 4] = [float(np.dot(c[i] - c[i - 1], d)) for c in corners]
+        side[2 * p + 4: 2 * p + 8, p: p + 4] = (offsets[v][:, :, 0] - offsets[v][:, :, 1]).T
 
-    nv = n + 1  # distances plus the common safety margin t
-    c_obj = np.zeros(nv)
-    c_obj[-1] = -1.0
-    a_ub = []
-    for k in range(n):
-        row = np.zeros(nv)
-        row[k] = -1.0
-        row[-1] = 1.0
-        a_ub.append(row)
-    for srow in side_rows:
-        row = np.zeros(nv)
-        row[:n] = -srow
-        row[-1] = 1.0
-        a_ub.append(row)
-    a_eq = [np.concatenate([erow, [0.0]]) for erow in eq_rows]
-    norm = np.zeros(nv)
-    norm[:n] = 1.0
-    a_eq.append(norm)
-    b_eq = np.zeros(len(a_eq))
-    b_eq[-1] = float(n)
+    # variables: the distances, then the common safety margin t they all exceed
+    a_ub = np.hstack([np.vstack([-np.eye(n), -side]), np.ones((3 * n, 1))])
+    a_eq = np.vstack([np.hstack([eq, np.zeros((len(eq), 1))]), np.append(np.ones(n), 0.0)])
     res = linprog(
-        c_obj,
-        A_ub=np.array(a_ub),
-        b_ub=np.zeros(len(a_ub)),
-        A_eq=np.array(a_eq),
-        b_eq=b_eq,
-        bounds=[(None, None)] * nv,
+        np.append(np.zeros(n), -1.0),
+        A_ub=a_ub,
+        b_ub=np.zeros(3 * n),
+        A_eq=a_eq,
+        b_eq=np.append(np.zeros(len(eq)), float(n)),
+        bounds=[(None, None)] * (n + 1),
         method="highs",
     )
     if not res.success or res.x[-1] <= 1e-6:
         raise DlError("no workable polygon distances for these rotation angles")
     r = res.x[:n]
-    if eq_rows:
+    if len(eq):
         # The solver meets the alignment equations only to its own tolerance;
         # project back onto their exact null space.
-        m = np.array(eq_rows)
-        corr, *_ = np.linalg.lstsq(m, m @ r, rcond=None)
+        corr, *_ = np.linalg.lstsq(eq, eq @ r, rcond=None)
         r = r - corr
     margin = float(res.x[-1])
-    if float(np.min(r)) <= 0.5 * margin or float(np.min(np.array(side_rows) @ r)) <= 0.5 * margin:
+    if float(np.min(r)) <= 0.5 * margin or float(np.min(side @ r)) <= 0.5 * margin:
         raise DlError("polygon distances lost validity under exact alignment")
     for v in interior:
         dls[v].radii = [float(x) for x in r[pos[v]: pos[v] + 4]]
-        if not _corners_valid(dls[v].azimuths, dls[v].radii, dls[v].theta):
-            raise DlError(f"no workable polygon distances at vertex {v}")
 
 
 def _connect_dl(
@@ -473,15 +423,13 @@ def _connect_dl(
     *,
     theta_root: float | None = None,
     thetas: Mapping[int, float] | None = None,
-    require_tree: bool = False,
 ) -> tuple[dict[int, float], CreasePattern]:
     pattern = network.pattern
     interior = pattern.interior_vertices
     if not interior:
         raise DlError("network has no interior vertices to double")
-    if require_tree and not network.is_tree():
-        raise DlError("vertex adjacency is not a tree")
-    if len(interior) > 1 and not network._connected():
+    tree = network.spanning_tree
+    if len(tree) < len(interior) - 1:
         raise DlError("interior vertices do not form a connected network")
 
     dls: dict[int, _DlVertex] = {}
@@ -490,14 +438,13 @@ def _connect_dl(
             raise DlError(f"vertex {v} is not a flat-foldable degree-4 vertex")
         az = [pattern.crease_azimuth(ci, v) for ci in star.crease_ids]
         dls[v] = _DlVertex(v, star, tuple(az))
+    axis_of = {v: {ci: i for i, ci in enumerate(dls[v].star.crease_ids)} for v in interior}
 
     solve = thetas is None
-    root = min(interior)
+    root = interior[0]
     rv = dls[root]
     rv_mode = _FAMILY_MODES[network.modes[root]][0]
     rv.theta = theta_root if solve else thetas[root]
-    if not 0.0 < rv.theta < math.pi:
-        raise DlError("rotation angle must lie strictly between 0 and pi")
     if solve and classify_theta(rv_mode, rv.star.sectors[0], rv.star.sectors[1], rv.theta).tag == CRITICAL:
         raise DlError("root rotation angle is critical; pick a nearby value")
     rv.mult = dl_multipliers(rv.star.sectors, rv_mode.signs, rv.theta)
@@ -505,26 +452,8 @@ def _connect_dl(
         raise DlError(f"mode {rv_mode.label} does not close on vertex {root}")
     rv.signs, rv.scale = rv_mode.signs, 1.0
 
-    # Breadth-first propagation of θ, scale and radii across shared creases.
-    adj = network.adjacency()
-    axis_of = {v: {ci: dls[v].star.crease_ids.index(ci) for _, ci in adj[v]} for v in interior}
-    order = [root]
-    parent_edge: dict[int, tuple[int, int]] = {}
-    seen = {root}
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
-        for w, ci in adj[u]:
-            if w in seen:
-                continue
-            seen.add(w)
-            parent_edge[w] = (u, ci)
-            order.append(w)
-    tree_edges = {(min(u, w), max(u, w), ci) for w, (u, ci) in parent_edge.items()}
-
-    for w in order[1:]:
-        u, ci = parent_edge[w]
+    # Propagation of θ and scale down the spanning tree, then the radii at once.
+    for w, u, ci in tree:
         du, dw = dls[u], dls[w]
         i_u, i_w = axis_of[u][ci], axis_of[w][ci]
         _solve_child(
@@ -551,14 +480,14 @@ def _connect_dl(
     for v in interior:
         dls[v].radii = [r * factor for r in dls[v].radii]
 
-    # Loop conditions on the shared creases outside the spanning tree.
+    # Loop conditions on the shared creases outside the spanning tree; the
+    # radii LP already lines their doubled pairs up.
+    tree_creases = {ci for *_, ci in tree}
     for ci in network.shared_creases:
-        c = pattern.creases[ci]
-        u, w = c.v0, c.v1
-        if (min(u, w), max(u, w), ci) in tree_edges:
+        if ci in tree_creases:
             continue
-        du, dw = dls[u], dls[w]
-        i_u, i_w = axis_of[u][ci], axis_of[w][ci]
+        du, dw = dls[pattern.creases[ci].v0], dls[pattern.creases[ci].v1]
+        i_u, i_w = axis_of[du.vertex][ci], axis_of[dw.vertex][ci]
         a_p = du.mult.rays_plus[i_u] * du.scale
         a_m = du.mult.rays_minus[i_u] * du.scale
         b_p = dw.mult.rays_plus[i_w] * dw.scale
@@ -566,11 +495,6 @@ def _connect_dl(
         m_scale = max(abs(a_p), abs(a_m), 1.0)
         if abs(a_p - b_m) > 1e-9 * m_scale or abs(a_m - b_p) > 1e-9 * m_scale:
             raise DlError(f"doubled pairs disagree around a loop at crease {ci}")
-        op_u = axis_offsets(du.star.sectors, du.radii, du.theta)[i_u]
-        op_w = axis_offsets(dw.star.sectors, dw.radii, dw.theta)[i_w]
-        g_scale = max(abs(op_u[0]), abs(op_u[1]), 1e-9)
-        if abs(op_u[0] + op_w[1]) > 1e-9 * g_scale or abs(op_u[1] + op_w[0]) > 1e-9 * g_scale:
-            raise DlError(f"doubled lines fail to line up around a loop at crease {ci}")
 
     return {v: dls[v].theta for v in interior}, _assemble(network, dls)
 
@@ -727,6 +651,10 @@ def connect_tree_dl(network: VertexNetwork, theta_root: float) -> tuple[dict[int
     """
     if not 0.0 < theta_root < math.pi:
         raise DlError("theta_root must lie strictly between 0 and pi")
+    if not network.pattern.interior_vertices:
+        raise DlError("network has no interior vertices to double")
+    if not network.is_tree():
+        raise DlError("vertex adjacency is not a tree")
     last: DlError | None = None
     for k in range(0, 11):
         for sign in (1,) if k == 0 else (1, -1):
@@ -734,7 +662,7 @@ def connect_tree_dl(network: VertexNetwork, theta_root: float) -> tuple[dict[int
             if not 0.0 < th < math.pi:
                 continue
             try:
-                return _connect_dl(network, theta_root=th, require_tree=True)
+                return _connect_dl(network, theta_root=th)
             except DlError as exc:
                 last = exc
     raise DlError(f"no workable rotation angle near the requested root value: {last}")

@@ -17,12 +17,12 @@ from .pattern import CreasePattern, VertexStar
 ENUMERATION_CAP = 10
 
 
-def construct_symmetric_dl(n: int, radius: float = 1.0) -> CreasePattern:
-    """Doubled pattern of the degree-2n all-equal-sector vertex (θ = 90°)."""
+def construct_symmetric_dl(n: int) -> CreasePattern:
+    """Doubled pattern of the degree-2n all-equal-sector vertex (θ = 90°, unit radii)."""
     if n < 2:
         raise DlError("symmetric construction needs n >= 2")
     star = VertexStar.from_sectors([math.pi / n] * (2 * n))
-    return construct_dl(star, DoubleLineParams(math.pi / 2, (float(radius),) * (2 * n)))
+    return construct_dl(star, DoubleLineParams(math.pi / 2, (1.0,) * (2 * n)))
 
 
 def quarter_angle_coefficient(n: int) -> float:
@@ -53,7 +53,7 @@ def canonical_sequence(signs: str) -> str:
     return min(signs[k:] + signs[:k] for k in range(len(signs)))
 
 
-def enumerate_mode_sequences(n: int, cap: int = ENUMERATION_CAP) -> frozenset[str]:
+def enumerate_mode_sequences(n: int) -> frozenset[str]:
     """All balanced ± sequences of length 2n, up to rotation.
 
     For n >= 3 every representative is checked to close the central
@@ -62,8 +62,8 @@ def enumerate_mode_sequences(n: int, cap: int = ENUMERATION_CAP) -> frozenset[st
     """
     if n < 1:
         raise DlError("need n >= 1")
-    if n > cap:
-        raise DlError(f"enumeration capped at n = {cap} (got {n})")
+    if n > ENUMERATION_CAP:
+        raise DlError(f"enumeration capped at n = {ENUMERATION_CAP} (got {n})")
     seqs = set()
     for plus_at in combinations(range(2 * n), n):
         signs = "".join("+" if i in plus_at else "-" for i in range(2 * n))

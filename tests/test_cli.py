@@ -307,7 +307,16 @@ def test_malformed_record_is_domain_error(tmp_path, capsysbinary, command, corru
     (("doubleline", "{single}", "--theta", "90", "--vertex", "-1"), b"--vertex -1 is not an interior"),
     (("solve", "{doubled}", "--driver", "999", "--target", "25"), b"driver crease 999 is not among"),
     (("sweep", "{doubled}", "--t-max", "nan"), b"--t-max must be finite"),
-], ids=("vertex-999", "vertex-minus-1", "driver-999", "t-max-nan"))
+    (("solve", "{doubled}", "--driver", "0", "--target", "1000"), b"--target must lie in [-180, 180]"),
+    (("solve", "{doubled}", "--driver", "0", "--target", "-181"), b"--target must lie in [-180, 180]"),
+    (("solve", "{doubled}", "--driver", "0", "--target", "25", "--tolerance", "0"),
+     b"--tolerance must be positive"),
+    (("solve", "{doubled}", "--driver", "0", "--target", "25", "--tolerance", "-1"),
+     b"--tolerance must be positive"),
+    (("thicken", "{doubled}", "--tau", "0.01", "--t-max", "0"), b"--t-max must be positive"),
+    (("thicken", "{doubled}", "--tau", "0.01", "--t-max", "-1"), b"--t-max must be positive"),
+], ids=("vertex-999", "vertex-minus-1", "driver-999", "t-max-nan", "target-1000", "target-minus-181",
+        "tolerance-0", "tolerance-minus-1", "thicken-t-max-0", "thicken-t-max-minus-1"))
 def test_bad_ids_and_non_finite_values(tmp_path, capsysbinary, argv, message):
     single, doubled = _doubled_single(tmp_path, capsysbinary)
     code, out, err = run(capsysbinary, *(a.format(single=single, doubled=doubled) for a in argv))

@@ -183,6 +183,15 @@ def test_solve_rejects_boundary_driver():
         solve_fold_angles(pat, boundary, 0.5)
 
 
+@pytest.mark.parametrize("target", [math.pi + 1e-9, -4.0, 1e5, math.nan])
+def test_solve_rejects_a_target_beyond_a_half_turn(target):
+    pat = gen_miura(3, 3, math.radians(60)).pattern
+    with pytest.raises(Fold3dError, match=r"outside \[-pi, pi\]"):
+        solve_fold_angles(pat, pat.interior_creases[0], target)
+    with pytest.raises(Fold3dError, match=r"outside \[-pi, pi\]"):
+        solve_fold_angles(pat, pat.interior_creases[0], target, initial_guess=np.zeros(len(pat.creases)))
+
+
 def test_export_obj_square():
     pat = CreasePattern.build(
         [(0, 0), (1, 0), (1, 1), (0, 1)],
