@@ -25,7 +25,15 @@ from .dl import (
     mode_from_label,
     read_record,
 )
-from .fold3d import export_obj, network_multipliers, propagate_fold, solve_fold_angles, sweep_motion
+from .fold3d import (
+    RESIDUAL_TOL,
+    Fold3dError,
+    export_obj,
+    network_multipliers,
+    propagate_fold,
+    solve_fold_angles,
+    sweep_motion,
+)
 from .fold_io import load_fold, save_fold
 from .kinematics import KinematicsError
 from .pattern import CreasePattern, PatternError, is_flat_foldable_deg4, vertex_star
@@ -176,6 +184,9 @@ def _cmd_modes(args) -> bytes:
 
 
 def _motion_csv(pattern: CreasePattern, samples) -> bytes:
+    bad = next((s for s in samples if not s.valid), None)
+    if bad is not None:
+        raise Fold3dError(f"motion sample t={_fmt(bad.t)} does not close: residual {bad.residual:.3e} >= {RESIDUAL_TOL:g}")
     header = "t," + ",".join(f"rho_{i}" for i in range(len(pattern.creases))) + ",residual"
     rows = [header]
     for s in samples:

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import rot_x, rot_z, rotation_about_axis
+from .geometry import rot_x, rot_z
 from .kinematics import FoldMode, mode_vector
 from .pattern import CreasePattern, PatternError, VertexStar
 
@@ -46,14 +46,23 @@ def vertex_closure_residual(star: VertexStar, angles: Sequence[float]) -> float:
     return float(np.linalg.norm(_closure_defects((star,), dict(zip(star.crease_ids, angles)))))
 
 
-def crease_rotation(pattern: CreasePattern, crease_id: int, angle: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation x -> R x + t by a signed angle about the flat crease line, as (R, t)."""
-    c = pattern.creases[crease_id]
-    p0 = np.array([*pattern.vertices[c.v0], 0.0])
-    p1 = np.array([*pattern.vertices[c.v1], 0.0])
-    axis = p1 - p0
-    rot = rotation_about_axis(axis / np.linalg.norm(axis), angle)
-    return rot, p0 - rot @ p0
+def crease_rotations(pattern: CreasePattern, crease_ids: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations x -> R x + t by signed angles about the flat crease lines, as stacks of R and t.
+
+    Angles (..., n) for n crease ids give (..., n, 3, 3) and (..., n, 3).
+    """
+    pts = pattern.vertices_array
+    ends = np.array([(pattern.creases[ci].v0, pattern.creases[ci].v1) for ci in crease_ids], dtype=int).reshape(-1, 2)
+    p0 = np.column_stack([pts[ends[:, 0]], np.zeros(len(ends))])
+    axis = np.column_stack([pts[ends[:, 1]], np.zeros(len(ends))]) - p0
+    for _ in range(2):  # unit twice over: the second pass still moves some axes by an ulp
+        axis = axis / np.sqrt(axis[:, None, :] @ axis[:, :, None])[:, 0]
+    x, y, z = axis.T
+    o = np.zeros(len(axis))
+    k = np.stack([np.stack([o, -z, y], -1), np.stack([z, o, -x], -1), np.stack([-y, x, o], -1)], 1)
+    s, c = np.sin(angles)[..., None, None], np.cos(angles)[..., None, None]
+    rot = np.eye(3) + s * k + (1.0 - c) * (k @ k)
+    return rot, p0 - (rot @ p0[:, :, None])[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,33 +115,88 @@ def propagate_fold(pattern: CreasePattern, angles: Sequence[float]) -> FoldedSta
     angles = np.array(angles, dtype=float)
     if angles.shape != (len(pattern.creases),):
         raise PatternError("need one fold angle per crease")
+    rot, trans, residual = _fold_stack(pattern, angles[None])
+    angles.setflags(write=False)
+    return FoldedState(pattern, rot[0], trans[0], angles, float(residual[0]))
+
+
+def _fold_stack(pattern: CreasePattern, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fold S angle vectors (S, C) in one pass over the face tree.
+
+    Returns read-only (S, F, 3, 3) rotations, (S, F, 3) translations and S
+    residuals.  The faces of one tree level are placed together, each from
+    its parent's placement; every sample gets the same arithmetic it would
+    get alone.
+    """
     tree = pattern.face_tree
-    rot = np.empty((len(pattern.faces), 3, 3))
-    trans = np.empty((len(pattern.faces), 3))
-    rot[0], trans[0] = np.eye(3), 0.0
-    for f, parent, ci, left in tree.rows:
+    n_s, n_f = len(angles), len(pattern.faces)
+    rot = np.empty((n_s, n_f, 3, 3))
+    trans = np.empty((n_s, n_f, 3))
+    rot[:, 0], trans[:, 0] = np.eye(3), 0.0
+    if tree.rows:
+        face, parent, ci, left = (np.array(col) for col in zip(*tree.rows))
         # crossing right -> left applies the fold, left -> right undoes it
-        r, t = crease_rotation(pattern, ci, angles[ci] if left else -angles[ci])
-        rot[f] = rot[parent] @ r
-        trans[f] = rot[parent] @ t + trans[parent]
+        r, t = crease_rotations(pattern, ci, np.where(left, angles[:, ci], -angles[:, ci]))
+        depth = np.zeros(n_f, dtype=int)
+        for f, p in zip(face, parent):
+            depth[f] = depth[p] + 1
+        level = depth[face]
+        for d in range(1, int(level.max()) + 1):
+            k = np.flatnonzero(level == d)
+            up = rot[:, parent[k]]
+            rot[:, face[k]] = up @ r[:, k]
+            trans[:, face[k]] = (up @ t[:, k, :, None])[..., 0] + trans[:, parent[k]]
 
-    residuals = []
-    for ci in tree.off_tree:
-        lf, rf = pattern.crease_faces[ci]
-        r, t = crease_rotation(pattern, ci, angles[ci])
-        want_rot, want_trans = rot[rf] @ r, rot[rf] @ t + trans[rf]
-        c = pattern.creases[ci]
-        res = float(np.linalg.norm(rot[lf] - want_rot))
-        for v in (c.v0, c.v1):
-            p = np.atleast_2d([*pattern.vertices[v], 0.0])
-            res += float(np.linalg.norm((p @ rot[lf].T + trans[lf]) - (p @ want_rot.T + want_trans)))
+    residuals = [_closure_norms(pattern.interior_stars, angles)]
+    off = np.array(tree.off_tree, dtype=int)
+    if len(off):
+        lf, rf = np.array([pattern.crease_faces[c] for c in off]).T
+        r, t = crease_rotations(pattern, off, angles[:, off])
+        want_rot = rot[:, rf] @ r
+        want_trans = (rot[:, rf] @ t[..., None])[..., 0] + trans[:, rf]
+        res = _norms((rot[:, lf] - want_rot).reshape(n_s, len(off), 9))
+        for ends in np.array([(pattern.creases[c].v0, pattern.creases[c].v1) for c in off]).T:
+            p = np.column_stack([pattern.vertices_array[ends], np.zeros(len(off))])[:, None]
+            # each end as a (1, 3) row, placed from both sides of the crease
+            have = p @ rot[:, lf].swapaxes(-1, -2) + trans[:, lf, None]
+            res = res + _norms((have - (p @ want_rot.swapaxes(-1, -2) + want_trans[:, :, None]))[:, :, 0])
         residuals.append(res)
-    defects = _closure_defects(pattern.interior_stars, angles)
-    residuals.extend(float(np.linalg.norm(d)) for d in defects.reshape(-1, 9))
+    residual = np.concatenate(residuals, axis=1).max(axis=1, initial=0.0)
 
-    for a in (rot, trans, angles):
+    for a in (rot, trans, residual):
         a.setflags(write=False)
-    return FoldedState(pattern, rot, trans, angles, max(residuals, default=0.0))
+    return rot, trans, residual
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, each the dot product np.linalg.norm takes of one vector."""
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
+def _closure_norms(stars: Sequence[VertexStar], angles: np.ndarray) -> np.ndarray:
+    """(S, V) distance from identity of each star's rotation loop, stars of one degree composed together."""
+    out = np.empty((len(angles), len(stars)))
+    by_degree: dict[int, list[int]] = {}
+    for k, star in enumerate(stars):
+        by_degree.setdefault(star.degree, []).append(k)
+    eye = np.eye(3)
+    for degree, ks in by_degree.items():
+        rx = _plane_rotations(angles[:, [stars[k].crease_ids for k in ks]], 1, 2)
+        rz = _plane_rotations(np.array([stars[k].sectors for k in ks]), 0, 1)
+        a = np.broadcast_to(eye, (len(angles), len(ks), 3, 3))
+        for j in range(degree):
+            a = a @ rx[:, :, j] @ rz[:, j]
+        out[:, ks] = _norms((a - eye).reshape(len(angles), len(ks), 9))
+    return out
+
+
+def _plane_rotations(angles: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Stacked rotations by angles in the plane of axes i and j: rot_x for (1, 2), rot_z for (0, 1)."""
+    c, s = np.cos(angles), np.sin(angles)
+    out = np.zeros(angles.shape + (3, 3))
+    out[..., 3 - i - j, 3 - i - j] = 1.0
+    out[..., i, i], out[..., i, j], out[..., j, i], out[..., j, j] = c, -s, s, c
+    return out
 
 
 def network_multipliers(
@@ -209,15 +273,21 @@ def sweep_motion(
     t_grid: Sequence[float],
     multipliers: np.ndarray | None = None,
 ) -> tuple[MotionSample, ...]:
-    """Sample the motion tan(rho_c/2) = g_c * t over a grid of t values."""
+    """Sample the motion tan(rho_c/2) = g_c * t over a grid of t values.
+
+    The samples are folded together; each one's arrays are read-only views
+    into the (S, ...) stacks of the whole grid.
+    """
     g = network_multipliers(pattern, modes) if multipliers is None else np.asarray(multipliers, dtype=float)
     if len(g) != len(pattern.creases):
         raise Fold3dError("multiplier vector length must match crease count")
-    samples = []
-    for t in t_grid:
-        s = propagate_fold(pattern, 2.0 * np.arctan(g * float(t)))
-        samples.append(MotionSample(pattern, s.rotations, s.translations, s.fold_angles, s.residual, float(t)))
-    return tuple(samples)
+    ts = np.array(t_grid, dtype=float).reshape(-1)
+    angles = 2.0 * np.arctan(ts[:, None] * g)
+    rot, trans, residual = _fold_stack(pattern, angles)
+    angles.setflags(write=False)
+    return tuple(
+        MotionSample(pattern, rot[k], trans[k], angles[k], float(residual[k]), float(t)) for k, t in enumerate(ts)
+    )
 
 
 def _closure_defects(stars: Sequence[VertexStar], angles: np.ndarray | Mapping[int, float]) -> np.ndarray:

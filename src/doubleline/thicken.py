@@ -17,16 +17,18 @@ penetration depth (negative) between pieces that overlap.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .dl import read_record
-from .fold3d import MotionSample, crease_rotation
+from .fold3d import MotionSample, crease_rotations
 from .pattern import CreasePattern
 
 GAP_TOL = 1e-6
+NARROW_CHUNK = 8  # piece pairs per batched narrow-phase call; bounds its temporaries
 
 
 class ThickenError(ValueError):
@@ -89,9 +91,11 @@ class ConvexPiece:
     loops: np.ndarray
 
     def placed(self, rot: np.ndarray, trans: np.ndarray) -> ConvexPiece:
-        """The piece moved by x -> rot @ x + trans."""
-        rt = rot.T
-        return ConvexPiece(self.vertices @ rt + trans, self.normals @ rt, self.directions @ rt, self.edges, self.loops)
+        """The piece moved by x -> rot @ x + trans; stacked pieces take stacked (..., 3, 3) and (..., 3) motions."""
+        rt = np.swapaxes(rot, -1, -2)
+        return ConvexPiece(
+            self.vertices @ rt + trans[..., None, :], self.normals @ rt, self.directions @ rt, self.edges, self.loops
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,15 +319,12 @@ def crease_half_widths(pattern: CreasePattern) -> dict[int, float]:
 def _design_angles(
     pattern: CreasePattern, motion: Sequence[MotionSample], params: ThickPanelParams
 ) -> dict[int, float]:
-    """Signed trim angle per interior crease: the extreme fold over the motion."""
-    rho: dict[int, float] = {}
-    for ci in pattern.interior_creases:
-        best = 0.0
-        for s in motion:
-            v = float(s.fold_angles[ci])
-            if abs(v) > abs(best):
-                best = v
-        rho[ci] = best
+    """Signed trim angle per interior crease: the extreme fold over the motion, the earliest on ties."""
+    ci = list(pattern.interior_creases)
+    # a leading flat row: a crease that never folds keeps +0.0
+    angles = np.vstack([np.zeros(len(pattern.creases))] + [s.fold_angles for s in motion])[:, ci]
+    extreme = angles[np.argmax(np.abs(angles), axis=0), np.arange(len(ci))]
+    rho = dict(zip(ci, extreme.tolist()))
     if params.rho_max:
         rho.update(params.rho_max)
     for ci, v in rho.items():
@@ -346,7 +347,7 @@ def thicken(
     """
     for s in motion:
         if not s.valid:
-            raise ThickenError(f"motion sample t={s.t} fails closure")
+            raise ThickenError(f"motion sample t={s.t} does not close: residual {s.residual:.3e}")
     rho = _design_angles(pattern, motion, params)
     sign_up = 1.0 if params.side == "above" else -1.0
     widths = crease_half_widths(pattern)
@@ -447,15 +448,15 @@ def _build_solid(pattern, fi, base, top, tau, h, angles, sign_up, pieces) -> Pan
 
 
 def _seg_seg_dist(p1, q1, p2, q2) -> np.ndarray:
-    """Batched segment-segment distances; inputs (k, 3)."""
+    """Segment-segment distances over broadcast stacks of (..., 3) endpoints."""
     d1 = q1 - p1
     d2 = q2 - p2
     r = p1 - p2
-    a = np.einsum("ij,ij->i", d1, d1)
-    e = np.einsum("ij,ij->i", d2, d2)
-    f = np.einsum("ij,ij->i", d2, r)
-    c = np.einsum("ij,ij->i", d1, r)
-    b = np.einsum("ij,ij->i", d1, d2)
+    a = np.einsum("...j,...j->...", d1, d1)
+    e = np.einsum("...j,...j->...", d2, d2)
+    f = np.einsum("...j,...j->...", d2, r)
+    c = np.einsum("...j,...j->...", d1, r)
+    b = np.einsum("...j,...j->...", d1, d2)
     denom = a * e - b * b
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.where(denom > 1e-30, np.clip((b * f - c * e) / denom, 0.0, 1.0), 0.0)
@@ -463,8 +464,8 @@ def _seg_seg_dist(p1, q1, p2, q2) -> np.ndarray:
         s = np.where(t < 0.0, np.where(a > 1e-30, np.clip(-c / a, 0.0, 1.0), 0.0), s)
         s = np.where(t > 1.0, np.where(a > 1e-30, np.clip((b - c) / a, 0.0, 1.0), 0.0), s)
     t = np.clip(t, 0.0, 1.0)
-    diff = (p1 + s[:, None] * d1) - (p2 + t[:, None] * d2)
-    return np.linalg.norm(diff, axis=1)
+    diff = (p1 + s[..., None] * d1) - (p2 + t[..., None] * d2)
+    return np.linalg.norm(diff, axis=-1)
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -474,37 +475,63 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
-def _piece_clearance(a: ConvexPiece, b: ConvexPiece) -> float:
-    """Signed clearance between two placed convex pieces.
+def _stack(pieces: Sequence[ConvexPiece]) -> ConvexPiece:
+    """Convex pieces stacked along a new first axis, padded to the most corners among them.
+
+    Padding repeats each array's last entry (a loop's last corner), so it
+    adds no extreme point, no new axis and no face.
+    """
+    m = max(len(p.vertices) for p in pieces) // 2
+
+    def pad(a: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
+        a = np.concatenate([a, np.repeat(a[-1:], rows - len(a), axis=0)])
+        return a if cols is None else np.concatenate([a, np.repeat(a[:, -1:], cols - a.shape[1], axis=1)], axis=1)
+
+    return ConvexPiece(
+        np.stack([pad(p.vertices, 2 * m) for p in pieces]),
+        np.stack([pad(p.normals, m + 2) for p in pieces]),
+        np.stack([pad(p.directions, 2 * m) for p in pieces]),
+        np.stack([pad(p.edges, 3 * m) for p in pieces]),
+        np.stack([pad(p.loops, m + 2, max(m, 4)) for p in pieces]),
+    )
+
+
+def _clearance(a: ConvexPiece, b: ConvexPiece) -> np.ndarray:
+    """Signed clearance between row k of two stacks of placed convex pieces.
 
     The axes are both pieces' face normals and the cross products of their
     edge directions.  When the largest separation over them is negative it
     is the penetration depth, exact for convex pieces; otherwise the exact
     distance is the least over edge pairs and over vertices facing a face.
     """
-    cross = _cross(a.directions[:, None], b.directions[None]).reshape(-1, 3)
-    size = np.linalg.norm(cross, axis=1)
+    n = len(a.vertices)
+    cross = _cross(a.directions[:, :, None], b.directions[:, None]).reshape(n, -1, 3)
+    size = np.linalg.norm(cross, axis=2)
     keep = size > 1e-12
-    axes = np.vstack([a.normals, b.normals, cross[keep] / size[keep, None]])
-    pa, pb = axes @ a.vertices.T, axes @ b.vertices.T
-    sep = float(np.max(np.maximum(pb.min(axis=1) - pa.max(axis=1), pa.min(axis=1) - pb.max(axis=1))))
-    if sep < 0.0:
-        return sep
-    ea, eb = a.vertices[a.edges], b.vertices[b.edges]
-    i, j = np.repeat(np.arange(len(ea)), len(eb)), np.tile(np.arange(len(eb)), len(ea))
-    best = float(np.min(_seg_seg_dist(ea[i, 0], ea[i, 1], eb[j, 0], eb[j, 1])))
-    return min(best, _vertex_face_dist(a.vertices, b), _vertex_face_dist(b.vertices, a))
+    axes = np.concatenate([a.normals, b.normals, cross / np.where(keep, size, 1.0)[..., None]], axis=1)
+    used = np.concatenate([np.ones((n, a.normals.shape[1] + b.normals.shape[1]), dtype=bool), keep], axis=1)
+    pa, pb = axes @ a.vertices.swapaxes(1, 2), axes @ b.vertices.swapaxes(1, 2)
+    apart = np.maximum(pb.min(axis=2) - pa.max(axis=2), pa.min(axis=2) - pb.max(axis=2))
+    out = np.max(apart, axis=1, where=used, initial=-math.inf)
+    far = np.flatnonzero(~(out < 0.0))
+    if len(far):
+        a, b = (ConvexPiece(*(x[far] for x in (p.vertices, p.normals, p.directions, p.edges, p.loops))) for p in (a, b))
+        rows = np.arange(len(far))[:, None, None]
+        ea, eb = a.vertices[rows, a.edges], b.vertices[rows, b.edges]
+        edge = _seg_seg_dist(ea[:, :, None, 0], ea[:, :, None, 1], eb[:, None, :, 0], eb[:, None, :, 1]).min(axis=(1, 2))
+        out[far] = np.minimum(edge, np.minimum(_vertex_face_dist(a.vertices, b), _vertex_face_dist(b.vertices, a)))
+    return out
 
 
-def _vertex_face_dist(points: np.ndarray, piece: ConvexPiece) -> float:
-    """Least plane distance from a point to a face of the piece it projects into."""
-    corners = piece.vertices[piece.loops]
-    rims = _cross(piece.normals[:, None], np.roll(corners, -1, axis=1) - corners)
-    side = np.einsum("fwk,pk->pfw", rims, points) - np.einsum("fwk,fwk->fw", rims, corners)
+def _vertex_face_dist(points: np.ndarray, piece: ConvexPiece) -> np.ndarray:
+    """Per row, the least plane distance from a point to a face of the piece it projects into."""
+    corners = piece.vertices[np.arange(len(points))[:, None, None], piece.loops]
+    rims = _cross(piece.normals[:, :, None], np.roll(corners, -1, axis=2) - corners)
+    side = np.einsum("nfwk,npk->npfw", rims, points) - np.einsum("nfwk,nfwk->nfw", rims, corners)[:, None]
     # one sign on every rim means inside, whichever way the loop turns
-    inside = (side.min(axis=2) >= 0.0) | (side.max(axis=2) <= 0.0)
-    plane = np.abs(points @ piece.normals.T - np.einsum("fk,fk->f", piece.normals, corners[:, 0]))
-    return float(np.min(plane, where=inside, initial=math.inf))
+    inside = (side.min(axis=3) >= 0.0) | (side.max(axis=3) <= 0.0)
+    plane = np.abs(points @ piece.normals.swapaxes(1, 2) - np.einsum("nfk,nfk->nf", piece.normals, corners[:, :, 0])[:, None])
+    return np.min(plane, axis=(1, 2), where=inside, initial=math.inf)
 
 
 def _adjacent_faces(pattern: CreasePattern) -> set[tuple[int, int]]:
@@ -526,11 +553,21 @@ def clearance_records(
 ) -> list[tuple[float, float, tuple[int, int] | None]]:
     """Per-sample minimum clearance: (t, clearance, worst face pair).
 
-    When every pair of panels shares a pattern vertex no pair is checked:
-    the clearance is inf and the pair None.
+    Every piece is placed for every sample at once.  Face pairs are tried in
+    ascending order of their bounding-box gaps, which bound their clearance
+    from below, until a gap reaches the least clearance found; the earliest
+    pair wins a tie.  The narrow phase takes candidates from all samples in
+    turn, NARROW_CHUNK piece pairs per batched call.  When every pair of
+    panels shares a pattern vertex no pair is checked: the clearance is inf
+    and the pair None.
+
+    A panel cut into convex pieces reports the deepest piece-pair depth,
+    which can be less than the depth of the whole panel.
     """
     if not solids:
         raise ThickenError("no panels to check")
+    if not len(motion):
+        return []
     pattern = solids[0].pattern
     skip = _adjacent_faces(pattern)
     order = sorted(range(len(solids)), key=lambda k: solids[k].face)
@@ -540,28 +577,54 @@ def clearance_records(
                       if (min(faces[i], faces[j]), max(faces[i], faces[j])) not in skip],
                      dtype=int).reshape(-1, 2)
     first, second = pairs[:, 0], pairs[:, 1]
-    records = []
-    for sample in motion:
-        rot, trans = sample.rotations, sample.translations
-        placed = [[p.placed(rot[f], trans[f]) for p in solids[k].pieces] for k, f in zip(order, faces)]
-        v = [np.vstack([p.vertices for p in pieces]) for pieces in placed]
-        lo, hi = np.array([x.min(axis=0) for x in v]), np.array([x.max(axis=0) for x in v])
-        gap = np.maximum(0.0, np.maximum(lo[second] - hi[first], lo[first] - hi[second]))
-        # AABB gaps are lower bounds, tried in ascending order, ties in pair
-        # order; matmul takes the same dot product as np.linalg.norm
-        lbs = np.sqrt((gap[:, None, :] @ gap[:, :, None]).ravel())
-        best = math.inf
-        best_pair = None
-        for c in np.argsort(lbs, kind="stable"):
-            lb, i, j = lbs[c], first[c], second[c]
-            if lb >= best:
+    counts = [len(solids[k].pieces) for k in order]
+    start = np.cumsum([0] + counts)
+    # piece pairs of each face pair, as rows of (piece of i, piece of j)
+    piece_pairs = [np.array([(p, q) for p in range(start[i], start[i + 1]) for q in range(start[j], start[j + 1])])
+                   for i, j in pairs]
+    face_of = np.repeat(faces, counts)
+    placed = _stack([p for k in order for p in solids[k].pieces]).placed(
+        np.stack([s.rotations for s in motion])[:, face_of], np.stack([s.translations for s in motion])[:, face_of]
+    )
+    lo = np.minimum.reduceat(placed.vertices.min(axis=2), start[:-1], axis=1)
+    hi = np.maximum.reduceat(placed.vertices.max(axis=2), start[:-1], axis=1)
+    gap = np.maximum(0.0, np.maximum(lo[:, second] - hi[:, first], lo[:, first] - hi[:, second]))
+    # AABB gaps are lower bounds, tried in ascending order, ties in pair
+    # order; matmul takes the same dot product as np.linalg.norm
+    lbs = np.sqrt((gap[..., None, :] @ gap[..., :, None])[..., 0, 0])
+    ranked = np.argsort(lbs, axis=1, kind="stable")
+
+    best = [math.inf] * len(motion)
+    worst: list[tuple[int, int] | None] = [None] * len(motion)
+    tried = [0] * len(motion)
+    queue = deque(range(len(motion)))  # samples take turns, one candidate each
+    while queue:
+        batch, rows = [], 0
+        while queue:
+            s = queue[0]
+            if tried[s] == len(pairs) or lbs[s, ranked[s, tried[s]]] >= best[s]:
+                queue.popleft()  # this sample's search is over
+                continue
+            c = ranked[s, tried[s]]
+            if batch and rows + len(piece_pairs[c]) > NARROW_CHUNK:
                 break
-            d = min(_piece_clearance(p, q) for p in placed[i] for q in placed[j])
-            if d < best:
-                best = d
-                best_pair = (faces[i], faces[j])
-        records.append((float(sample.t), best, best_pair))
-    return records
+            queue.rotate(-1)
+            tried[s] += 1
+            batch.append((s, c))
+            rows += len(piece_pairs[c])
+        if not batch:
+            break
+        sample = np.repeat([s for s, _ in batch], [len(piece_pairs[c]) for _, c in batch])
+        pa, pb = np.vstack([piece_pairs[c] for _, c in batch]).T
+        a, b = (ConvexPiece(placed.vertices[sample, p], placed.normals[sample, p], placed.directions[sample, p],
+                            placed.edges[p], placed.loops[p]) for p in (pa, pb))
+        ends = np.cumsum([0] + [len(piece_pairs[c]) for _, c in batch])
+        # a sample's candidates come in ascending gap order, so once a gap
+        # reaches the best clearance no later candidate of it counts
+        for (s, c), d in zip(batch, np.minimum.reduceat(_clearance(a, b), ends[:-1]).tolist()):
+            if lbs[s, c] < best[s] and d < best[s]:
+                best[s], worst[s] = d, (faces[first[c]], faces[second[c]])
+    return [(float(m.t), best[s], worst[s]) for s, m in enumerate(motion)]
 
 
 def clearance_check(solids: Sequence[PanelSolid], motion: Sequence[MotionSample]) -> float:
@@ -579,7 +642,7 @@ def watertight_gap(solids: Sequence[PanelSolid]) -> float:
         raise ThickenError("no panels to check")
     pattern = solids[0].pattern
     by_face = {s.face: s for s in solids}
-    worst = 0.0
+    creases, angles, quads = [], [], []
     for ci in pattern.interior_creases:
         left, right = pattern.crease_faces[ci]
         if left not in by_face or right not in by_face:
@@ -588,12 +651,13 @@ def watertight_gap(solids: Sequence[PanelSolid]) -> float:
         kl, kr = pattern.face_creases[left].index(ci), pattern.face_creases[right].index(ci)
         if sl.bevel_angles[kl] >= math.pi / 2 or sr.bevel_angles[kr] >= math.pi / 2:
             continue  # square edges stay joined along the base surface
+        creases.append(ci)
         # panels below the pattern bevel for creases folding toward -z
-        rho = math.copysign(math.pi - 2.0 * sl.bevel_angles[kl], sl.vertices[-1, 2])
-        # fold the left face of v0 -> v1 by the signed trim angle, keep the right one
-        rot, trans = crease_rotation(pattern, ci, rho)
-        worst = max(worst, _quad_plane_gap(_side_quad(sr, kr), _side_quad(sl, kl) @ rot.T + trans))
-    return worst
+        angles.append(math.copysign(math.pi - 2.0 * sl.bevel_angles[kl], sl.vertices[-1, 2]))
+        quads.append((_side_quad(sr, kr), _side_quad(sl, kl)))
+    # fold the left face of v0 -> v1 by the signed trim angle, keep the right one
+    rot, trans = crease_rotations(pattern, np.array(creases, dtype=int), np.array(angles))
+    return max([0.0] + [_quad_plane_gap(qr, ql @ r.T + t) for (qr, ql), r, t in zip(quads, rot, trans)])
 
 
 def _side_quad(s: PanelSolid, k: int) -> np.ndarray:

@@ -12,9 +12,23 @@ from collections import deque
 
 import numpy as np
 
-from doubleline.geometry import rot_x, rot_z, rotation_about_axis
+from doubleline.geometry import rot_x, rot_z
 from doubleline.pattern import PatternError, vertex_star
 from doubleline.thicken import _quad_plane_gap, _side_quad
+
+
+def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
+    """Rodrigues rotation matrix about a unit axis."""
+    axis = np.asarray(axis, dtype=float)
+    axis = axis / np.linalg.norm(axis)
+    k = np.array(
+        [
+            [0.0, -axis[2], axis[1]],
+            [axis[2], 0.0, -axis[0]],
+            [-axis[1], axis[0], 0.0],
+        ]
+    )
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
 class Isometry:

@@ -8,7 +8,7 @@ convex-piece kernel against it.
 """
 import numpy as np
 
-from doubleline.thicken import _seg_seg_dist
+from clearance_reference import seg_seg_dist as _seg_seg_dist
 
 
 def _point_tri_dist(p, a, b, c) -> np.ndarray:

@@ -302,6 +302,25 @@ def test_malformed_record_is_domain_error(tmp_path, capsysbinary, command, corru
     assert err.count(b"\n") == 1
 
 
+@pytest.mark.parametrize("argv", [("sweep", "--samples", "5", "--t-max", "1"), ("fold", "--t", "0.5", "--format", "csv")],
+                         ids=("sweep", "fold-csv"))
+def test_motion_csv_refuses_samples_that_do_not_close(tmp_path, capsysbinary, argv):
+    # a recorded multiplier off by half: the sampled angles leave the
+    # configuration space, and the CSV would carry the residual silently
+    _, doubled = _doubled_single(tmp_path, capsysbinary)
+    doc = json.loads(doubled.read_text())
+    g = doc["doubleline:network"]["multipliers"]
+    g[0] *= 1.5
+    doubled.write_text(json.dumps(doc))
+    code, out, err = run(capsysbinary, argv[0], str(doubled), *argv[1:])
+    assert code == 1
+    assert out == b""
+    t = b"t=0.5 " if argv[0] == "fold" else b"t=0.25 "  # the sweep's first t past 0
+    assert err.startswith(b"error: motion sample " + t) and b"does not close: residual " in err
+    assert float(err.split(b"residual ")[1].split()[0]) >= 1e-9
+    assert err.count(b"\n") == 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (("doubleline", "{single}", "--theta", "90", "--vertex", "999"), b"--vertex 999 is not an interior"),
     (("doubleline", "{single}", "--theta", "90", "--vertex", "-1"), b"--vertex -1 is not an interior"),

@@ -109,6 +109,31 @@ def test_watertight_gap_equals_the_isometry_placement(name, side):
     assert watertight_gap(solids) == ref.watertight_gap(solids)
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(("miura33", "yoshimura23", "dlm22", "dlm33", "dl_single")),
+    fractions=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=39),
+    zero_at=st.integers(0, 39),
+)
+def test_stacked_sweep_is_each_sample_folded_alone(name, fractions, zero_at):
+    pat, g = pattern_and_motion(name)
+    grid = [f * _t_max(pat, g) for f in fractions]
+    grid.insert(zero_at, 0.0)
+    motion = sweep_motion(pat, None, grid, multipliers=g)
+    assert [s.t for s in motion] == grid
+    for s in motion:
+        state = propagate_fold(pat, s.fold_angles)
+        assert np.array_equal(s.fold_angles, 2.0 * np.arctan(g * s.t))
+        assert np.array_equal(s.rotations, state.rotations) and np.array_equal(s.translations, state.translations)
+        assert s.residual == state.residual
+        isometries, residual = ref.propagate_fold(pat, s.fold_angles)
+        assert np.max(np.abs(s.rotations - [iso.rot for iso in isometries])) <= 1e-12
+        assert np.max(np.abs(s.translations - [iso.trans for iso in isometries])) <= 1e-12
+        assert abs(s.residual - residual) <= 1e-12
+    # every sample is a view into one stack
+    assert all(s.rotations.base is motion[0].rotations.base is not None for s in motion)
+
+
 def test_sweep_samples_are_their_folded_states():
     pat, g = pattern_and_motion("dlm22")
     for s in sweep_motion(pat, None, [0.0, 0.3, 0.6], multipliers=g):

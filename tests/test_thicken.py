@@ -31,9 +31,10 @@ from doubleline import (
 )
 from doubleline.dl import axis_offsets
 from doubleline.geometry import polygon_area, rot_x, rot_z
-from doubleline.thicken import _convex_piece, _convex_pieces, _inset_reach, _piece_clearance
+from doubleline.thicken import _clearance, _convex_piece, _convex_pieces, _inset_reach, _stack
 
 from conftest import deg, star_of
+import clearance_reference
 from soup_reference import soup_clearance
 
 
@@ -317,6 +318,42 @@ def bench_panels(n, factor, samples=8):
     return motion, thicken(pat, motion, params)
 
 
+def oracle_panels(name, factor, side, samples):
+    """Panels at factor x the thickness bound of one side, trimmed 0.002 rad
+    past the motion's extreme folds, with the bound lifted."""
+    if name == "dl_single":
+        pat = single_dl()
+        g = pattern_multipliers(pat, MODE_A1)
+    else:
+        pat = gen_dl_miura(int(name[3]), int(name[3]), math.radians(60), math.pi / 2)
+        g = np.array(read_record(pat).multipliers)
+    t_max = 0.97 * flat_fold_parameter(pat, g)
+    motion = sweep_motion(pat, None, np.geomspace(t_max * 1e-3, t_max, samples), multipliers=g)
+    widths = crease_half_widths(pat)
+    sign = 1.0 if side == "above" else -1.0
+    rho = {}
+    for ci in pat.interior_creases:
+        v = max((s.fold_angles[ci] for s in motion), key=abs)
+        rho[ci] = v + math.copysign(0.002, v)
+    bound = min(max_thickness(widths[ci], abs(r)) for ci, r in rho.items() if sign * r > 0)
+    params = ThickPanelParams(factor * bound, side=side, rho_max=rho, enforce_bound=False)
+    return motion, thicken(pat, motion, params)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(("dlm22", "dlm33", "dl_single")),
+    factor=st.floats(0.5, 2.5),
+    side=st.sampled_from(("above", "below")),
+    samples=st.integers(2, 12),
+)
+def test_clearance_records_equal_the_pairwise_branch_and_bound(name, factor, side, samples):
+    motion, solids = oracle_panels(name, factor, side, samples)
+    got = clearance_records(solids, motion)
+    want = clearance_reference.records(solids, motion)
+    assert [(t, d.hex(), pair) for t, d, pair in got] == [(t, d.hex(), pair) for t, d, pair in want]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_top_edges_follow_their_base_edges(n):
     # a corner between collinear edges rides between its real neighbours;
@@ -368,6 +405,11 @@ def test_face_with_two_reflex_corners_splits_into_convex_pieces(moving):
     _check_pieces(u, u + h * V, pieces)
 
 
+def piece_clearance(a, b):
+    """The narrow-phase kernel on one row: one piece against another."""
+    return float(_clearance(_stack([a]), _stack([b]))[0])
+
+
 def cube(side=1.0):
     square = np.array([[0.0, 0.0], [side, 0.0], [side, side], [0.0, side]])
     return _convex_piece(square, square, np.zeros(4), side)
@@ -377,8 +419,8 @@ def cube(side=1.0):
 def test_boxes_face_to_face(gap):
     a = cube()
     b = cube().placed(np.eye(3), np.array([0.3, 0.2, 1.0 + gap]))
-    assert abs(_piece_clearance(a, b) - gap) < 1e-12
-    assert abs(_piece_clearance(b, a) - gap) < 1e-12
+    assert abs(piece_clearance(a, b) - gap) < 1e-12
+    assert abs(piece_clearance(b, a) - gap) < 1e-12
 
 
 @pytest.mark.parametrize("depth", [0.2, 0.01, -0.01, -0.2])
@@ -394,8 +436,8 @@ def test_boxes_edge_through_edge(depth):
     rot = np.column_stack([e_b, u, x]) @ np.column_stack([x, u, -e_b]).T
     at = np.array([0.5, 1.0, 1.0]) - depth * u
     b = cube().placed(rot, at - rot @ np.array([0.5, 0.0, 0.0]))
-    assert abs(_piece_clearance(cube(), b) + depth) < 1e-12
-    assert abs(_piece_clearance(b, cube()) + depth) < 1e-12
+    assert abs(piece_clearance(cube(), b) + depth) < 1e-12
+    assert abs(piece_clearance(b, cube()) + depth) < 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -415,7 +457,7 @@ def test_piece_clearance_matches_the_triangle_soup(miura22_panels, faces, angles
     rot = rot_z(angles[0] + 0.3) @ rot_x(angles[1] + 0.7) @ rot_z(angles[2] + 1.1)
     centre_a, centre_b = a.vertices.mean(axis=0), b.vertices.mean(axis=0)
     trans = centre_a + np.array(offset) + 0.013 - rot @ centre_b
-    got = min(_piece_clearance(p, q.placed(rot, trans)) for p in a.pieces for q in b.pieces)
+    got = min(piece_clearance(p, q.placed(rot, trans)) for p in a.pieces for q in b.pieces)
     want = soup_clearance(a.vertices, a.triangles, b.vertices @ rot.T + trans, b.triangles)
     assert (got < 0.0) == (want < 0.0)
     if want > 0.0:
