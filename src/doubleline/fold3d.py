@@ -1,10 +1,11 @@
 """3D realization of fold angles: closure residuals, sweeps, solving, export.
 
 A folded state places each face by a rotation and a translation, stacked
-into one array each.  Fold angles follow the valley-positive convention:
-at a crease directed v0 -> v1 with the left face rotated relative to the
-right face, a positive angle lifts the left face toward +z from the flat
-state.
+into one array each; a sweep folds all its samples in one pass and stacks
+their arrays along a leading sample axis.  Fold angles follow the
+valley-positive convention: at a crease directed v0 -> v1 with the left
+face rotated relative to the right face, a positive angle lifts the left
+face toward +z from the flat state.
 """
 from __future__ import annotations
 
