@@ -28,7 +28,7 @@ from .fold3d import MotionSample, crease_rotations
 from .pattern import CreasePattern
 
 GAP_TOL = 1e-6
-NARROW_CHUNK = 8  # piece pairs per batched narrow-phase call; bounds its temporaries
+NARROW_CHUNK = 8  # piece pairs per batched narrow-phase call: bounds its temporaries at no cost in speed
 
 
 class ThickenError(ValueError):
@@ -557,9 +557,9 @@ def clearance_records(
     ascending order of their bounding-box gaps, which bound their clearance
     from below, until a gap reaches the least clearance found; the earliest
     pair wins a tie.  The narrow phase takes candidates from all samples in
-    turn, NARROW_CHUNK piece pairs per batched call.  When every pair of
-    panels shares a pattern vertex no pair is checked: the clearance is inf
-    and the pair None.
+    turn, at most NARROW_CHUNK piece pairs per batched call (a face pair
+    with more goes alone).  When every pair of panels shares a pattern
+    vertex no pair is checked: the clearance is inf and the pair None.
 
     A panel cut into convex pieces reports the deepest piece-pair depth,
     which can be less than the depth of the whole panel.
