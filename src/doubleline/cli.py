@@ -26,11 +26,10 @@ from .dl import (
     read_record,
 )
 from .fold3d import (
-    RESIDUAL_TOL,
-    Fold3dError,
     export_obj,
     network_multipliers,
     propagate_fold,
+    require_closing,
     solve_fold_angles,
     sweep_motion,
 )
@@ -184,9 +183,7 @@ def _cmd_modes(args) -> bytes:
 
 
 def _motion_csv(pattern: CreasePattern, samples) -> bytes:
-    bad = next((s for s in samples if not s.valid), None)
-    if bad is not None:
-        raise Fold3dError(f"motion sample t={_fmt(bad.t)} does not close: residual {bad.residual:.3e} >= {RESIDUAL_TOL:g}")
+    require_closing(samples)
     header = "t," + ",".join(f"rho_{i}" for i in range(len(pattern.creases))) + ",residual"
     rows = [header]
     for s in samples:

@@ -15,7 +15,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import rot_x, rot_z
 from .kinematics import FoldMode, mode_vector
 from .pattern import CreasePattern, PatternError, VertexStar
 
@@ -44,7 +43,9 @@ def vertex_closure_residual(star: VertexStar, angles: Sequence[float]) -> float:
         raise PatternError("closure residual requires an interior vertex")
     if len(angles) != star.degree:
         raise PatternError("need one fold angle per crease of the star")
-    return float(np.linalg.norm(_closure_defects((star,), dict(zip(star.crease_ids, angles)))))
+    x = np.zeros((1, max(star.crease_ids) + 1))
+    x[0, list(star.crease_ids)] = angles
+    return float(_norms(_closure_defects((star,), x))[0, 0])
 
 
 def crease_rotations(pattern: CreasePattern, crease_ids: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +149,7 @@ def _fold_stack(pattern: CreasePattern, angles: np.ndarray) -> tuple[np.ndarray,
             rot[:, face[k]] = up @ r[:, k]
             trans[:, face[k]] = (up @ t[:, k, :, None])[..., 0] + trans[:, parent[k]]
 
-    residuals = [_closure_norms(pattern.interior_stars, angles)]
+    residuals = [_norms(_closure_defects(pattern.interior_stars, angles))]
     off = np.array(tree.off_tree, dtype=int)
     if len(off):
         lf, rf = np.array([pattern.crease_faces[c] for c in off]).T
@@ -174,9 +175,14 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
 
 
-def _closure_norms(stars: Sequence[VertexStar], angles: np.ndarray) -> np.ndarray:
-    """(S, V) distance from identity of each star's rotation loop, stars of one degree composed together."""
-    out = np.empty((len(angles), len(stars)))
+def _closure_defects(stars: Sequence[VertexStar], angles: np.ndarray) -> np.ndarray:
+    """(S, V, 9) rotation loop minus identity of each star, for S angle vectors (S, C) indexed by crease id.
+
+    Composes, crease by crease, the dihedral rotation by the fold angle and
+    the in-plane rotation by the following sector angle; the stars of one
+    degree are composed together.
+    """
+    out = np.empty((len(angles), len(stars), 9))
     by_degree: dict[int, list[int]] = {}
     for k, star in enumerate(stars):
         by_degree.setdefault(star.degree, []).append(k)
@@ -187,7 +193,7 @@ def _closure_norms(stars: Sequence[VertexStar], angles: np.ndarray) -> np.ndarra
         a = np.broadcast_to(eye, (len(angles), len(ks), 3, 3))
         for j in range(degree):
             a = a @ rx[:, :, j] @ rz[:, j]
-        out[:, ks] = _norms((a - eye).reshape(len(angles), len(ks), 9))
+        out[:, ks] = (a - eye).reshape(len(angles), len(ks), 9)
     return out
 
 
@@ -291,16 +297,11 @@ def sweep_motion(
     )
 
 
-def _closure_defects(stars: Sequence[VertexStar], angles: np.ndarray | Mapping[int, float]) -> np.ndarray:
-    """Rotation loop minus identity of each star, 9 entries per star; angles are indexed by crease id."""
-    out = np.empty((len(stars), 9))
-    eye = np.eye(3)
-    for k, star in enumerate(stars):
-        a = eye
-        for ci, sigma in zip(star.crease_ids, star.sectors):
-            a = a @ rot_x(angles[ci]) @ rot_z(sigma)
-        out[k] = (a - eye).ravel()
-    return out.ravel()
+def require_closing(motion: Sequence[MotionSample]) -> None:
+    """Raise Fold3dError naming the first sample whose residual reaches RESIDUAL_TOL."""
+    bad = next((s for s in motion if not s.valid), None)
+    if bad is not None:
+        raise Fold3dError(f"motion sample t={bad.t:.12g} does not close: residual {bad.residual:.3e} >= {RESIDUAL_TOL:g}")
 
 
 def solve_fold_angles(
@@ -335,13 +336,13 @@ def solve_fold_angles(
         x[driver_crease] = driver
         h = 1e-7
         for _ in range(NEWTON_MAX_ITER):
-            r = _closure_defects(stars, x)
+            r = _closure_defects(stars, x[None]).ravel()
             if float(np.max(np.abs(r))) < tol:
                 return x
             jac = np.empty((len(r), len(free)))
             for j, ci in enumerate(free):
                 x[ci] += h
-                jac[:, j] = (_closure_defects(stars, x) - r) / h
+                jac[:, j] = (_closure_defects(stars, x[None]).ravel() - r) / h
                 x[ci] -= h
             delta, _, rank, sv = np.linalg.lstsq(jac, -r, rcond=None)
             if rank < len(free):
@@ -354,7 +355,7 @@ def solve_fold_angles(
                 delta *= 1.0 / step
             for j, ci in enumerate(free):
                 x[ci] += delta[j]
-        r = _closure_defects(stars, x)
+        r = _closure_defects(stars, x[None]).ravel()
         raise SolveError(
             f"no convergence after {NEWTON_MAX_ITER} iterations at driver {driver:.6f} rad "
             f"(residual {float(np.max(np.abs(r))):.3e})"

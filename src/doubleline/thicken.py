@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .dl import read_record
-from .fold3d import MotionSample, crease_rotations
+from .fold3d import Fold3dError, MotionSample, crease_rotations, require_closing
 from .pattern import CreasePattern
 
 GAP_TOL = 1e-6
@@ -345,9 +345,10 @@ def thicken(
     the thickness exceeds a beveled crease's bound (unless lifted) or a
     panel's top face vanishes entirely.
     """
-    for s in motion:
-        if not s.valid:
-            raise ThickenError(f"motion sample t={s.t} does not close: residual {s.residual:.3e}")
+    try:
+        require_closing(motion)
+    except Fold3dError as err:
+        raise ThickenError(str(err)) from None
     rho = _design_angles(pattern, motion, params)
     sign_up = 1.0 if params.side == "above" else -1.0
     widths = crease_half_widths(pattern)
@@ -512,6 +513,7 @@ def _clearance(a: ConvexPiece, b: ConvexPiece) -> np.ndarray:
     used = np.concatenate([np.ones((n, a.normals.shape[1] + b.normals.shape[1]), dtype=bool), keep], axis=1)
     pa, pb = axes @ a.vertices.swapaxes(1, 2), axes @ b.vertices.swapaxes(1, 2)
     apart = np.maximum(pb.min(axis=2) - pa.max(axis=2), pa.min(axis=2) - pb.max(axis=2))
+    del pa, pb  # the largest arrays here; the exact distances below need the room
     out = np.max(apart, axis=1, where=used, initial=-math.inf)
     far = np.flatnonzero(~(out < 0.0))
     if len(far):
@@ -553,13 +555,15 @@ def clearance_records(
 ) -> list[tuple[float, float, tuple[int, int] | None]]:
     """Per-sample minimum clearance: (t, clearance, worst face pair).
 
-    Every piece is placed for every sample at once.  Face pairs are tried in
-    ascending order of their bounding-box gaps, which bound their clearance
-    from below, until a gap reaches the least clearance found; the earliest
-    pair wins a tie.  The narrow phase takes candidates from all samples in
-    turn, at most NARROW_CHUNK piece pairs per batched call (a face pair
-    with more goes alone).  When every pair of panels shares a pattern
-    vertex no pair is checked: the clearance is inf and the pair None.
+    The corners of every piece are placed for every sample at once, for the
+    bounding boxes.  Face pairs are tried in ascending order of their
+    bounding-box gaps, which bound their clearance from below, until a gap
+    reaches the least clearance found; the earliest pair wins a tie.  The
+    narrow phase takes candidates from all samples in turn, at most
+    NARROW_CHUNK piece pairs per batched call (a face pair with more goes
+    alone), and places only the pieces of its batch.  When every pair of
+    panels shares a pattern vertex no pair is checked: the clearance is inf
+    and the pair None.
 
     A panel cut into convex pieces reports the deepest piece-pair depth,
     which can be less than the depth of the whole panel.
@@ -583,11 +587,15 @@ def clearance_records(
     piece_pairs = [np.array([(p, q) for p in range(start[i], start[i + 1]) for q in range(start[j], start[j + 1])])
                    for i, j in pairs]
     face_of = np.repeat(faces, counts)
-    placed = _stack([p for k in order for p in solids[k].pieces]).placed(
-        np.stack([s.rotations for s in motion])[:, face_of], np.stack([s.translations for s in motion])[:, face_of]
-    )
-    lo = np.minimum.reduceat(placed.vertices.min(axis=2), start[:-1], axis=1)
-    hi = np.maximum.reduceat(placed.vertices.max(axis=2), start[:-1], axis=1)
+    stack = _stack([p for k in order for p in solids[k].pieces])
+    rot = np.stack([s.rotations for s in motion])[:, face_of]
+    trans = np.stack([s.translations for s in motion])[:, face_of]
+    # the broad phase places only the corners (as ConvexPiece.placed does);
+    # the narrow phase places the pieces of each batch
+    corners = stack.vertices @ rot.swapaxes(-1, -2) + trans[..., None, :]
+    lo = np.minimum.reduceat(corners.min(axis=2), start[:-1], axis=1)
+    hi = np.maximum.reduceat(corners.max(axis=2), start[:-1], axis=1)
+    del corners
     gap = np.maximum(0.0, np.maximum(lo[:, second] - hi[:, first], lo[:, first] - hi[:, second]))
     # AABB gaps are lower bounds, tried in ascending order, ties in pair
     # order; matmul takes the same dot product as np.linalg.norm
@@ -616,8 +624,8 @@ def clearance_records(
             break
         sample = np.repeat([s for s, _ in batch], [len(piece_pairs[c]) for _, c in batch])
         pa, pb = np.vstack([piece_pairs[c] for _, c in batch]).T
-        a, b = (ConvexPiece(placed.vertices[sample, p], placed.normals[sample, p], placed.directions[sample, p],
-                            placed.edges[p], placed.loops[p]) for p in (pa, pb))
+        a, b = (ConvexPiece(*(x[p] for x in (stack.vertices, stack.normals, stack.directions, stack.edges, stack.loops)))
+                .placed(rot[sample, p], trans[sample, p]) for p in (pa, pb))
         ends = np.cumsum([0] + [len(piece_pairs[c]) for _, c in batch])
         # a sample's candidates come in ascending gap order, so once a gap
         # reaches the best clearance no later candidate of it counts

@@ -12,9 +12,18 @@ from collections import deque
 
 import numpy as np
 
-from doubleline.geometry import rot_x, rot_z
 from doubleline.pattern import PatternError, vertex_star
 from doubleline.thicken import _quad_plane_gap, _side_quad
+
+
+def rot_x(angle: float) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def rot_z(angle: float) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:

@@ -30,11 +30,12 @@ from doubleline import (
     watertight_gap,
 )
 from doubleline.dl import axis_offsets
-from doubleline.geometry import polygon_area, rot_x, rot_z
+from doubleline.geometry import polygon_area
 from doubleline.thicken import _clearance, _convex_piece, _convex_pieces, _inset_reach, _stack
 
 from conftest import deg, star_of
 import clearance_reference
+from fold_reference import rot_x, rot_z
 from soup_reference import soup_clearance
 
 
@@ -268,7 +269,8 @@ def test_thicken_rejects_invalid_motion():
     g = pattern_multipliers(pat, MODE_A1)
     bad = sweep_motion(pat, None, [0.3], multipliers=np.where(g == 0, 0.0, g + 0.2))
     assert not bad[0].valid
-    with pytest.raises(ThickenError):
+    # the same words and bound as sweep's refusal: one check serves both
+    with pytest.raises(ThickenError, match=r"^motion sample t=0\.3 does not close: residual \S+ >= 1e-09$"):
         thicken(pat, bad, ThickPanelParams(0.01))
 
 
