@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .fold_io import get_extra, is_index, is_number, set_extra
 from .geometry import intersect_lines, unit
 from .kinematics import DEGENERACY_TOL, FoldMode, branch_multipliers, p_coeff, q_coeff, tan_half
-from .pattern import Crease, CreasePattern, PatternError, VertexStar, vertex_star
+from .pattern import Crease, CreasePattern, PatternError, VertexStar, per_pattern, vertex_star
 
 NETWORK_KEY = "doubleline:network"
 MATCH_TOL = 1e-9  # mode closure products, symmetric sectors and θ, unreachable ratios
@@ -222,11 +223,14 @@ def _numbers(x: Any) -> bool:
     return isinstance(x, list) and all(is_number(a) for a in x)
 
 
+@per_pattern
 def read_record(pattern: CreasePattern) -> DLRecord | None:
     """The pattern's doubled-pattern record, checked against the pattern.
 
     None when the pattern carries none.  Raises DlError naming the fault
     when the record is malformed or the pattern carries a retired key.
+    A record read once is kept on the pattern and returned again, with
+    read-only maps; a malformed one raises on every call.
     """
     for key in _RETIRED_KEYS:
         if key in dict(pattern.extras):
@@ -253,8 +257,8 @@ def read_record(pattern: CreasePattern) -> DLRecord | None:
             isinstance(e, list) and len(e) == 2 and _ids(e[:1], limit) and ok(e[1]) for e in entries
         ):
             raise DlError(f"{NETWORK_KEY}: {name} must be a list of valid [vertex, value] entries")
-        values = fields[name] = {v: FoldMode(x) if name == "corner_modes" else
-                                 tuple(x) if isinstance(x, list) else x for v, x in entries}
+        values = fields[name] = MappingProxyType({v: FoldMode(x) if name == "corner_modes" else
+                                                  tuple(x) if isinstance(x, list) else x for v, x in entries})
         corners = fields["corners"]
         if name != "corner_modes" and (values.keys() != corners.keys() or any(
             len(x) != len(corners[v]) for v, x in values.items() if isinstance(x, (tuple, str))

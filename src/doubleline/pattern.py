@@ -7,10 +7,11 @@ are dimensionless pattern units.  All angles are radians.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -19,9 +20,34 @@ from .geometry import angle_ccw, polygon_area, segments_intersect
 ASSIGNMENTS = ("M", "V", "B", "U")
 GEOMETRY_TOL = 1e-9  # shortest crease length; slack on angle bounds and sector sums
 
+T = TypeVar("T")
+_MEMO = "_per_pattern"  # the instance attribute holding per_pattern results
+
 
 class PatternError(ValueError):
     """Raised for invalid or inconsistent crease patterns."""
+
+
+def per_pattern(fn: Callable[["CreasePattern"], T]) -> Callable[["CreasePattern"], T]:
+    """A function of the pattern alone, run once per pattern instance.
+
+    The result is kept on the instance, as the cached properties are: the
+    pattern is immutable, and the copies ``dataclasses.replace`` makes
+    (``set_extra``, ``write_record``) start with no cache, as do pickled
+    and copied patterns.  A call that raises keeps nothing, so it raises
+    again on the next call.  Callers share the result, so it must be
+    immutable or read-only.
+    """
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def cached(pattern: "CreasePattern") -> T:
+        memo = pattern.__dict__.setdefault(_MEMO, {})
+        if key not in memo:
+            memo[key] = fn(pattern)
+        return memo[key]
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -111,6 +137,10 @@ class CreasePattern:
         pat = cls(verts, cr, tuple(_canon_cycle(f) for f in faces), items)
         pat.validate()
         return pat
+
+    def __getstate__(self) -> dict:
+        # read-only per_pattern results (mapping proxies) do not pickle; a copy recomputes them
+        return {k: v for k, v in self.__dict__.items() if k != _MEMO}
 
     # -- derived structure ------------------------------------------------
 

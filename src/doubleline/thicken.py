@@ -19,13 +19,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .dl import read_record
 from .fold3d import Fold3dError, MotionSample, crease_rotations, require_closing
-from .pattern import CreasePattern
+from .pattern import CreasePattern, per_pattern
 
 GAP_TOL = 1e-6
 NARROW_CHUNK = 8  # piece pairs per batched narrow-phase call: bounds its temporaries at no cost in speed
@@ -160,25 +161,52 @@ def _ear_clip(poly: np.ndarray) -> list[tuple[int, int, int]]:
     return tris
 
 
-def _corners(base: np.ndarray, rates: np.ndarray):
-    """Unit edge directions, corner turns, riding corners and corner velocities.
+class _Outline(NamedTuple):
+    """The rate-free corner geometry of a CCW polygon.
 
-    Corner i joins the edge ending there to edge i; its turn is the cross
-    product of their directions (negative at a reflex corner).  A corner
-    between collinear edges rides: its velocity is left zero here.
+    Corner i joins the edge ending there (edge ``prev[i]``, direction
+    ``d_in[i]``) to edge i (base[i] -> base[i+1], unit direction ``d[i]``);
+    its turn is the cross product of their directions (negative at a reflex
+    corner).  A corner between collinear edges rides.  Arrays are read-only:
+    a pattern's outlines are shared by every call on it.
     """
-    d = np.roll(base, -1, axis=0) - base
+
+    base: np.ndarray
+    d: np.ndarray
+    d_in: np.ndarray
+    turn: np.ndarray
+    riding: np.ndarray
+    prev: np.ndarray
+
+
+def _outline(base: np.ndarray) -> _Outline:
+    n = len(base)
+    prev = np.arange(-1, n - 1) % n
+    d = base[np.arange(1, n + 1) % n] - base
     d /= np.linalg.norm(d, axis=1)[:, None]
-    d_in, r_in = np.roll(d, 1, axis=0), np.roll(rates, 1)  # edge ending at each corner
+    d_in = d[prev]
     turn = d_in[:, 0] * d[:, 1] - d_in[:, 1] * d[:, 0]
-    riding = np.abs(turn) < 1e-12
-    safe = np.where(riding, 1.0, turn)[:, None]
-    V = np.where(riding[:, None], 0.0, (r_in[:, None] * d - rates[:, None] * d_in) / safe)
-    return d, turn, riding, V
+    out = _Outline(base, d, d_in, turn, np.abs(turn) < 1e-12, prev)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
-def _inset_reach(base: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, float]:
-    """Corner velocities and reach of a CCW face whose edges move inward.
+@per_pattern
+def _face_outlines(pattern: CreasePattern) -> tuple[_Outline, ...]:
+    """The outline of every face, in face order."""
+    pts = pattern.vertices_array
+    return tuple(_outline(pts[list(cycle)]) for cycle in pattern.faces)
+
+
+def _velocities(o: _Outline, rates: np.ndarray) -> np.ndarray:
+    """Corner velocities when edge i moves inward at rates[i]; a riding corner's is left zero here."""
+    safe = np.where(o.riding, 1.0, o.turn)[:, None]
+    return np.where(o.riding[:, None], 0.0, (rates[o.prev][:, None] * o.d - rates[:, None] * o.d_in) / safe)
+
+
+def _inset_reach(o: _Outline, rates: np.ndarray) -> tuple[np.ndarray, float]:
+    """Corner velocities and reach of a CCW face outline whose edges move inward.
 
     Edge i (base[i] -> base[i+1]) moves inward by h * rates[i], so corner i
     sits at base[i] + h * V[i].  The reach is the first h > 0 at which the
@@ -189,9 +217,10 @@ def _inset_reach(base: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, float
     between real corners, and it keeps to the moved line between its real
     neighbours at the fraction of the base edge where it sits.
     """
+    base, d, turn, riding = o.base, o.d, o.turn, o.riding
     n = len(base)
-    d, turn, riding, V = _corners(base, rates)
-    if np.any(riding & (np.roll(rates, 1) != rates)):
+    V = _velocities(o, rates)
+    if np.any(riding & (rates[o.prev] != rates)):
         return np.zeros((n, 2)), 0.0  # a split corner would open a step
     inward = np.column_stack([-d[:, 1], d[:, 0]])
     real = [i for i in range(n) if not riding[i]]
@@ -225,8 +254,8 @@ def _inset_reach(base: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, float
     return V, reach
 
 
-def _convex_pieces(base: np.ndarray, rates: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Convex pieces of a CCW face as (corners, edge rates, corner velocities).
+def _convex_pieces(o: _Outline, rates: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Convex pieces of a CCW face outline as (corners, edge rates, corner velocities).
 
     Riding corners are dropped first.  Then the face is cut at a reflex
     corner along its velocity, the corner's straight-skeleton ray, so the
@@ -236,9 +265,9 @@ def _convex_pieces(base: np.ndarray, rates: np.ndarray) -> list[tuple[np.ndarray
     a vertex when it lands on one.  Both sides are cut again until no
     reflex corner is left.
     """
-    d, turn, riding, V = _corners(base, rates)
-    keep = ~(riding & (np.roll(rates, 1) == rates))
-    base, rates, d, turn, V = base[keep], rates[keep], d[keep], turn[keep], V[keep]
+    V = _velocities(o, rates)
+    keep = ~(o.riding & (rates[o.prev] == rates))
+    base, rates, d, turn, V = o.base[keep], rates[keep], o.d[keep], o.turn[keep], V[keep]
     reflex = np.flatnonzero(turn < 0.0)
     if not len(reflex):
         return [(base, rates, V)]
@@ -266,7 +295,7 @@ def _convex_pieces(base: np.ndarray, rates: np.ndarray) -> list[tuple[np.ndarray
             (np.vstack([B[: j + 1], P]), np.append(R[: j + 1], 0.0)),
             (np.vstack([P, B[j + 1 :], B[:1]]), np.append(R[j:], 0.0)),
         )
-    return [piece for side in sides for piece in _convex_pieces(*side)]
+    return [piece for b, r in sides for piece in _convex_pieces(_outline(b), r)]
 
 
 def flat_fold_parameter(pattern: CreasePattern, multipliers: np.ndarray) -> float | None:
@@ -291,8 +320,14 @@ def crease_half_widths(pattern: CreasePattern) -> dict[int, float]:
 
     Doubled pairs get half their line separation; other creases get half
     the depth their offset line can move into the shallower adjacent face.
-    These are the lengths scaling each crease's thickness bound.
+    These are the lengths scaling each crease's thickness bound.  They are
+    computed once per pattern; each call returns a fresh copy.
     """
+    return dict(_half_widths(pattern))
+
+
+@per_pattern
+def _half_widths(pattern: CreasePattern) -> Mapping[int, float]:
     out: dict[int, float] = {}
     pts = pattern.vertices_array
     rec = read_record(pattern)
@@ -304,16 +339,15 @@ def crease_half_widths(pattern: CreasePattern) -> dict[int, float]:
         out[plus] = out[minus] = abs(float(off[0] * d[1] - off[1] * d[0])) / 2.0
     interior = set(pattern.interior_creases)
     depths: dict[int, float] = {}
-    for cycle, sides in zip(pattern.faces, pattern.face_creases):
-        base = pts[list(cycle)]
+    for outline, sides in zip(_face_outlines(pattern), pattern.face_creases):
         for k, ci in enumerate(sides):
             if ci not in interior or ci in out:
                 continue
-            rates = np.zeros(len(cycle))
+            rates = np.zeros(len(sides))
             rates[k] = 1.0
-            depths[ci] = min(depths.get(ci, math.inf), _inset_reach(base, rates)[1] / 2.0)
+            depths[ci] = min(depths.get(ci, math.inf), _inset_reach(outline, rates)[1] / 2.0)
     out.update(depths)
-    return out
+    return MappingProxyType(out)
 
 
 def _design_angles(
@@ -326,6 +360,9 @@ def _design_angles(
     extreme = angles[np.argmax(np.abs(angles), axis=0), np.arange(len(ci))]
     rho = dict(zip(ci, extreme.tolist()))
     if params.rho_max:
+        for c in params.rho_max:
+            if c not in rho:
+                raise ThickenError(f"trim angle given for crease {c}, which is not an interior crease")
         rho.update(params.rho_max)
     for ci, v in rho.items():
         if abs(v) >= math.pi:
@@ -355,18 +392,16 @@ def thicken(
     beveled = {ci: v for ci, v in rho.items() if sign_up * v > 0.0}
     if params.enforce_bound:
         for ci in sorted(beveled):
-            bound = max_thickness(widths.get(ci, 1.0), abs(beveled[ci]))
+            bound = max_thickness(widths[ci], abs(beveled[ci]))
             if params.tau > bound + 1e-12:
                 raise ThickenError(
                     f"thickness {params.tau} exceeds bound {bound:.9g} at crease {ci}"
                 )
 
-    pts = pattern.vertices_array
     solids = []
-    for fi, (cycle, sides) in enumerate(zip(pattern.faces, pattern.face_creases)):
-        base = pts[list(cycle)]
-        n = len(cycle)
-        slopes = np.zeros(n)
+    for fi, (outline, sides) in enumerate(zip(_face_outlines(pattern), pattern.face_creases)):
+        base = outline.base
+        slopes = np.zeros(len(sides))
         angles = []
         for k, ci in enumerate(sides):
             if ci in beveled:
@@ -374,7 +409,7 @@ def thicken(
                 angles.append((math.pi - abs(beveled[ci])) / 2.0)
             else:
                 angles.append(math.pi / 2.0)
-        V, reach = _inset_reach(base, slopes)
+        V, reach = _inset_reach(outline, slopes)
         # stop short of the reach: a top within rounding of it is degenerate
         h = min(params.tau, reach * (1.0 - 1e-9))
         if h < params.tau and params.enforce_bound:
@@ -382,7 +417,7 @@ def thicken(
         if h <= 0.0:
             raise ThickenError(f"panel for face {fi} admits no valid top")
         top = base + h * V
-        pieces = tuple(_convex_piece(b, b + h * v, r, sign_up * h) for b, r, v in _convex_pieces(base, slopes))
+        pieces = tuple(_convex_piece(b, b + h * v, r, sign_up * h) for b, r, v in _convex_pieces(outline, slopes))
         solids.append(_build_solid(pattern, fi, base, top, params.tau, h, tuple(angles), sign_up, pieces))
     return tuple(solids)
 
@@ -550,6 +585,16 @@ def _adjacent_faces(pattern: CreasePattern) -> set[tuple[int, int]]:
     return out
 
 
+@per_pattern
+def _apart_faces(pattern: CreasePattern) -> np.ndarray:
+    """Face pairs (f, g), f < g, that share no pattern vertex, in ascending order; read-only."""
+    skip = _adjacent_faces(pattern)
+    n = len(pattern.faces)
+    out = np.array([(f, g) for f in range(n) for g in range(f + 1, n) if (f, g) not in skip], dtype=int).reshape(-1, 2)
+    out.setflags(write=False)
+    return out
+
+
 def clearance_records(
     solids: Sequence[PanelSolid], motion: Sequence[MotionSample]
 ) -> list[tuple[float, float, tuple[int, int] | None]]:
@@ -573,13 +618,15 @@ def clearance_records(
     if not len(motion):
         return []
     pattern = solids[0].pattern
-    skip = _adjacent_faces(pattern)
     order = sorted(range(len(solids)), key=lambda k: solids[k].face)
     faces = [solids[k].face for k in order]
+    if len(set(faces)) < len(faces):
+        raise ThickenError("two panels share a face")
     # non-adjacent pairs (i, j), i < j, in positions of `order`
-    pairs = np.array([(i, j) for i in range(len(order)) for j in range(i + 1, len(order))
-                      if (min(faces[i], faces[j]), max(faces[i], faces[j])) not in skip],
-                     dtype=int).reshape(-1, 2)
+    position = np.full(len(pattern.faces), -1)
+    position[faces] = np.arange(len(faces))
+    pairs = position[_apart_faces(pattern)]
+    pairs = pairs[(pairs >= 0).all(axis=1)]
     first, second = pairs[:, 0], pairs[:, 1]
     counts = [len(solids[k].pieces) for k in order]
     start = np.cumsum([0] + counts)

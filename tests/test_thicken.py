@@ -31,7 +31,7 @@ from doubleline import (
 )
 from doubleline.dl import axis_offsets
 from doubleline.geometry import polygon_area
-from doubleline.thicken import _clearance, _convex_piece, _convex_pieces, _inset_reach, _stack
+from doubleline.thicken import _clearance, _convex_piece, _convex_pieces, _inset_reach, _outline, _stack
 
 from conftest import deg, star_of
 import clearance_reference
@@ -400,9 +400,9 @@ def test_face_with_two_reflex_corners_splits_into_convex_pieces(moving):
     u = np.array([[0, 0], [3, 0], [3, 2], [2, 2], [2, 1], [1, 1], [1, 2], [0, 2]], dtype=float)
     rates = np.zeros(len(u))
     rates[list(moving)] = 1.0
-    V, reach = _inset_reach(u, rates)
+    V, reach = _inset_reach(_outline(u), rates)
     h = 0.4 * min(reach, 1.0)
-    pieces = [_convex_piece(b, b + h * v, r, h) for b, r, v in _convex_pieces(u, rates)]
+    pieces = [_convex_piece(b, b + h * v, r, h) for b, r, v in _convex_pieces(_outline(u), rates)]
     assert len(pieces) == 3
     _check_pieces(u, u + h * V, pieces)
 
@@ -469,3 +469,19 @@ def test_piece_clearance_matches_the_triangle_soup(miura22_panels, faces, angles
         # the depth is at least the deepest vertex inside; a piece of a
         # split panel can hold a vertex that is deep only in the whole panel
         assert got <= want + 1e-12
+
+
+@pytest.mark.parametrize("crease", [999, -1, "boundary"])
+def test_trim_angles_refuse_creases_that_are_not_interior(crease):
+    pat = gen_dl_miura(2, 2, math.radians(60), math.pi / 2)
+    if crease == "boundary":
+        crease = next(i for i, c in enumerate(pat.creases) if c.assignment == "B")
+    motion = capped_motion(pat, np.array(read_record(pat).multipliers), samples=4)
+    with pytest.raises(ThickenError, match=rf"crease {crease}\b"):
+        thicken(pat, motion, ThickPanelParams(1e-3, rho_max={crease: 1.0}))
+
+
+def test_clearance_refuses_two_panels_for_one_face():
+    motion, solids = bench_panels(2, 0.9, samples=2)
+    with pytest.raises(ThickenError, match="share a face"):
+        clearance_records(solids + solids[:1], motion)
