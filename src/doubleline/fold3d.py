@@ -283,8 +283,11 @@ def sweep_motion(
     """Sample the motion tan(rho_c/2) = g_c * t over a grid of t values.
 
     The samples are folded together; each one's arrays are read-only views
-    into the (S, ...) stacks of the whole grid.
+    into the (S, ...) stacks of the whole grid.  Either a mode assignment or
+    the multipliers must be given.
     """
+    if modes is None and multipliers is None:
+        raise Fold3dError("sweep_motion needs modes (infer_modes(pattern) gives them) or multipliers")
     g = network_multipliers(pattern, modes) if multipliers is None else np.asarray(multipliers, dtype=float)
     if len(g) != len(pattern.creases):
         raise Fold3dError("multiplier vector length must match crease count")
@@ -316,7 +319,12 @@ def solve_fold_angles(
     Newton iteration (least squares on the stacked per-vertex closure
     defects) over all interior crease angles except the pinned driver.
     Without an initial guess, continuation walks the driver from nearly
-    flat to the target in small steps.  Raises SolveError on
+    flat to the target in small steps.  Each iteration takes its
+    forward-difference Jacobian from one stacked closure call: the free
+    creases are coloured once so that no star holds two of one colour,
+    and one probe per colour gives every column of that colour (Curtis,
+    Powell and Reid, 1974).  The solved angles are bit for bit those of one
+    probe per crease.  Raises SolveError on
     non-convergence or a singular Jacobian, Fold3dError for a target
     outside [−π, π].
     """
@@ -329,21 +337,22 @@ def solve_fold_angles(
     stars = pattern.interior_stars
     if not stars:
         raise Fold3dError("pattern has no interior vertices to constrain")
-    free = [ci for ci in pattern.interior_creases if ci != driver_crease]
+    free = np.array([ci for ci in pattern.interior_creases if ci != driver_crease], dtype=int)
+    colouring = _crease_colouring(stars, free)
 
     def newton(x0: np.ndarray, driver: float) -> np.ndarray:
         x = x0.copy()
         x[driver_crease] = driver
         h = 1e-7
         for _ in range(NEWTON_MAX_ITER):
-            r = _closure_defects(stars, x[None]).ravel()
+            r, jac = _defects_and_jacobian(stars, free, colouring, x, h)
             if float(np.max(np.abs(r))) < tol:
                 return x
-            jac = np.empty((len(r), len(free)))
-            for j, ci in enumerate(free):
-                x[ci] += h
-                jac[:, j] = (_closure_defects(stars, x[None]).ravel() - r) / h
-                x[ci] -= h
+            # the stacked probes leave x untouched, where perturbing one crease
+            # at a time and taking h back off leaves (x + h) - h, which can
+            # differ from x by an ulp when |x| < h; this line keeps the solved
+            # angles bit for bit those of the per-crease probes
+            x[free] = (x[free] + h) - h
             delta, _, rank, sv = np.linalg.lstsq(jac, -r, rcond=None)
             if rank < len(free):
                 raise SolveError(
@@ -353,8 +362,7 @@ def solve_fold_angles(
             step = float(np.max(np.abs(delta)))
             if step > 1.0:  # keep Newton in the basin
                 delta *= 1.0 / step
-            for j, ci in enumerate(free):
-                x[ci] += delta[j]
+            x[free] += delta
         r = _closure_defects(stars, x[None]).ravel()
         raise SolveError(
             f"no convergence after {NEWTON_MAX_ITER} iterations at driver {driver:.6f} rad "
@@ -376,6 +384,49 @@ def solve_fold_angles(
         driver = target_angle * k / n_steps
         x = newton(x, driver)
     return x
+
+
+def _crease_colouring(stars: Sequence[VertexStar], free: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy colours of the free creases, and where their Jacobian blocks sit.
+
+    No star holds two free creases of one colour, so one probe per colour
+    moves each star's loop through at most one crease.  Returns the colour
+    of each free crease, and for each (star, free crease it holds) pair the
+    star index and the crease's column.
+    """
+    column = {int(ci): j for j, ci in enumerate(free)}
+    held = [[column[ci] for ci in star.crease_ids if ci in column] for star in stars]
+    neighbours: list[set[int]] = [set() for _ in free]
+    for js in held:
+        for j in js:
+            neighbours[j].update(js)
+    colour = np.full(len(free), -1)
+    for j, near in enumerate(neighbours):
+        taken = {colour[k] for k in near}
+        colour[j] = next(c for c in range(len(free)) if c not in taken)
+    pairs = np.array([(k, j) for k, js in enumerate(held) for j in js], dtype=int).reshape(-1, 2)
+    return colour, pairs[:, 0], pairs[:, 1]
+
+
+def _defects_and_jacobian(
+    stars: Sequence[VertexStar], free: np.ndarray, colouring: tuple[np.ndarray, np.ndarray, np.ndarray],
+    x: np.ndarray, h: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closure defects at x and their forward-difference Jacobian over the free creases, from one stacked call.
+
+    Row 0 of the stack is x; row 1 + k adds h to every free crease of colour
+    k.  Each star's 9 rows of a crease's column are that star's difference
+    quotient in the crease's colour; a star that does not hold the crease
+    gives exact zeros, the (r - r) / h of a probe of that crease alone.
+    """
+    colour, star, column = colouring
+    n_colours = int(colour.max(initial=-1)) + 1
+    probes = np.repeat(x[None], 1 + n_colours, axis=0)
+    probes[1 + colour, free] += h
+    d = _closure_defects(stars, probes)
+    jac = np.zeros((len(stars), 9, len(free)))
+    jac[star, :, column] = (d[1 + colour[column], star] - d[0, star]) / h
+    return d[0].ravel(), jac.reshape(len(stars) * 9, len(free))
 
 
 def export_obj(state: FoldedState) -> str:
