@@ -3,7 +3,8 @@
 Angles are degrees on the command line and radians inside the library.
 CSV output uses '.' decimals, ',' separators and 12 significant digits.
 No subcommand consults the clock or global RNG, so repeated runs on the
-same inputs write byte-identical files.
+same inputs write byte-identical files.  Each subcommand imports the
+package modules it runs, so a process loads only those.
 """
 from __future__ import annotations
 
@@ -11,50 +12,12 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .dl import (
-    FINITE,
-    GENERIC_MODES,
-    DoubleLineParams,
-    classify_theta,
-    construct_dl,
-    fix_mode,
-    mode_from_label,
-    read_record,
-)
-from .fold3d import (
-    export_obj,
-    network_multipliers,
-    propagate_fold,
-    require_closing,
-    solve_fold_angles,
-    sweep_motion,
-)
-from .fold_io import load_fold, save_fold
-from .kinematics import KinematicsError
-from .pattern import CreasePattern, PatternError, is_flat_foldable_deg4, vertex_star
-from .patterns import (
-    gen_dl_miura,
-    gen_dl_yoshimura,
-    gen_miura,
-    gen_single_deg4,
-    gen_symmetric_vertex,
-    gen_yoshimura,
-    infer_modes,
-)
-from .svg import save_svg
-from .symmetric import count_modes, enumerate_mode_sequences
-from .thicken import (
-    ThickPanelParams,
-    clearance_records,
-    export_clearance_csv,
-    export_solids_obj,
-    flat_fold_parameter,
-    thicken,
-)
+if TYPE_CHECKING:
+    from .pattern import CreasePattern
 
 # The flags each gen shape takes; it requires all of them and refuses the rest.
 GEN_SHAPE_FLAGS = {
@@ -72,8 +35,15 @@ GRID_STEP_RANGE = (0.01, 90.0)  # classify --grid, degrees: at most 17,999 rows 
 SAMPLES_RANGE = (1, 10_000)  # sweep and thicken --samples
 MODES_N_RANGE = (1, 1_000)  # modes --n
 GEN_SIZE_RANGE = (1, 12)  # gen --rows and --cols: a 12x12 Miura builds in about 3 s
+# gen --angle, degrees: a 12x12 Miura builds at 0.01 and fails at 1e-6; gen_miura refuses 90
+GEN_ANGLE_RANGE = (0.01, 90.0)
+# gen --elongation: a 12x12 Yoshimura builds at 1000 and fails at 1e4; gen_yoshimura refuses 1
+GEN_ELONGATION_RANGE = (1.0, 1000.0)
 SYMMETRIC_N_RANGE = (2, 100)  # gen symmetric --n: n = 100 builds in about 1.3 s
 TARGET_RANGE = (-180.0, 180.0)  # solve --target, degrees: a fold angle
+# solve: doubled Miura 8x8 at 70/90 deg (420 interior creases) solves from
+# flat to 170 deg in about 12 s
+SOLVE_CREASES_MAX = 500
 
 
 def _fmt(x: float) -> str:
@@ -87,24 +57,48 @@ def _check_range(flag: str, value: float, bounds: tuple[float, float]) -> None:
 
 
 def _load(path: str) -> CreasePattern:
+    from .fold_io import load_fold
+
     return load_fold(Path(path).read_bytes())
+
+
+def _save(pattern: CreasePattern, fmt: str) -> bytes:
+    """The pattern as a FOLD file, or as SVG when fmt is 'svg'."""
+    if fmt == "svg":
+        from .svg import save_svg
+
+        return save_svg(pattern)
+    from .fold_io import save_fold
+
+    return save_fold(pattern)
 
 
 def _motion_multipliers(pattern: CreasePattern) -> np.ndarray:
     """Per-crease speed multipliers: the record's when it fixes a mode, else from the branches."""
+    from .dl import read_record
+
     rec = read_record(pattern)
     if rec is not None and rec.multipliers is not None:
         return np.array(rec.multipliers)
+    from .fold3d import network_multipliers
+    from .patterns import infer_modes
+
     return network_multipliers(pattern, infer_modes(pattern))
 
 
 def _default_t_max(pattern: CreasePattern, multipliers: np.ndarray) -> float:
     """Sweep limit: just short of the flat state for doubled patterns."""
+    from .dl import flat_fold_parameter
+
     t_flat = flat_fold_parameter(pattern, multipliers)
     return 0.97 * t_flat if t_flat is not None else 1.0
 
 
 def _cmd_analyze(args) -> bytes:
+    from .kinematics import KinematicsError
+    from .pattern import PatternError, is_flat_foldable_deg4
+    from .patterns import infer_modes
+
     pattern = _load(args.pattern)
     counts = {"M": 0, "V": 0, "B": 0, "U": 0}
     for c in pattern.creases:
@@ -131,6 +125,9 @@ def _cmd_analyze(args) -> bytes:
 
 
 def _cmd_doubleline(args) -> bytes:
+    from .dl import DoubleLineParams, construct_dl, fix_mode, mode_from_label
+    from .pattern import PatternError, vertex_star
+
     pattern = _load(args.pattern)
     interior = pattern.interior_vertices
     if not interior:
@@ -144,10 +141,12 @@ def _cmd_doubleline(args) -> bytes:
     doubled = construct_dl(star, params, outer_length=args.outer_length)
     if args.mode:
         doubled = fix_mode(doubled, mode_from_label(args.mode))
-    return save_svg(doubled) if args.format == "svg" else save_fold(doubled)
+    return _save(doubled, args.format)
 
 
 def _cmd_classify(args) -> bytes:
+    from .dl import FINITE, GENERIC_MODES, classify_theta, mode_from_label
+
     alpha, beta = math.radians(args.alpha), math.radians(args.beta)
     if args.theta is not None:
         regime = classify_theta(mode_from_label(args.mode or "a-I"), alpha, beta, math.radians(args.theta))
@@ -170,6 +169,8 @@ def _cmd_classify(args) -> bytes:
 
 
 def _cmd_modes(args) -> bytes:
+    from .symmetric import count_modes, enumerate_mode_sequences
+
     _check_range("--n", args.n, MODES_N_RANGE)
     lines = [str(count_modes(args.n))]
     if args.sequences or args.check:
@@ -183,6 +184,8 @@ def _cmd_modes(args) -> bytes:
 
 
 def _motion_csv(pattern: CreasePattern, samples) -> bytes:
+    from .fold3d import require_closing
+
     require_closing(samples)
     header = "t," + ",".join(f"rho_{i}" for i in range(len(pattern.creases))) + ",residual"
     rows = [header]
@@ -193,6 +196,8 @@ def _motion_csv(pattern: CreasePattern, samples) -> bytes:
 
 
 def _cmd_sweep(args) -> bytes:
+    from .fold3d import sweep_motion
+
     _check_range("--samples", args.samples, SAMPLES_RANGE)
     pattern = _load(args.pattern)
     mult = _motion_multipliers(pattern)
@@ -202,6 +207,9 @@ def _cmd_sweep(args) -> bytes:
 
 
 def _cmd_fold(args) -> bytes:
+    from .fold3d import export_obj, propagate_fold, sweep_motion
+    from .fold_io import save_fold
+
     pattern = _load(args.pattern)
     mult = _motion_multipliers(pattern)
     angles = 2.0 * np.arctan(mult * args.t)
@@ -214,10 +222,17 @@ def _cmd_fold(args) -> bytes:
 
 
 def _cmd_solve(args) -> bytes:
+    from .fold3d import solve_fold_angles
+    from .fold_io import save_fold
+
     _check_range("--target", args.target, TARGET_RANGE)
     if args.tolerance <= 0.0:
         raise ValueError(f"--tolerance must be positive, got {args.tolerance:g}")
     pattern = _load(args.pattern)
+    creases = len(pattern.interior_creases)
+    if creases > SOLVE_CREASES_MAX:
+        raise ValueError(f"solve takes at most {SOLVE_CREASES_MAX} interior creases, "
+                         f"the pattern has {creases}")
     angles = solve_fold_angles(pattern, args.driver, math.radians(args.target), tol=args.tolerance)
     if args.format == "fold":
         return save_fold(pattern, angles)
@@ -227,6 +242,15 @@ def _cmd_solve(args) -> bytes:
 
 
 def _cmd_thicken(args) -> bytes:
+    from .fold3d import sweep_motion
+    from .thicken import (
+        ThickPanelParams,
+        clearance_records,
+        export_clearance_csv,
+        export_solids_obj,
+        thicken,
+    )
+
     _check_range("--samples", args.samples, SAMPLES_RANGE)
     if args.t_max is not None and args.t_max <= 0.0:
         raise ValueError(f"--t-max must be positive, got {args.t_max:g}")
@@ -243,6 +267,15 @@ def _cmd_thicken(args) -> bytes:
 
 
 def _cmd_gen(args) -> bytes:
+    from .patterns import (
+        gen_dl_miura,
+        gen_dl_yoshimura,
+        gen_miura,
+        gen_single_deg4,
+        gen_symmetric_vertex,
+        gen_yoshimura,
+    )
+
     shape = args.shape
     for name in GEN_FLAGS:
         given, takes = getattr(args, name) is not None, name in GEN_SHAPE_FLAGS[shape]
@@ -257,6 +290,10 @@ def _cmd_gen(args) -> bytes:
     else:
         _check_range("--rows", args.rows, GEN_SIZE_RANGE)
         _check_range("--cols", args.cols, GEN_SIZE_RANGE)
+        if args.angle is not None:
+            _check_range("--angle", args.angle, GEN_ANGLE_RANGE)
+        else:
+            _check_range("--elongation", args.elongation, GEN_ELONGATION_RANGE)
         if shape == "miura":
             pattern = gen_miura(args.rows, args.cols, math.radians(args.angle)).pattern
         elif shape == "yoshimura":
@@ -265,15 +302,15 @@ def _cmd_gen(args) -> bytes:
             pattern = gen_dl_miura(args.rows, args.cols, math.radians(args.angle), math.radians(args.theta))
         else:
             pattern = gen_dl_yoshimura(args.rows, args.cols, args.elongation, math.radians(args.theta))
-    return save_svg(pattern) if args.format == "svg" else save_fold(pattern)
+    return _save(pattern, args.format)
 
 
 def _cmd_export(args) -> bytes:
     pattern = _load(args.pattern)
-    if args.format == "svg":
-        return save_svg(pattern)
-    if args.format == "fold":
-        return save_fold(pattern)
+    if args.format != "obj":
+        return _save(pattern, args.format)
+    from .fold3d import export_obj, propagate_fold
+
     angles = np.array([c.fold_angle if c.fold_angle is not None else 0.0 for c in pattern.creases])
     return export_obj(propagate_fold(pattern, angles)).encode()
 

@@ -276,6 +276,23 @@ def read_record(pattern: CreasePattern) -> DLRecord | None:
     return DLRecord(pairs=tuple(map(tuple, pairs)), **fields)
 
 
+def flat_fold_parameter(pattern: CreasePattern, multipliers: np.ndarray) -> float | None:
+    """Motion parameter t at which doubled-pair angle sums reach pi.
+
+    The sum 2 atan(g+ t) + 2 atan(g- t) hits pi at t = 1/sqrt(g+ g-), a
+    finite value when the multipliers share a sign; the flat state of the
+    underlying vertex network.  Motions designed for thick panels must
+    stop short of it.  None when the pattern carries no doubled pairs or
+    no pair folds toward flat.
+    """
+    rec = read_record(pattern)
+    for plus, minus in rec.axes if rec is not None else ():
+        k = float(multipliers[plus]) * float(multipliers[minus])
+        if k > 0.0:
+            return 1.0 / math.sqrt(k)
+    return None
+
+
 # -- construction ------------------------------------------------------------
 
 

@@ -298,23 +298,6 @@ def _convex_pieces(o: _Outline, rates: np.ndarray) -> list[tuple[np.ndarray, np.
     return [piece for b, r in sides for piece in _convex_pieces(_outline(b), r)]
 
 
-def flat_fold_parameter(pattern: CreasePattern, multipliers: np.ndarray) -> float | None:
-    """Motion parameter t at which doubled-pair angle sums reach pi.
-
-    The sum 2 atan(g+ t) + 2 atan(g- t) hits pi at t = 1/sqrt(g+ g-), a
-    finite value when the multipliers share a sign; the flat state of the
-    underlying vertex network.  Motions designed for thick panels must
-    stop short of it.  None when the pattern carries no doubled pairs or
-    no pair folds toward flat.
-    """
-    rec = read_record(pattern)
-    for plus, minus in rec.axes if rec is not None else ():
-        k = float(multipliers[plus]) * float(multipliers[minus])
-        if k > 0.0:
-            return 1.0 / math.sqrt(k)
-    return None
-
-
 def crease_half_widths(pattern: CreasePattern) -> dict[int, float]:
     """Offset half-width of every interior crease.
 

@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+from doubleline import cli, gen_yoshimura
 from doubleline.cli import main
-from doubleline.fold_io import load_fold
+from doubleline.fold_io import load_fold, save_fold
 
 
 def run(capsysbinary, *argv):
@@ -369,8 +371,8 @@ def _fresh_python(code):
     return proc.stdout.split()
 
 
-def _cli_loads_scipy_optimize(*argv):
-    """Run ``python -m doubleline ARGV`` in a fresh process; did it load scipy.optimize?"""
+def _fresh_cli(argv, report):
+    """Run ``python -m doubleline ARGV`` in a fresh process, then the statement ``report``."""
     code = (
         "import runpy, sys\n"
         f"sys.argv = ['doubleline', *{list(argv)!r}]\n"
@@ -378,9 +380,14 @@ def _cli_loads_scipy_optimize(*argv):
         "    runpy.run_module('doubleline', run_name='__main__')\n"
         "except SystemExit as exit_:\n"
         "    assert not exit_.code, exit_.code\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        f"{report}\n"
     )
-    return _fresh_python(code) == ["True"]
+    return _fresh_python(code)
+
+
+def _cli_loads_scipy_optimize(*argv):
+    """Run ``python -m doubleline ARGV`` in a fresh process; did it load scipy.optimize?"""
+    return _fresh_cli(argv, "print('scipy.optimize' in sys.modules)") == ["True"]
 
 
 def test_import_and_classify_do_not_load_scipy_optimize(tmp_path):
@@ -396,3 +403,95 @@ def test_gen_dl_miura_loads_linprog_on_demand(tmp_path):
     assert _cli_loads_scipy_optimize("gen", "dl-miura", "--rows", "2", "--cols", "2", "--angle", "60",
                                      "--theta", "90", "--out", str(out))
     assert len(load_fold(out.read_bytes()).interior_vertices) == 4  # one doubled vertex
+
+
+@pytest.mark.parametrize("argv", [
+    ("yoshimura", "--elongation", "1000.001"),
+    ("yoshimura", "--elongation", "1e11"),
+    ("dl-yoshimura", "--elongation", "1e200", "--theta", "90"),
+    ("yoshimura", "--elongation", "1"),
+    ("miura", "--angle", "0.00999"),
+    ("dl-miura", "--angle", "1e-300", "--theta", "90"),
+    ("miura", "--angle", "90"),
+])
+def test_gen_shape_parameters_are_bounded(tmp_path, capsysbinary, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the call
+        code, out, err = run(capsysbinary, "gen", argv[0], "--rows", "2", "--cols", "2", *argv[1:],
+                             "--out", str(tmp_path / "p.fold"))
+    assert code == 1
+    assert out == b""
+    assert err.startswith(b"error: ") and err.count(b"\n") == 1
+    assert not (tmp_path / "p.fold").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("yoshimura", "--elongation", "1000"),
+    ("miura", "--angle", "0.01"),
+])
+def test_gen_shape_parameters_admit_their_range_ends(tmp_path, capsysbinary, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsysbinary, "gen", argv[0], "--rows", "2", "--cols", "2", *argv[1:],
+                           "--out", str(tmp_path / "p.fold"))
+    assert (code, err) == (0, b"")
+    assert load_fold((tmp_path / "p.fold").read_bytes()).interior_vertices
+
+
+def test_solve_refuses_patterns_above_the_crease_cap(tmp_path, capsysbinary, monkeypatch):
+    path = tmp_path / "miura.fold"
+    run(capsysbinary, "gen", "miura", "--rows", "3", "--cols", "3", "--angle", "60", "--out", str(path))
+    n = len(load_fold(path.read_bytes()).interior_creases)
+    argv = ("solve", str(path), "--driver", "6", "--target", "30")
+    monkeypatch.setattr(cli, "SOLVE_CREASES_MAX", n)
+    assert run(capsysbinary, *argv)[0] == 0
+    monkeypatch.setattr(cli, "SOLVE_CREASES_MAX", n - 1)
+    message = f"error: solve takes at most {n - 1} interior creases, the pattern has {n}\n"
+    assert run(capsysbinary, *argv) == (1, b"", message.encode())
+
+
+def test_solve_refuses_yoshimura_12x12(tmp_path, capsysbinary):
+    path = tmp_path / "y12.fold"
+    path.write_bytes(save_fold(gen_yoshimura(12, 12, 1.5).pattern))
+    code, out, err = run(capsysbinary, "solve", str(path), "--driver", "0", "--target", "10")
+    assert (code, out) == (1, b"")
+    assert err == b"error: solve takes at most 500 interior creases, the pattern has 517\n"
+
+
+def test_import_doubleline_loads_no_submodule():
+    code = "import sys, doubleline; print(*sorted(m for m in sys.modules if m.startswith('doubleline.')))"
+    assert _fresh_python(code) == []
+
+
+def _cli_loads(*argv):
+    """Run ``python -m doubleline ARGV`` in a fresh process; the package modules it loaded."""
+    names = _fresh_cli(argv, "print(*(m for m in sys.modules if m.startswith('doubleline.')))")
+    return {name.removeprefix("doubleline.") for name in names} - {"cli", "__main__"}
+
+
+# The reproduce.sh commands in order (each reads what an earlier one wrote),
+# and the modules beyond pattern and geometry that each loads.
+GEN_MODULES = {"fold_io", "dl", "kinematics", "fold3d", "patterns"}
+DOUBLE_MODULES = {"fold_io", "dl", "kinematics"}
+MOTION_MODULES = DOUBLE_MODULES | {"fold3d"}
+REPRODUCE_LOADS = [
+    (("gen", "single", "--alpha", "60", "--beta", "80", "--out", "single.fold"), GEN_MODULES),
+    (("gen", "dl-miura", "--rows", "3", "--cols", "3", "--angle", "60", "--theta", "90",
+      "--out", "dl_miura.fold"), GEN_MODULES),
+    (("doubleline", "single.fold", "--theta", "90", "--radii", "0.2,0.2,0.2,0.2", "--mode", "a-I",
+      "--out", "dl_single.fold"), DOUBLE_MODULES),
+    (("classify", "--alpha", "50", "--beta", "70", "--grid", "5", "--out", "regimes.csv"), DOUBLE_MODULES),
+    (("sweep", "dl_single.fold", "--samples", "25", "--out", "motion.csv"), MOTION_MODULES),
+    (("fold", "dl_single.fold", "--t", "0.5", "--format", "obj", "--out", "state.obj"), MOTION_MODULES),
+    (("thicken", "dl_single.fold", "--tau", "0.01", "--samples", "12", "--out", "panels.obj"),
+     MOTION_MODULES | {"thicken"}),
+    (("thicken", "dl_single.fold", "--tau", "0.01", "--samples", "12", "--format", "csv",
+      "--out", "clearance.csv"), MOTION_MODULES | {"thicken"}),
+    (("export", "dl_miura.fold", "--out", "dl_miura.svg"), {"fold_io", "svg"}),
+]
+
+
+def test_each_reproduce_command_loads_only_what_it_runs(tmp_path):
+    for argv, modules in REPRODUCE_LOADS:
+        argv = [str(tmp_path / a) if a.endswith((".fold", ".csv", ".obj", ".svg")) else a for a in argv]
+        assert _cli_loads(*argv) == {"pattern", "geometry"} | modules, argv
