@@ -349,20 +349,81 @@ def _solve_child(dv: _DlVertex, axis: int, target_plus: float, target_minus: flo
     raise DlError(f"no folding branch of vertex {dv.vertex} matches the shared pair: {last}")
 
 
+def _ratio_test(a: np.ndarray, b: np.ndarray, x: np.ndarray, p: np.ndarray,
+                skip: list[int]) -> tuple[float, int | None]:
+    """How far x can move along p before a row of a @ x <= b blocks it, and
+    which row: the lowest-numbered one among ties (None when none blocks)."""
+    rate = a @ p
+    blocks = rate > 1e-12 * np.linalg.norm(a, axis=1) * np.linalg.norm(p)
+    blocks[skip] = False
+    if not blocks.any():
+        return math.inf, None
+    rows = np.flatnonzero(blocks)
+    slack = b[rows] - a[rows] @ x
+    # rounding leaves tight rows a little loose; a degenerate vertex's ties
+    # must stay ties, or the lowest-index choice loses its meaning
+    slack[slack <= 1e-12 * (np.abs(b[rows]) + np.linalg.norm(a[rows], axis=1) * np.linalg.norm(x))] = 0.0
+    steps = slack / rate[rows]
+    first = steps.min()
+    return float(first), int(rows[np.flatnonzero(steps <= first * (1.0 + 1e-12))[0]])
+
+
+def _maximize(a: np.ndarray, b: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """Maximize w @ x subject to a @ x <= b, from the feasible point x.
+
+    a has full column rank, so the feasible set has vertices.  The start
+    moves to one along the objective's projection onto the directions that
+    keep the rows met so far tight; the primal simplex then trades one tight
+    row per step by Bland's rule (lowest row index), which cannot cycle.
+    Returns the optimal vertex, or None when w @ x is unbounded above.
+    """
+    d = a.shape[1]
+    tight: list[int] = []
+    while len(tight) < d:
+        free = np.linalg.svd(a[tight], full_matrices=True)[2][len(tight):] if tight else np.eye(d)
+        p = free.T @ (free @ w)
+        if np.linalg.norm(p) <= 1e-12 * np.linalg.norm(w):
+            p = free[0]  # the objective is flat here: any way that stays tight
+        step, row = _ratio_test(a, b, x, p, tight)
+        if row is None:
+            if w @ p > 0.0:
+                return None
+            p = -p  # full column rank: one of the two ways is blocked
+            step, row = _ratio_test(a, b, x, p, tight)
+        x = x + step * p
+        tight.append(row)
+    basis = sorted(tight)
+    for _ in range(100 * len(a)):
+        ab = a[basis]
+        x = np.linalg.solve(ab, b[basis])
+        rates = np.linalg.solve(ab.T, w)
+        loose = np.flatnonzero(rates < -1e-12 * np.linalg.norm(w))
+        if not len(loose):
+            return x
+        j = int(loose[0])  # basis is sorted: the lowest row that gains by loosening
+        step, row = _ratio_test(a, b, x, np.linalg.solve(ab, -np.eye(d)[j]), basis)
+        if row is None:
+            return None
+        basis[j] = row
+        basis.sort()
+    raise DlError("the polygon distance program did not converge")
+
+
 def _solve_radii(network: VertexNetwork, dls: dict[int, "_DlVertex"],
                  axis_of: Mapping[int, Mapping[int, int]]) -> None:
     """Polygon distances lining every doubled pair up across shared creases.
 
     The alignment equations (each shared pair's two lines coincide) and the
-    validity conditions (positive distances, positive polygon side lengths)
+    validity conditions (positive distances, positive pair separations)
     are all linear in the distances, so one linear program maximizing the
     smallest of them either finds a uniformly safe solution or proves the
-    chosen rotation angles admit none.  Positive sides turning through the
-    sectors also make each polygon convex and counterclockwise.
+    chosen rotation angles admit none.  Each polygon side is its pair's
+    separation over sin θ, so the sides are positive too, and positive
+    sides turning through the sectors make each polygon convex and
+    counterclockwise.  The side rows are left out of the program: near
+    θ = 90° they nearly repeat the separation rows, which makes its bases
+    ill-conditioned.
     """
-    # scipy.optimize takes most of a cold start; only doubling a network needs it
-    from scipy.optimize import linprog
-
     pattern = network.pattern
     interior = sorted(dls)
     pos = {v: 4 * k for k, v in enumerate(interior)}
@@ -381,39 +442,31 @@ def _solve_radii(network: VertexNetwork, dls: dict[int, "_DlVertex"],
         eq[2 * k: 2 * k + 2, pos[u]: pos[u] + 4] = offsets[u][:, axis_of[u][ci], :].T
         eq[2 * k: 2 * k + 2, pos[w]: pos[w] + 4] = offsets[w][:, axis_of[w][ci], ::-1].T
 
-    # per vertex: its four side lengths, then the separation of each axis's pair
-    side = np.zeros((2 * n, n))
+    # per vertex: the separation of each axis's pair
+    sep = np.zeros((n, n))
     for v in interior:
-        dv, p = dls[v], pos[v]
-        corners = [polygon_corners(dv.azimuths, e, dv.theta) for e in basis]
-        for i in range(4):
-            d = unit(dv.azimuths[i] + dv.theta)
-            side[2 * p + i, p: p + 4] = [float(np.dot(c[i] - c[i - 1], d)) for c in corners]
-        side[2 * p + 4: 2 * p + 8, p: p + 4] = (offsets[v][:, :, 0] - offsets[v][:, :, 1]).T
+        p = pos[v]
+        sep[p: p + 4, p: p + 4] = (offsets[v][:, :, 0] - offsets[v][:, :, 1]).T
 
-    # variables: the distances, then the common safety margin t they all exceed
-    a_ub = np.hstack([np.vstack([-np.eye(n), -side]), np.ones((3 * n, 1))])
-    a_eq = np.vstack([np.hstack([eq, np.zeros((len(eq), 1))]), np.append(np.ones(n), 0.0)])
-    res = linprog(
-        np.append(np.zeros(n), -1.0),
-        A_ub=a_ub,
-        b_ub=np.zeros(3 * n),
-        A_eq=a_eq,
-        b_eq=np.append(np.zeros(len(eq)), float(n)),
-        bounds=[(None, None)] * (n + 1),
-        method="highs",
-    )
-    if not res.success or res.x[-1] <= 1e-6:
+    # the distances that meet every alignment equation and sum to n: r0 + null @ u
+    equal = np.vstack([eq, np.ones((1, n))])
+    rhs = np.append(np.zeros(len(eq)), float(n))
+    r0 = np.linalg.lstsq(equal, rhs, rcond=None)[0]
+    _, sv, vt = np.linalg.svd(equal)
+    null = vt[int(np.sum(sv > sv[0] * max(equal.shape) * np.finfo(float).eps)):].T
+    if np.abs(equal @ r0 - rhs).max() > 1e-9 * n:
         raise DlError("no workable polygon distances for these rotation angles")
-    r = res.x[:n]
-    if len(eq):
-        # The solver meets the alignment equations only to its own tolerance;
-        # project back onto their exact null space.
-        corr, *_ = np.linalg.lstsq(eq, eq @ r, rcond=None)
-        r = r - corr
-    margin = float(res.x[-1])
-    if float(np.min(r)) <= 0.5 * margin or float(np.min(side @ r)) <= 0.5 * margin:
-        raise DlError("polygon distances lost validity under exact alignment")
+
+    # variables: u, then the common safety margin t that every distance and
+    # separation exceeds; at u = 0, t = the smallest of them is feasible
+    rows = np.vstack([np.eye(n), sep])
+    lifted = rows @ r0
+    x = _maximize(np.hstack([-rows @ null, np.ones((2 * n, 1))]), lifted,
+                  np.eye(null.shape[1] + 1)[-1], np.append(np.zeros(null.shape[1]), lifted.min()))
+    if x is None or x[-1] <= 1e-6:
+        raise DlError("no workable polygon distances for these rotation angles")
+    # r meets the alignment equations to rounding, being built on their null space
+    r = r0 + null @ x[:-1]
     for v in interior:
         dls[v].radii = [float(x) for x in r[pos[v]: pos[v] + 4]]
 

@@ -398,10 +398,10 @@ def test_import_and_classify_do_not_load_scipy_optimize(tmp_path):
     assert out.read_text().startswith("mode,theta_deg,regime,M_deg\n")
 
 
-def test_gen_dl_miura_loads_linprog_on_demand(tmp_path):
+def test_gen_dl_miura_does_not_load_scipy_optimize(tmp_path):
     out = tmp_path / "dlm.fold"
-    assert _cli_loads_scipy_optimize("gen", "dl-miura", "--rows", "2", "--cols", "2", "--angle", "60",
-                                     "--theta", "90", "--out", str(out))
+    assert not _cli_loads_scipy_optimize("gen", "dl-miura", "--rows", "2", "--cols", "2", "--angle", "60",
+                                         "--theta", "90", "--out", str(out))
     assert len(load_fold(out.read_bytes()).interior_vertices) == 4  # one doubled vertex
 
 

@@ -236,3 +236,29 @@ def test_assign_mode_mv_relabels_without_rebuilding(monkeypatch):
                 assert new.assignment == "B"
             else:
                 assert new.assignment == ("M" if x > 0 else "V")
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_maximize_agrees_with_highs_on_degenerate_programs(seed):
+    """Max-min programs shaped like the radii's (t below every row of g @ u + h,
+    u in a box), with small integer data so that many rows meet at the optimum."""
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 8))
+    g = rng.integers(-2, 3, size=(int(rng.integers(d, 6 * d)), d)).astype(float)
+    h = rng.integers(0, 3, size=len(g)).astype(float)
+    box = np.vstack([np.eye(d), -np.eye(d)])
+    a = np.vstack([np.hstack([-g, np.ones((len(g), 1))]), np.hstack([box, np.zeros((2 * d, 1))])])
+    b = np.concatenate([h, np.ones(2 * d)])
+    w = np.eye(d + 1)[-1]
+    x = patterns._maximize(a, b, w, np.append(np.zeros(d), h.min()))
+    ref = linprog(-w, A_ub=a, b_ub=b, bounds=[(None, None)] * (d + 1), method="highs")
+    assert ref.status == 0
+    assert np.all(a @ x <= b + 1e-9)
+    assert x[-1] == pytest.approx(-ref.fun, abs=1e-9)
+
+
+def test_maximize_reports_an_unbounded_program():
+    # x >= 0, maximize x0 + x1
+    assert patterns._maximize(-np.eye(2), np.zeros(2), np.ones(2), np.zeros(2)) is None

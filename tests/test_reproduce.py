@@ -14,7 +14,7 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce.sh"
 
 DIGESTS = {
     "single.fold": "686d591bf1d699771d82886f8acbea1246cac9a06b8f5c77b6cfe704aa4b26a3",
-    "dl_miura.fold": "4a63277b88aa05c95565488886adcb2c8774bf365986b7c583c4d7900046da3b",
+    "dl_miura.fold": "19d637f068fcba0dbeb1eac11e92523ed388e7c286700d8acb14d8f52598b4de",
     "dl_single.fold": "060a856a5f099d475c04fa9a501e6b8b22bac52db672c80e061d8664a670afe0",
     "regimes.csv": "ab016089fc2c29a3125a39ec45a3aa10734ef4e5fabd1dee6418367cc4dfa8ff",
     "motion.csv": "af36491b3ab4fe80529f1c0a5214cad9b5552c085ac0585dd5741667eed1acb3",
