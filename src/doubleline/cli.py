@@ -223,16 +223,19 @@ def _cmd_fold(args) -> bytes:
 
 def _cmd_solve(args) -> bytes:
     from .fold3d import solve_fold_angles
-    from .fold_io import save_fold
+    from .fold_io import parse_fold, save_fold
+    from .pattern import CreasePattern
 
     _check_range("--target", args.target, TARGET_RANGE)
     if args.tolerance <= 0.0:
         raise ValueError(f"--tolerance must be positive, got {args.tolerance:g}")
-    pattern = _load(args.pattern)
-    creases = len(pattern.interior_creases)
-    if creases > SOLVE_CREASES_MAX:
+    vertices, creases, faces, extras = parse_fold(Path(args.pattern).read_bytes())
+    # counted before the build: a pattern at the cap takes seconds to validate
+    interior = sum(c.assignment != "B" for c in creases)
+    if interior > SOLVE_CREASES_MAX:
         raise ValueError(f"solve takes at most {SOLVE_CREASES_MAX} interior creases, "
-                         f"the pattern has {creases}")
+                         f"the pattern has {interior}")
+    pattern = CreasePattern.build(vertices, creases, faces=faces, extras=extras)
     angles = solve_fold_angles(pattern, args.driver, math.radians(args.target), tol=args.tolerance)
     if args.format == "fold":
         return save_fold(pattern, angles)
@@ -262,7 +265,13 @@ def _cmd_thicken(args) -> bytes:
     params = ThickPanelParams(tau=args.tau, side=args.side, enforce_bound=not args.ignore_bound)
     solids = thicken(pattern, motion, params)
     if args.format == "csv":
-        return export_clearance_csv(clearance_records(solids, motion)).encode()
+        records = clearance_records(solids, motion)
+        t, least, pair = min(records, key=lambda r: r[1])
+        if least < 0.0:
+            a, b = pair
+            print(f"warning: panels penetrate: least clearance {_fmt(least)} at t {_fmt(t)}, faces {a} and {b}",
+                  file=sys.stderr)
+        return export_clearance_csv(records).encode()
     return export_solids_obj(solids).encode()
 
 

@@ -74,7 +74,15 @@ def _array(doc: dict, key: str, default: list) -> list:
 
 
 def load_fold(data: bytes | str) -> CreasePattern:
-    """Parse a FOLD document and validate it as a crease pattern.
+    """Parse a FOLD document and validate it as a crease pattern."""
+    vertices, creases, faces, extras = parse_fold(data)
+    return CreasePattern.build(vertices, creases, faces=faces, extras=extras)
+
+
+def parse_fold(
+    data: bytes | str,
+) -> tuple[list[tuple[float, float]], list[Crease], list[tuple[int, ...]] | None, dict[str, str]]:
+    """A FOLD document's vertices, creases, faces (None when absent) and other keys, not yet built into a pattern.
 
     The document's shape is checked before any of it is used, so malformed
     input raises PatternError rather than an arbitrary exception.
@@ -122,12 +130,7 @@ def load_fold(data: bytes | str) -> CreasePattern:
             if not (isinstance(f, list) and len(f) >= 3 and all(is_index(v) for v in f)):
                 raise PatternError(f"face {i} must be a list of at least 3 integer vertex ids")
     extras = {k: _canon_json(v) for k, v in doc.items() if k not in _CONSUMED_KEYS}
-    return CreasePattern.build(
-        vertices,
-        creases,
-        faces=[tuple(f) for f in faces] if faces is not None else None,
-        extras=extras,
-    )
+    return vertices, creases, [tuple(f) for f in faces] if faces is not None else None, extras
 
 
 def save_fold(pattern: CreasePattern, fold_angles: np.ndarray | None = None) -> bytes:

@@ -39,7 +39,6 @@ from .dl import (  # noqa: F401  (NETWORK_KEY is re-exported for its importers)
     theta_for_ratio,
     write_record,
 )
-from .fold3d import Fold3dError, network_multipliers
 from .geometry import unit
 from .kinematics import FoldMode, mode_vector
 from .pattern import (
@@ -172,6 +171,8 @@ def infer_modes(pattern: CreasePattern) -> dict[int, FoldMode]:
 
 def _finish_network(pattern: CreasePattern) -> VertexNetwork:
     """Assign branches and M/V labels from the network's one-parameter motion."""
+    from .fold3d import network_multipliers  # shapes that never fold do not load the folding code
+
     modes = {star.vertex: _branch_of(star) for star in pattern.interior_stars}
     if modes:
         g = network_multipliers(pattern, modes)
@@ -553,6 +554,8 @@ def _connect_dl(
 
 
 def _assemble(network: VertexNetwork, dls: dict[int, "_DlVertex"]) -> CreasePattern:
+    from .fold3d import Fold3dError, network_multipliers
+
     pattern = network.pattern
     pts_in = pattern.vertices_array
     interior = set(pattern.interior_vertices)

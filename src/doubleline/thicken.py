@@ -91,13 +91,6 @@ class ConvexPiece:
     edges: np.ndarray
     loops: np.ndarray
 
-    def placed(self, rot: np.ndarray, trans: np.ndarray) -> ConvexPiece:
-        """The piece moved by x -> rot @ x + trans; stacked pieces take stacked (..., 3, 3) and (..., 3) motions."""
-        rt = np.swapaxes(rot, -1, -2)
-        return ConvexPiece(
-            self.vertices @ rt + trans[..., None, :], self.normals @ rt, self.directions @ rt, self.edges, self.loops
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class PanelSolid:
@@ -377,11 +370,9 @@ def thicken(
         for ci in sorted(beveled):
             bound = max_thickness(widths[ci], abs(beveled[ci]))
             if params.tau > bound + 1e-12:
-                raise ThickenError(
-                    f"thickness {params.tau} exceeds bound {bound:.9g} at crease {ci}"
-                )
+                raise ThickenError(f"thickness {params.tau} exceeds bound {bound:.9g} at crease {ci}")
 
-    solids = []
+    faces, parts = [], []
     for fi, (outline, sides) in enumerate(zip(_face_outlines(pattern), pattern.face_creases)):
         base = outline.base
         slopes = np.zeros(len(sides))
@@ -399,44 +390,56 @@ def thicken(
             raise ThickenError(f"panel for face {fi} vanishes at this thickness")
         if h <= 0.0:
             raise ThickenError(f"panel for face {fi} admits no valid top")
-        top = base + h * V
-        pieces = tuple(_convex_piece(b, b + h * v, r, sign_up * h) for b, r, v in _convex_pieces(outline, slopes))
-        solids.append(_build_solid(pattern, fi, base, top, params.tau, h, tuple(angles), sign_up, pieces))
-    return tuple(solids)
+        cut = _convex_pieces(outline, slopes)
+        faces.append((fi, base, base + h * V, h, tuple(angles), len(cut)))
+        parts += [(b, r, v, h) for b, r, v in cut]
+    pieces = iter(_prismatoids(parts, sign_up))
+    return tuple(
+        _build_solid(pattern, fi, base, top, params.tau, h, angles, sign_up, tuple(next(pieces) for _ in range(k)))
+        for fi, base, top, h, angles, k in faces
+    )
 
 
-def _convex_piece(base: np.ndarray, top: np.ndarray, rates: np.ndarray, z_top: float) -> ConvexPiece:
-    """The prismatoid between a convex CCW piece at z = 0 and its top at z_top."""
-    m = len(base)
-    verts = np.vstack([np.column_stack([base, np.zeros(m)]), np.column_stack([top, np.full(m, z_top)])])
-    d = np.roll(base, -1, axis=0) - base
-    d /= np.linalg.norm(d, axis=1)[:, None]
-    up = math.copysign(1.0, z_top)
-    # a side leans inward by its rate per unit of height
-    sides = np.column_stack([d[:, 1], -d[:, 0], up * rates])
-    normals = np.vstack([sides / np.linalg.norm(sides, axis=1)[:, None], [[0.0, 0.0, -up], [0.0, 0.0, up]]])
-    lateral = verts[m:] - verts[:m]
-    directions = np.vstack([np.column_stack([d, np.zeros(m)]), lateral / np.linalg.norm(lateral, axis=1)[:, None]])
-    k = np.arange(m)
-    k1 = (k + 1) % m
-    edges = np.vstack([np.column_stack([k, k1]), np.column_stack([k, k1]) + m, np.column_stack([k, k + m])])
-    width = max(m, 4)
-    loops = np.empty((m + 2, width), dtype=int)
-    loops[:m] = np.column_stack([k, k1, k1 + m] + [k + m] * (width - 3))
-    loops[m] = np.append(k, [m - 1] * (width - m))
-    loops[m + 1] = loops[m] + m
-    return ConvexPiece(verts, normals, directions, edges, loops)
+def _prismatoids(parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, float]], up: float) -> list[ConvexPiece]:
+    """Convex pieces from (corners, edge rates, corner velocities, height) parts, in their order.
+
+    Each is the prismatoid between a convex CCW piece at z = 0 and its top,
+    corners + height * velocities, at z = up * height.  Pieces with m
+    corners are built together and share one edge and one loop table.
+    """
+    out: list[ConvexPiece] = [None] * len(parts)  # type: ignore[list-item]
+    for m in {len(b) for b, *_ in parts}:
+        at = [i for i, (b, *_) in enumerate(parts) if len(b) == m]
+        base, rates, vel, h = (np.array([parts[i][j] for i in at]) for j in range(4))
+        verts = np.zeros((len(at), 2 * m, 3))
+        verts[:, :m, :2], verts[:, m:, :2], verts[:, m:, 2] = base, base + h[:, None, None] * vel, up * h[:, None]
+        k = np.arange(m)
+        k1 = (k + 1) % m
+        d = base[:, k1] - base
+        d /= np.linalg.norm(d, axis=2)[..., None]
+        # a side leans inward by its rate per unit of height
+        sides = np.stack([d[..., 1], -d[..., 0], up * rates], axis=2)
+        normals = np.empty((len(at), m + 2, 3))
+        normals[:, :m], normals[:, m:] = sides / np.linalg.norm(sides, axis=2)[..., None], [[0, 0, -up], [0, 0, up]]
+        lateral = verts[:, m:] - verts[:, :m]
+        directions = np.zeros((len(at), 2 * m, 3))
+        directions[:, :m, :2], directions[:, m:] = d, lateral / np.linalg.norm(lateral, axis=2)[..., None]
+        edges = np.vstack([np.column_stack([k, k1]), np.column_stack([k, k1]) + m, np.column_stack([k, k + m])])
+        width = max(m, 4)
+        loops = np.empty((m + 2, width), dtype=int)
+        loops[:m] = np.column_stack([k, k1, k1 + m] + [k + m] * (width - 3))
+        loops[m] = np.append(k, [m - 1] * (width - m))
+        loops[m + 1] = loops[m] + m
+        edges.setflags(write=False)
+        loops.setflags(write=False)
+        for i, *arrays in zip(at, verts, normals, directions):
+            out[i] = ConvexPiece(*arrays, edges, loops)
+    return out
 
 
 def _build_solid(pattern, fi, base, top, tau, h, angles, sign_up, pieces) -> PanelSolid:
     n = len(base)
-    z_top = sign_up * h
-    verts = np.vstack(
-        [
-            np.column_stack([base, np.zeros(n)]),
-            np.column_stack([top, np.full(n, z_top)]),
-        ]
-    )
+    verts = np.vstack([np.column_stack([base, np.zeros(n)]), np.column_stack([top, np.full(n, sign_up * h)])])
     tris: list[tuple[int, int, int]] = []
     for i0, i1, i2 in _ear_clip(base):
         tris.append((i0, i2, i1))  # bottom, outward = -z for side above
@@ -449,18 +452,8 @@ def _build_solid(pattern, fi, base, top, tau, h, angles, sign_up, pieces) -> Pan
     tri = np.array(tris, dtype=int)
     if sign_up < 0:
         tri = tri[:, ::-1]  # mirrored solid: restore outward orientation
-    return PanelSolid(
-        pattern=pattern,
-        face=fi,
-        base=base.copy(),
-        top=top.copy(),
-        height=tau,
-        top_height=h,
-        bevel_angles=angles,
-        vertices=verts,
-        triangles=tri,
-        pieces=pieces,
-    )
+    return PanelSolid(pattern=pattern, face=fi, base=base.copy(), top=top.copy(), height=tau, top_height=h,
+                      bevel_angles=angles, vertices=verts, triangles=tri, pieces=pieces)
 
 
 # -- clearance -------------------------------------------------------------
@@ -498,55 +491,66 @@ def _stack(pieces: Sequence[ConvexPiece]) -> ConvexPiece:
     """Convex pieces stacked along a new first axis, padded to the most corners among them.
 
     Padding repeats each array's last entry (a loop's last corner), so it
-    adds no extreme point, no new axis and no face.
+    adds no extreme point, no new axis and no face.  Each array is padded
+    by one gather from the pieces' rows laid end to end.
     """
-    m = max(len(p.vertices) for p in pieces) // 2
+    m = np.array([len(p.normals) - 2 for p in pieces])
+    most = int(m.max())
 
-    def pad(a: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
-        a = np.concatenate([a, np.repeat(a[-1:], rows - len(a), axis=0)])
-        return a if cols is None else np.concatenate([a, np.repeat(a[:, -1:], cols - a.shape[1], axis=1)], axis=1)
+    def pad(arrays: list[np.ndarray], rows: np.ndarray, width: int) -> np.ndarray:
+        start = np.cumsum(rows) - rows
+        return np.concatenate(arrays)[start[:, None] + np.minimum(np.arange(width), rows[:, None] - 1)]
 
-    return ConvexPiece(
-        np.stack([pad(p.vertices, 2 * m) for p in pieces]),
-        np.stack([pad(p.normals, m + 2) for p in pieces]),
-        np.stack([pad(p.directions, 2 * m) for p in pieces]),
-        np.stack([pad(p.edges, 3 * m) for p in pieces]),
-        np.stack([pad(p.loops, m + 2, max(m, 4)) for p in pieces]),
-    )
+    # a loop table depends only on the corner count: each distinct one is padded once
+    sizes, first, which = np.unique(m, return_index=True, return_inverse=True)
+    rows, cols = np.arange(most + 2), np.arange(max(most, 4))
+    loops = np.stack([pieces[i].loops[np.minimum(rows, k + 1)][:, np.minimum(cols, max(k, 4) - 1)] for i, k in zip(first, sizes)])
+    return ConvexPiece(pad([p.vertices for p in pieces], 2 * m, 2 * most), pad([p.normals for p in pieces], m + 2, most + 2),
+                       pad([p.directions for p in pieces], 2 * m, 2 * most), pad([p.edges for p in pieces], 3 * m, 3 * most),
+                       loops[which])
 
 
-def _clearance(a: ConvexPiece, b: ConvexPiece) -> np.ndarray:
-    """Signed clearance between row k of two stacks of placed convex pieces.
+def _clearance(both: ConvexPiece) -> np.ndarray:
+    """Signed clearance between rows k and n + k of a stack of 2n placed convex pieces.
 
-    The axes are both pieces' face normals and the cross products of their
-    edge directions.  When the largest separation over them is negative it
-    is the penetration depth, exact for convex pieces; otherwise the exact
+    When the largest separation over the axes is negative it is the
+    penetration depth, exact for convex pieces; otherwise the exact
     distance is the least over edge pairs and over vertices facing a face.
     """
-    n = len(a.vertices)
-    cross = _cross(a.directions[:, :, None], b.directions[:, None]).reshape(n, -1, 3)
+    n = len(both.vertices) // 2
+    out = _separation(both, n)
+    far = np.flatnonzero(~(out < 0.0))
+    if len(far) < n:  # on clearing ops every row is usually apart
+        rows = np.concatenate([far, far + n])
+        both = ConvexPiece(*(x[rows] for x in (both.vertices, both.normals, both.directions, both.edges, both.loops)))
+    m = len(far)
+    ends = both.vertices[np.arange(2 * m)[:, None, None], both.edges]
+    edge = _seg_seg_dist(ends[:m, :, None, 0], ends[:m, :, None, 1], ends[m:, None, :, 0], ends[m:, None, :, 1])
+    # row k's faces against the other side's corners, both ways in one call
+    facing = _vertex_face_dist(both.vertices[np.arange(-m, m)], both)
+    out[far] = np.minimum(edge.min(axis=(1, 2)), np.minimum(facing[m:], facing[:m]))
+    return out
+
+
+def _separation(both: ConvexPiece, n: int) -> np.ndarray:
+    """Largest separation of rows k and n + k over both pieces' face normals and edge-direction cross products."""
+    dirs, normals = both.directions, both.normals
+    cross = _cross(dirs[:n, :, None], dirs[n:, None]).reshape(n, -1, 3)
     size = np.linalg.norm(cross, axis=2)
     keep = size > 1e-12
-    axes = np.concatenate([a.normals, b.normals, cross / np.where(keep, size, 1.0)[..., None]], axis=1)
-    used = np.concatenate([np.ones((n, a.normals.shape[1] + b.normals.shape[1]), dtype=bool), keep], axis=1)
-    pa, pb = axes @ a.vertices.swapaxes(1, 2), axes @ b.vertices.swapaxes(1, 2)
-    apart = np.maximum(pb.min(axis=2) - pa.max(axis=2), pa.min(axis=2) - pb.max(axis=2))
-    del pa, pb  # the largest arrays here; the exact distances below need the room
-    out = np.max(apart, axis=1, where=used, initial=-math.inf)
-    far = np.flatnonzero(~(out < 0.0))
-    if len(far):
-        a, b = (ConvexPiece(*(x[far] for x in (p.vertices, p.normals, p.directions, p.edges, p.loops))) for p in (a, b))
-        rows = np.arange(len(far))[:, None, None]
-        ea, eb = a.vertices[rows, a.edges], b.vertices[rows, b.edges]
-        edge = _seg_seg_dist(ea[:, :, None, 0], ea[:, :, None, 1], eb[:, None, :, 0], eb[:, None, :, 1]).min(axis=(1, 2))
-        out[far] = np.minimum(edge, np.minimum(_vertex_face_dist(a.vertices, b), _vertex_face_dist(b.vertices, a)))
-    return out
+    axes = np.concatenate([normals[:n], normals[n:], cross / np.where(keep, size, 1.0)[..., None]], axis=1)
+    used = np.concatenate([np.ones((n, 2 * normals.shape[1]), dtype=bool), keep], axis=1)
+    # both sides' corners on every axis by one product, (2, n, corners, axes)
+    proj = both.vertices.reshape(2, n, -1, 3) @ axes.swapaxes(1, 2)
+    lo, hi = proj.min(axis=2), proj.max(axis=2)
+    return np.max(np.maximum(lo[1] - hi[0], lo[0] - hi[1]), axis=1, where=used, initial=-math.inf)
 
 
 def _vertex_face_dist(points: np.ndarray, piece: ConvexPiece) -> np.ndarray:
     """Per row, the least plane distance from a point to a face of the piece it projects into."""
     corners = piece.vertices[np.arange(len(points))[:, None, None], piece.loops]
-    rims = _cross(piece.normals[:, :, None], np.roll(corners, -1, axis=2) - corners)
+    width = corners.shape[2]
+    rims = _cross(piece.normals[:, :, None], corners[:, :, (np.arange(width) + 1) % width] - corners)
     side = np.einsum("nfwk,npk->npfw", rims, points) - np.einsum("nfwk,nfwk->nfw", rims, corners)[:, None]
     # one sign on every rim means inside, whichever way the loop turns
     inside = (side.min(axis=3) >= 0.0) | (side.max(axis=3) <= 0.0)
@@ -620,8 +624,8 @@ def clearance_records(
     stack = _stack([p for k in order for p in solids[k].pieces])
     rot = np.stack([s.rotations for s in motion])[:, face_of]
     trans = np.stack([s.translations for s in motion])[:, face_of]
-    # the broad phase places only the corners (as ConvexPiece.placed does);
-    # the narrow phase places the pieces of each batch
+    # the broad phase places only the corners, x -> rot @ x + trans; the
+    # narrow phase places the pieces of each batch
     corners = stack.vertices @ rot.swapaxes(-1, -2) + trans[..., None, :]
     lo = np.minimum.reduceat(corners.min(axis=2), start[:-1], axis=1)
     hi = np.maximum.reduceat(corners.max(axis=2), start[:-1], axis=1)
@@ -631,6 +635,9 @@ def clearance_records(
     # order; matmul takes the same dot product as np.linalg.norm
     lbs = np.sqrt((gap[..., None, :] @ gap[..., :, None])[..., 0, 0])
     ranked = np.argsort(lbs, axis=1, kind="stable")
+    # every piece's corners, normals and directions as rows of one array, placed by one product
+    nv, nn = stack.vertices.shape[1], stack.normals.shape[1]
+    body = np.concatenate([stack.vertices, stack.normals, stack.directions], axis=1)
 
     best = [math.inf] * len(motion)
     worst: list[tuple[int, int] | None] = [None] * len(motion)
@@ -652,14 +659,16 @@ def clearance_records(
             rows += len(piece_pairs[c])
         if not batch:
             break
-        sample = np.repeat([s for s, _ in batch], [len(piece_pairs[c]) for _, c in batch])
-        pa, pb = np.vstack([piece_pairs[c] for _, c in batch]).T
-        a, b = (ConvexPiece(*(x[p] for x in (stack.vertices, stack.normals, stack.directions, stack.edges, stack.loops)))
-                .placed(rot[sample, p], trans[sample, p]) for p in (pa, pb))
+        # side a's rows, then side b's
+        sample = np.tile(np.repeat([s for s, _ in batch], [len(piece_pairs[c]) for _, c in batch]), 2)
+        p = np.vstack([piece_pairs[c] for _, c in batch]).T.ravel()
+        moved = body[p] @ rot[sample, p].swapaxes(-1, -2)
+        both = ConvexPiece(moved[:, :nv] + trans[sample, p][:, None, :], moved[:, nv : nv + nn], moved[:, nv + nn :],
+                           stack.edges[p], stack.loops[p])
         ends = np.cumsum([0] + [len(piece_pairs[c]) for _, c in batch])
         # a sample's candidates come in ascending gap order, so once a gap
         # reaches the best clearance no later candidate of it counts
-        for (s, c), d in zip(batch, np.minimum.reduceat(_clearance(a, b), ends[:-1]).tolist()):
+        for (s, c), d in zip(batch, np.minimum.reduceat(_clearance(both), ends[:-1]).tolist()):
             if lbs[s, c] < best[s] and d < best[s]:
                 best[s], worst[s] = d, (faces[first[c]], faces[second[c]])
     return [(float(m.t), best[s], worst[s]) for s, m in enumerate(motion)]
@@ -680,7 +689,8 @@ def watertight_gap(solids: Sequence[PanelSolid]) -> float:
         raise ThickenError("no panels to check")
     pattern = solids[0].pattern
     by_face = {s.face: s for s in solids}
-    creases, angles, quads = [], [], []
+    start = dict(zip(by_face, np.cumsum([0] + [len(s.vertices) for s in by_face.values()]).tolist()))
+    creases, angles, corners = [], [], []
     for ci in pattern.interior_creases:
         left, right = pattern.crease_faces[ci]
         if left not in by_face or right not in by_face:
@@ -692,36 +702,19 @@ def watertight_gap(solids: Sequence[PanelSolid]) -> float:
         creases.append(ci)
         # panels below the pattern bevel for creases folding toward -z
         angles.append(math.copysign(math.pi - 2.0 * sl.bevel_angles[kl], sl.vertices[-1, 2]))
-        quads.append((_side_quad(sr, kr), _side_quad(sl, kl)))
+        for s, k in ((sr, kr), (sl, kl)):  # the bevel quad on side k, as rows of the panel's mesh
+            n, at = len(s.base), start[s.face]
+            corners += [at + k, at + (k + 1) % n, at + n + (k + 1) % n, at + n + k]
+    quads = np.concatenate([s.vertices for s in by_face.values()])[corners].reshape(-1, 2, 4, 3)
     # fold the left face of v0 -> v1 by the signed trim angle, keep the right one
     rot, trans = crease_rotations(pattern, np.array(creases, dtype=int), np.array(angles))
-    return max([0.0] + [_quad_plane_gap(qr, ql @ r.T + t) for (qr, ql), r, t in zip(quads, rot, trans)])
-
-
-def _side_quad(s: PanelSolid, k: int) -> np.ndarray:
-    n = len(s.base)
-    z = s.vertices[n, 2] if n < len(s.vertices) else 0.0
-    j = (k + 1) % n
-    return np.array(
-        [
-            [s.base[k][0], s.base[k][1], 0.0],
-            [s.base[j][0], s.base[j][1], 0.0],
-            [s.top[j][0], s.top[j][1], z],
-            [s.top[k][0], s.top[k][1], z],
-        ]
-    )
-
-
-def _quad_plane_gap(qa: np.ndarray, qb: np.ndarray) -> float:
-    def gap(plane_pts, probe_pts) -> float:
-        n = np.cross(plane_pts[1] - plane_pts[0], plane_pts[3] - plane_pts[0])
-        nn = np.linalg.norm(n)
-        if nn < 1e-30:
-            return math.inf
-        n = n / nn
-        return float(np.max(np.abs((probe_pts - plane_pts[0]) @ n)))
-
-    return max(gap(qa, qb), gap(qb, qa))
+    right, left = quads[:, 0], quads[:, 1] @ rot.swapaxes(-1, -2) + trans[:, None]
+    # each quad's plane against the other's corners; matmul takes np.linalg.norm's dot product
+    plane, probe = np.stack([right, left]), np.stack([left, right])
+    normal = _cross(plane[..., 1, :] - plane[..., 0, :], plane[..., 3, :] - plane[..., 0, :])
+    size = np.sqrt(normal[..., None, :] @ normal[..., :, None])[..., 0]
+    off = np.abs((probe - plane[..., :1, :]) @ (normal / np.where(size < 1e-30, 1.0, size))[..., None])
+    return float(np.where(size < 1e-30, math.inf, off.max(axis=2)).max(initial=0.0))
 
 
 # -- export ----------------------------------------------------------------
@@ -733,10 +726,8 @@ def export_solids_obj(solids: Sequence[PanelSolid]) -> str:
     offset = 1
     for s in sorted(solids, key=lambda x: x.face):
         lines.append(f"g face{s.face}")
-        for v in s.vertices:
-            lines.append("v %.9f %.9f %.9f" % (v[0], v[1], v[2]))
-        for t in s.triangles:
-            lines.append(f"f {offset + t[0]} {offset + t[1]} {offset + t[2]}")
+        lines += ["v %.9f %.9f %.9f" % tuple(v) for v in s.vertices.tolist()]
+        lines += ["f %d %d %d" % tuple(t) for t in (s.triangles + offset).tolist()]
         offset += len(s.vertices)
     return "\n".join(lines) + "\n"
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from doubleline.thicken import ConvexPiece, _adjacent_faces, _cross
+from panel_reference import placed
 
 
 def seg_seg_dist(p1, q1, p2, q2) -> np.ndarray:
@@ -80,8 +81,8 @@ def records(solids, motion):
     out = []
     for sample in motion:
         rot, trans = sample.rotations, sample.translations
-        placed = [[p.placed(rot[f], trans[f]) for p in solids[k].pieces] for k, f in zip(order, faces)]
-        v = [np.vstack([p.vertices for p in pieces]) for pieces in placed]
+        moved = [[placed(p, rot[f], trans[f]) for p in solids[k].pieces] for k, f in zip(order, faces)]
+        v = [np.vstack([p.vertices for p in pieces]) for pieces in moved]
         lo, hi = np.array([x.min(axis=0) for x in v]), np.array([x.max(axis=0) for x in v])
         gap = np.maximum(0.0, np.maximum(lo[second] - hi[first], lo[first] - hi[second]))
         lbs = np.sqrt((gap[:, None, :] @ gap[:, :, None]).ravel())
@@ -91,7 +92,7 @@ def records(solids, motion):
             lb, i, j = lbs[c], first[c], second[c]
             if lb >= best:
                 break
-            d = min(piece_clearance(p, q) for p in placed[i] for q in placed[j])
+            d = min(piece_clearance(p, q) for p in moved[i] for q in moved[j])
             if d < best:
                 best = d
                 best_pair = (faces[i], faces[j])

@@ -13,7 +13,7 @@ from collections import deque
 import numpy as np
 
 from doubleline.pattern import PatternError, vertex_star
-from doubleline.thicken import _quad_plane_gap, _side_quad
+from panel_reference import quad_plane_gap, side_quad
 
 
 def rot_x(angle: float) -> np.ndarray:
@@ -135,5 +135,5 @@ def watertight_gap(solids):
         axis = np.array([p1[0] - p0[0], p1[1] - p0[1], 0.0])
         axis /= np.linalg.norm(axis)
         iso = Isometry.about_line(np.array([p0[0], p0[1], 0.0]), axis, rho)
-        worst = max(worst, _quad_plane_gap(_side_quad(sr, kr), iso.apply(_side_quad(sl, kl))))
+        worst = max(worst, quad_plane_gap(side_quad(sr, kr), iso.apply(side_quad(sl, kl))))
     return worst

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from doubleline import cli, gen_yoshimura
+from doubleline import cli, gen_dl_yoshimura, gen_yoshimura
 from doubleline.cli import main
 from doubleline.fold_io import load_fold, save_fold
+from doubleline.pattern import CreasePattern
 
 
 def run(capsysbinary, *argv):
@@ -450,12 +451,43 @@ def test_solve_refuses_patterns_above_the_crease_cap(tmp_path, capsysbinary, mon
     assert run(capsysbinary, *argv) == (1, b"", message.encode())
 
 
-def test_solve_refuses_yoshimura_12x12(tmp_path, capsysbinary):
+def test_solve_refuses_yoshimura_12x12(tmp_path, capsysbinary, monkeypatch):
     path = tmp_path / "y12.fold"
     path.write_bytes(save_fold(gen_yoshimura(12, 12, 1.5).pattern))
+    validated = []
+    validate = CreasePattern.validate
+    monkeypatch.setattr(CreasePattern, "validate", lambda self: validated.append(self) or validate(self))
     code, out, err = run(capsysbinary, "solve", str(path), "--driver", "0", "--target", "10")
     assert (code, out) == (1, b"")
     assert err == b"error: solve takes at most 500 interior creases, the pattern has 517\n"
+    assert validated == []
+
+
+def test_thicken_csv_warns_when_panels_penetrate(tmp_path, capsysbinary):
+    # the recorded motion of this doubled Yoshimura passes through itself,
+    # whatever the thickness: faces 6 and 13 cross around half of t_flat
+    path = tmp_path / "y22.fold"
+    path.write_bytes(save_fold(gen_dl_yoshimura(2, 2, 1.5, math.pi / 2)))
+    argv = ("thicken", str(path), "--tau", "1e-4", "--format", "csv")
+    code, out, err = run(capsysbinary, *argv)
+    assert code == 0
+    t, least, pair = min((row.split(",") for row in out.decode().splitlines()[1:]), key=lambda r: float(r[1]))
+    assert float(least) < -0.3 and pair == "6-13"
+    assert err == f"warning: panels penetrate: least clearance {least} at t {t}, faces 6 and 13\n".encode()
+    # the warning goes to stderr only: the CSV is the one --out writes, and OBJ output checks no clearance
+    assert run(capsysbinary, *argv, "--out", str(tmp_path / "c.csv")) == (0, b"", err)
+    assert (tmp_path / "c.csv").read_bytes() == out
+    assert run(capsysbinary, "thicken", str(path), "--tau", "1e-4")[::2] == (0, b"")
+
+
+def test_thicken_csv_of_the_reproduced_vertex_warns_of_nothing(tmp_path, capsysbinary):
+    single, doubled = tmp_path / "single.fold", tmp_path / "dl_single.fold"
+    assert run(capsysbinary, "gen", "single", "--alpha", "60", "--beta", "80", "--out", str(single))[0] == 0
+    assert run(capsysbinary, "doubleline", str(single), "--theta", "90", "--radii", "0.2,0.2,0.2,0.2",
+               "--mode", "a-I", "--out", str(doubled))[0] == 0
+    code, out, err = run(capsysbinary, "thicken", str(doubled), "--tau", "0.01", "--samples", "12", "--format", "csv")
+    assert (code, err) == (0, b"")
+    assert min(float(row.split(",")[1]) for row in out.decode().splitlines()[1:]) > 0.0
 
 
 def test_import_doubleline_loads_no_submodule():
@@ -471,13 +503,15 @@ def _cli_loads(*argv):
 
 # The reproduce.sh commands in order (each reads what an earlier one wrote),
 # and the modules beyond pattern and geometry that each loads.
-GEN_MODULES = {"fold_io", "dl", "kinematics", "fold3d", "patterns"}
+# A shape that never folds (gen single) leaves the folding code unloaded.
+GEN_MODULES = {"fold_io", "dl", "kinematics", "patterns"}
+GEN_FOLDING_MODULES = GEN_MODULES | {"fold3d"}
 DOUBLE_MODULES = {"fold_io", "dl", "kinematics"}
 MOTION_MODULES = DOUBLE_MODULES | {"fold3d"}
 REPRODUCE_LOADS = [
     (("gen", "single", "--alpha", "60", "--beta", "80", "--out", "single.fold"), GEN_MODULES),
     (("gen", "dl-miura", "--rows", "3", "--cols", "3", "--angle", "60", "--theta", "90",
-      "--out", "dl_miura.fold"), GEN_MODULES),
+      "--out", "dl_miura.fold"), GEN_FOLDING_MODULES),
     (("doubleline", "single.fold", "--theta", "90", "--radii", "0.2,0.2,0.2,0.2", "--mode", "a-I",
       "--out", "dl_single.fold"), DOUBLE_MODULES),
     (("classify", "--alpha", "50", "--beta", "70", "--grid", "5", "--out", "regimes.csv"), DOUBLE_MODULES),

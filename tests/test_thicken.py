@@ -31,11 +31,12 @@ from doubleline import (
 )
 from doubleline.dl import axis_offsets
 from doubleline.geometry import polygon_area
-from doubleline.thicken import _clearance, _convex_piece, _convex_pieces, _inset_reach, _outline, _stack
+from doubleline.thicken import _clearance, _convex_pieces, _inset_reach, _outline, _stack
 
 from conftest import deg, star_of
 import clearance_reference
 from fold_reference import rot_x, rot_z
+from panel_reference import convex_piece, placed
 from soup_reference import soup_clearance
 
 
@@ -402,25 +403,25 @@ def test_face_with_two_reflex_corners_splits_into_convex_pieces(moving):
     rates[list(moving)] = 1.0
     V, reach = _inset_reach(_outline(u), rates)
     h = 0.4 * min(reach, 1.0)
-    pieces = [_convex_piece(b, b + h * v, r, h) for b, r, v in _convex_pieces(_outline(u), rates)]
+    pieces = [convex_piece(b, b + h * v, r, h) for b, r, v in _convex_pieces(_outline(u), rates)]
     assert len(pieces) == 3
     _check_pieces(u, u + h * V, pieces)
 
 
 def piece_clearance(a, b):
     """The narrow-phase kernel on one row: one piece against another."""
-    return float(_clearance(_stack([a]), _stack([b]))[0])
+    return float(_clearance(_stack([a, b]))[0])
 
 
 def cube(side=1.0):
     square = np.array([[0.0, 0.0], [side, 0.0], [side, side], [0.0, side]])
-    return _convex_piece(square, square, np.zeros(4), side)
+    return convex_piece(square, square, np.zeros(4), side)
 
 
 @pytest.mark.parametrize("gap", [0.25, 1e-3, -1e-3, -0.25])
 def test_boxes_face_to_face(gap):
     a = cube()
-    b = cube().placed(np.eye(3), np.array([0.3, 0.2, 1.0 + gap]))
+    b = placed(cube(), np.eye(3), np.array([0.3, 0.2, 1.0 + gap]))
     assert abs(piece_clearance(a, b) - gap) < 1e-12
     assert abs(piece_clearance(b, a) - gap) < 1e-12
 
@@ -437,7 +438,7 @@ def test_boxes_edge_through_edge(depth):
     x = np.array([1.0, 0.0, 0.0])
     rot = np.column_stack([e_b, u, x]) @ np.column_stack([x, u, -e_b]).T
     at = np.array([0.5, 1.0, 1.0]) - depth * u
-    b = cube().placed(rot, at - rot @ np.array([0.5, 0.0, 0.0]))
+    b = placed(cube(), rot, at - rot @ np.array([0.5, 0.0, 0.0]))
     assert abs(piece_clearance(cube(), b) + depth) < 1e-12
     assert abs(piece_clearance(b, cube()) + depth) < 1e-12
 
@@ -459,7 +460,7 @@ def test_piece_clearance_matches_the_triangle_soup(miura22_panels, faces, angles
     rot = rot_z(angles[0] + 0.3) @ rot_x(angles[1] + 0.7) @ rot_z(angles[2] + 1.1)
     centre_a, centre_b = a.vertices.mean(axis=0), b.vertices.mean(axis=0)
     trans = centre_a + np.array(offset) + 0.013 - rot @ centre_b
-    got = min(piece_clearance(p, q.placed(rot, trans)) for p in a.pieces for q in b.pieces)
+    got = min(piece_clearance(p, placed(q, rot, trans)) for p in a.pieces for q in b.pieces)
     want = soup_clearance(a.vertices, a.triangles, b.vertices @ rot.T + trans, b.triangles)
     assert (got < 0.0) == (want < 0.0)
     if want > 0.0:
