@@ -32,7 +32,9 @@ GEN_FLAGS = tuple(dict.fromkeys(name for names in GEN_SHAPE_FLAGS.values() for n
 
 # Caps on the size arguments, so that no call asks for unbounded rows or samples.
 GRID_STEP_RANGE = (0.01, 90.0)  # classify --grid, degrees: at most 17,999 rows per mode
-SAMPLES_RANGE = (1, 10_000)  # sweep and thicken --samples
+SAMPLES_RANGE = (1, 10_000)  # sweep --samples
+# thicken --samples: its grid runs geometrically from t_max / 1000 to t_max, and one sample would be only the start
+THICKEN_SAMPLES_RANGE = (2, 10_000)
 MODES_N_RANGE = (1, 1_000)  # modes --n
 GEN_SIZE_RANGE = (1, 12)  # gen --rows and --cols: a 12x12 Miura builds in about 3 s
 # gen --angle, degrees: a 12x12 Miura builds at 0.01 and fails at 1e-6; gen_miura refuses 90
@@ -254,7 +256,7 @@ def _cmd_thicken(args) -> bytes:
         thicken,
     )
 
-    _check_range("--samples", args.samples, SAMPLES_RANGE)
+    _check_range("--samples", args.samples, THICKEN_SAMPLES_RANGE)
     if args.t_max is not None and args.t_max <= 0.0:
         raise ValueError(f"--t-max must be positive, got {args.t_max:g}")
     pattern = _load(args.pattern)
@@ -392,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, required=True, help="panel thickness")
     p.add_argument("--side", choices=("above", "below"), default="above", help="panel side")
     p.add_argument("--t-max", type=float, help="largest motion parameter (default: near flat)")
-    p.add_argument("--samples", type=int, default=50, help="number of motion samples (1 to 10000)")
+    p.add_argument("--samples", type=int, default=50, help="number of motion samples (2 to 10000)")
     p.add_argument("--ignore-bound", action="store_true", help="allow thickness beyond the bound")
     p.set_defaults(handler=_cmd_thicken)
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .kinematics import FoldMode, mode_vector
-from .pattern import CreasePattern, PatternError, VertexStar
+from .pattern import CreasePattern, PatternError, VertexStar, per_pattern
 
 WELD_TOL = 1e-6
 RESIDUAL_TOL = 1e-9
@@ -149,7 +149,7 @@ def _fold_stack(pattern: CreasePattern, angles: np.ndarray) -> tuple[np.ndarray,
             rot[:, face[k]] = up @ r[:, k]
             trans[:, face[k]] = (up @ t[:, k, :, None])[..., 0] + trans[:, parent[k]]
 
-    residuals = [_norms(_closure_defects(pattern.interior_stars, angles))]
+    residuals = [_norms(_closure_defects(_interior_star_table(pattern), angles))]
     off = np.array(tree.off_tree, dtype=int)
     if len(off):
         lf, rf = np.array([pattern.crease_faces[c] for c in off]).T
@@ -175,23 +175,48 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
 
 
-def _closure_defects(stars: Sequence[VertexStar], angles: np.ndarray) -> np.ndarray:
+class _StarTable(NamedTuple):
+    """Stars grouped by degree: per degree, the stars' positions, their crease
+    ids (k, degree) and the in-plane rotations by their sectors (k, degree, 3, 3)."""
+
+    size: int
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+def _star_table(stars: Sequence[VertexStar]) -> _StarTable:
+    by_degree: dict[int, list[int]] = {}
+    for k, star in enumerate(stars):
+        by_degree.setdefault(star.degree, []).append(k)
+    return _StarTable(len(stars), tuple(
+        (np.array(ks), np.array([stars[k].crease_ids for k in ks]), _plane_rotations(np.array([stars[k].sectors for k in ks]), 0, 1))
+        for ks in by_degree.values()
+    ))
+
+
+@per_pattern
+def _interior_star_table(pattern: CreasePattern) -> _StarTable:
+    """The table of the pattern's interior stars, built once per pattern; its arrays are read-only."""
+    table = _star_table(pattern.interior_stars)
+    for group in table.groups:
+        for a in group:
+            a.setflags(write=False)
+    return table
+
+
+def _closure_defects(stars: Sequence[VertexStar] | _StarTable, angles: np.ndarray) -> np.ndarray:
     """(S, V, 9) rotation loop minus identity of each star, for S angle vectors (S, C) indexed by crease id.
 
     Composes, crease by crease, the dihedral rotation by the fold angle and
     the in-plane rotation by the following sector angle; the stars of one
-    degree are composed together.
+    degree are composed together.  A pattern's callers pass its kept table.
     """
-    out = np.empty((len(angles), len(stars), 9))
-    by_degree: dict[int, list[int]] = {}
-    for k, star in enumerate(stars):
-        by_degree.setdefault(star.degree, []).append(k)
+    table = stars if isinstance(stars, _StarTable) else _star_table(stars)
+    out = np.empty((len(angles), table.size, 9))
     eye = np.eye(3)
-    for degree, ks in by_degree.items():
-        rx = _plane_rotations(angles[:, [stars[k].crease_ids for k in ks]], 1, 2)
-        rz = _plane_rotations(np.array([stars[k].sectors for k in ks]), 0, 1)
+    for ks, creases, rz in table.groups:
+        rx = _plane_rotations(angles[:, creases], 1, 2)
         a = np.broadcast_to(eye, (len(angles), len(ks), 3, 3))
-        for j in range(degree):
+        for j in range(creases.shape[1]):
             a = a @ rx[:, :, j] @ rz[:, j]
         out[:, ks] = (a - eye).reshape(len(angles), len(ks), 9)
     return out
@@ -338,14 +363,14 @@ def solve_fold_angles(
     if not stars:
         raise Fold3dError("pattern has no interior vertices to constrain")
     free = np.array([ci for ci in pattern.interior_creases if ci != driver_crease], dtype=int)
-    colouring = _crease_colouring(stars, free)
+    colouring, table = _crease_colouring(stars, free), _interior_star_table(pattern)
 
     def newton(x0: np.ndarray, driver: float) -> np.ndarray:
         x = x0.copy()
         x[driver_crease] = driver
         h = 1e-7
         for _ in range(NEWTON_MAX_ITER):
-            r, jac = _defects_and_jacobian(stars, free, colouring, x, h)
+            r, jac = _defects_and_jacobian(table, free, colouring, x, h)
             if float(np.max(np.abs(r))) < tol:
                 return x
             # the stacked probes leave x untouched, where perturbing one crease
@@ -363,7 +388,7 @@ def solve_fold_angles(
             if step > 1.0:  # keep Newton in the basin
                 delta *= 1.0 / step
             x[free] += delta
-        r = _closure_defects(stars, x[None]).ravel()
+        r = _closure_defects(table, x[None]).ravel()
         raise SolveError(
             f"no convergence after {NEWTON_MAX_ITER} iterations at driver {driver:.6f} rad "
             f"(residual {float(np.max(np.abs(r))):.3e})"
@@ -409,7 +434,7 @@ def _crease_colouring(stars: Sequence[VertexStar], free: np.ndarray) -> tuple[np
 
 
 def _defects_and_jacobian(
-    stars: Sequence[VertexStar], free: np.ndarray, colouring: tuple[np.ndarray, np.ndarray, np.ndarray],
+    stars: Sequence[VertexStar] | _StarTable, free: np.ndarray, colouring: tuple[np.ndarray, np.ndarray, np.ndarray],
     x: np.ndarray, h: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closure defects at x and their forward-difference Jacobian over the free creases, from one stacked call.
@@ -424,9 +449,9 @@ def _defects_and_jacobian(
     probes = np.repeat(x[None], 1 + n_colours, axis=0)
     probes[1 + colour, free] += h
     d = _closure_defects(stars, probes)
-    jac = np.zeros((len(stars), 9, len(free)))
+    jac = np.zeros((d.shape[1], 9, len(free)))
     jac[star, :, column] = (d[1 + colour[column], star] - d[0, star]) / h
-    return d[0].ravel(), jac.reshape(len(stars) * 9, len(free))
+    return d[0].ravel(), jac.reshape(d.shape[1] * 9, len(free))
 
 
 def export_obj(state: FoldedState) -> str:

@@ -10,9 +10,12 @@ bound can be lifted to study what goes wrong beyond it.
 Each panel is also kept as a union of convex pieces: its face cut at every
 reflex corner along the corner's straight-skeleton ray.  Collision checking
 places the pieces by each sample's face rotations and translations and
-measures signed clearance between every pair of pieces with a
-separating-axis test: the exact distance between pieces apart, the exact
-penetration depth (negative) between pieces that overlap.
+measures signed clearance between pairs of pieces with a separating-axis
+test: the exact penetration depth (negative) between pieces that overlap,
+the exact distance between pieces apart wherever it can beat the sample's
+least clearance so far.  Each batch of piece pairs runs at its widest
+piece's corner count, skips pairs whose separation exceeds that least, and
+measures the others only inside the slab between separation and least.
 """
 from __future__ import annotations
 
@@ -459,32 +462,35 @@ def _build_solid(pattern, fi, base, top, tau, h, angles, sign_up, pieces) -> Pan
 # -- clearance -------------------------------------------------------------
 
 
-def _seg_seg_dist(p1, q1, p2, q2) -> np.ndarray:
-    """Segment-segment distances over broadcast stacks of (..., 3) endpoints."""
-    d1 = q1 - p1
-    d2 = q2 - p2
+def _seg_seg_dist(p1, d1, p2, d2) -> np.ndarray:
+    """Distances between segments p1 + s d1 and p2 + t d2, s and t in [0, 1], over coordinate-major (3, k) stacks."""
     r = p1 - p2
-    a = np.einsum("...j,...j->...", d1, d1)
-    e = np.einsum("...j,...j->...", d2, d2)
-    f = np.einsum("...j,...j->...", d2, r)
-    c = np.einsum("...j,...j->...", d1, r)
-    b = np.einsum("...j,...j->...", d1, d2)
+    a, e, f, c, b = (_dot(x, y) for x, y in ((d1, d1), (d2, d2), (d2, r), (d1, r), (d1, d2)))
     denom = a * e - b * b
+    # minimum(maximum(x, 0), 1) is np.clip(x, 0, 1) but for the sign of a zero, without its Python overhead
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(denom > 1e-30, np.clip((b * f - c * e) / denom, 0.0, 1.0), 0.0)
+        s = np.where(denom > 1e-30, np.minimum(np.maximum((b * f - c * e) / denom, 0.0), 1.0), 0.0)
         t = np.where(e > 1e-30, (b * s + f) / e, 0.0)
-        s = np.where(t < 0.0, np.where(a > 1e-30, np.clip(-c / a, 0.0, 1.0), 0.0), s)
-        s = np.where(t > 1.0, np.where(a > 1e-30, np.clip((b - c) / a, 0.0, 1.0), 0.0), s)
-    t = np.clip(t, 0.0, 1.0)
-    diff = (p1 + s[..., None] * d1) - (p2 + t[..., None] * d2)
-    return np.linalg.norm(diff, axis=-1)
+        # past an end of segment 2: the point of segment 1 nearest that end
+        past = np.minimum(np.maximum(np.where(t < 0.0, -c, b - c) / a, 0.0), 1.0)
+        s = np.where((t < 0.0) | (t > 1.0), np.where(a > 1e-30, past, 0.0), s)
+    # (p1 + s d1) - (p2 + t d2), squared, in place: these arrays bound the narrow phase's memory
+    np.multiply(s, d1, out=r)
+    r += p1
+    r -= np.minimum(np.maximum(t, 0.0), 1.0) * d2 + p2
+    r *= r
+    return np.sqrt((r[0] + r[1]) + r[2])  # np.linalg.norm's sum
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products of coordinate-major stacks, summed as einsum sums three terms."""
+    xy = x * y
+    return (xy[0] + xy[2]) + xy[1]
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross products of broadcast stacks of 3-vectors: np.cross's arithmetic without its overhead."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    """Cross products of broadcast coordinate-major stacks of 3-vectors: np.cross's arithmetic without its overhead."""
+    return a.take([1, 2, 0], axis=0) * b.take([2, 0, 1], axis=0) - a.take([2, 0, 1], axis=0) * b.take([1, 2, 0], axis=0)
 
 
 def _stack(pieces: Sequence[ConvexPiece]) -> ConvexPiece:
@@ -510,52 +516,73 @@ def _stack(pieces: Sequence[ConvexPiece]) -> ConvexPiece:
                        loops[which])
 
 
-def _clearance(both: ConvexPiece) -> np.ndarray:
-    """Signed clearance between rows k and n + k of a stack of 2n placed convex pieces.
+def _clearance(both: ConvexPiece, best: np.ndarray) -> np.ndarray:
+    """Signed clearance between rows k and n + k of a stack of 2n placed convex pieces, exact below best[k].
 
     When the largest separation over the axes is negative it is the
-    penetration depth, exact for convex pieces; otherwise the exact
-    distance is the least over edge pairs and over vertices facing a face.
+    penetration depth, exact for convex pieces.  A row apart by more than
+    its cut (best[k] plus 1e-9 of it and of the largest coordinate) returns
+    that separation.  Otherwise it is the distance: the least over edge
+    pairs and corners facing a face whose depths below the sides facing
+    each other on the best axis sum to at most cut - separation.
     """
     n = len(both.vertices) // 2
-    out = _separation(both, n)
-    far = np.flatnonzero(~(out < 0.0))
-    if len(far) < n:  # on clearing ops every row is usually apart
-        rows = np.concatenate([far, far + n])
-        both = ConvexPiece(*(x[rows] for x in (both.vertices, both.normals, both.directions, both.edges, both.loops)))
-    m = len(far)
-    ends = both.vertices[np.arange(2 * m)[:, None, None], both.edges]
-    edge = _seg_seg_dist(ends[:m, :, None, 0], ends[:m, :, None, 1], ends[m:, None, :, 0], ends[m:, None, :, 1])
-    # row k's faces against the other side's corners, both ways in one call
-    facing = _vertex_face_dist(both.vertices[np.arange(-m, m)], both)
-    out[far] = np.minimum(edge.min(axis=(1, 2)), np.minimum(facing[m:], facing[:m]))
-    return out
-
-
-def _separation(both: ConvexPiece, n: int) -> np.ndarray:
-    """Largest separation of rows k and n + k over both pieces' face normals and edge-direction cross products."""
-    dirs, normals = both.directions, both.normals
-    cross = _cross(dirs[:n, :, None], dirs[n:, None]).reshape(n, -1, 3)
-    size = np.linalg.norm(cross, axis=2)
-    keep = size > 1e-12
-    axes = np.concatenate([normals[:n], normals[n:], cross / np.where(keep, size, 1.0)[..., None]], axis=1)
-    used = np.concatenate([np.ones((n, 2 * normals.shape[1]), dtype=bool), keep], axis=1)
-    # both sides' corners on every axis by one product, (2, n, corners, axes)
-    proj = both.vertices.reshape(2, n, -1, 3) @ axes.swapaxes(1, 2)
-    lo, hi = proj.min(axis=2), proj.max(axis=2)
-    return np.max(np.maximum(lo[1] - hi[0], lo[0] - hi[1]), axis=1, where=used, initial=-math.inf)
-
-
-def _vertex_face_dist(points: np.ndarray, piece: ConvexPiece) -> np.ndarray:
-    """Per row, the least plane distance from a point to a face of the piece it projects into."""
-    corners = piece.vertices[np.arange(len(points))[:, None, None], piece.loops]
-    width = corners.shape[2]
-    rims = _cross(piece.normals[:, :, None], corners[:, :, (np.arange(width) + 1) % width] - corners)
-    side = np.einsum("nfwk,npk->npfw", rims, points) - np.einsum("nfwk,nfwk->nfw", rims, corners)[:, None]
+    out, depth = _separation(both, n)
+    cut = best + 1e-9 * (np.abs(best) + np.abs(both.vertices).max())
+    open_ = (out >= 0.0) & (out <= cut)
+    if not open_.any():  # on later batches many rows lie beyond their cut
+        return out
+    slab = np.where(open_, cut - out, -1.0)[np.arange(2 * n) % n]  # each row's slab width, for both its pieces
+    # coordinate-major corners, row r's corner v in column r * nv + v; take keeps gathers coordinate-major
+    nv, pts, flat = depth.shape[1], np.ascontiguousarray(both.vertices.reshape(-1, 3).T), depth.ravel()
+    at = nv * np.arange(2 * n)[:, None, None]
+    first, second = (both.edges + at).transpose(2, 0, 1)
+    start = pts.take(first.ravel(), axis=1)
+    span = pts.take(second.ravel(), axis=1) - start  # each edge from its first corner
+    deep = np.minimum(flat[first], flat[second])  # a feature's depth is its least corner's
+    near = deep[:n, :, None] + deep[n:, None, :] <= slab[:n, None, None]
+    k, i, j = near.nonzero()
+    i, j = k * deep.shape[1] + i, (n + k) * deep.shape[1] + j
+    edge = np.where(near, 0.0, math.inf)
+    edge[near] = _seg_seg_dist(*(x.take(e, axis=1) for e in (i, j) for x in (start, span)))
+    # row r's faces against the corners of the other piece, row swap[r]; rims lead, so sides reduce over them
+    swap, rings = np.arange(-n, n), both.loops.transpose(2, 0, 1) + at[..., 0]
+    corners, normals = pts.take(rings, axis=1), np.ascontiguousarray(both.normals.transpose(2, 0, 1))
+    rims = _cross(normals[:, None], corners.take(np.arange(1, len(rings) + 1) % len(rings), axis=1) - corners)
+    near = np.minimum.reduce(flat[rings])[:, :, None] + depth[swap][:, None, :] <= slab[:, None, None]
+    r, f, v = near.nonzero()
+    face = r * rings.shape[2] + f
+    side = _dot(rims.reshape(3, len(rings), -1).take(face, axis=2), pts.take(swap[r] * nv + v, axis=1)[:, None])
+    side -= _dot(rims, corners).reshape(len(rings), -1).take(face, axis=1)
     # one sign on every rim means inside, whichever way the loop turns
-    inside = (side.min(axis=3) >= 0.0) | (side.max(axis=3) <= 0.0)
-    plane = np.abs(points @ piece.normals.swapaxes(1, 2) - np.einsum("nfk,nfk->nf", piece.normals, corners[:, :, 0])[:, None])
-    return np.min(plane, axis=(1, 2), where=inside, initial=math.inf)
+    inside = (np.minimum.reduce(side) >= 0.0) | (np.maximum.reduce(side) <= 0.0)
+    plane = both.vertices.reshape(2, n, nv, 3)[::-1] @ both.normals.reshape(2, n, -1, 3).swapaxes(2, 3)
+    facing = np.where(near, 0.0, math.inf)
+    facing[near] = np.where(inside, np.abs(plane.reshape(2 * n, nv, -1)[r, v, f] - _dot(normals, corners[:, 0]).ravel()[face]), math.inf)
+    edge, facing = np.minimum.reduce(edge.reshape(n, -1), axis=1), np.minimum.reduce(facing.reshape(2, n, -1), axis=(0, 2))
+    return np.where(open_, np.minimum(edge, facing), out)
+
+
+def _separation(both: ConvexPiece, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Largest separation of rows k and n + k over both pieces' face normals and edge-direction cross products,
+    and each corner's depth on that axis below its piece's side facing the other, in rows like the stack's."""
+    d = np.ascontiguousarray(both.directions.transpose(2, 0, 1))
+    cross = _cross(d[:, :n, :, None], d[:, n:, None]).reshape(3, n, -1)
+    sq = cross * cross
+    size = np.sqrt((sq[0] + sq[1]) + sq[2])  # np.linalg.norm's sum
+    keep, normals = size > 1e-12, both.normals.transpose(0, 2, 1)
+    # an axis of parallel edges repeats the first normal: no new separation
+    cross = np.where(keep, cross / np.where(keep, size, 1.0), normals[:n, :, 0].T[:, :, None])
+    axes = np.concatenate([normals[:n], normals[n:], cross.transpose(1, 0, 2)], axis=2)
+    # both sides' corners on every axis by one product, (2, n, corners, axes)
+    proj = both.vertices.reshape(2, n, -1, 3) @ axes
+    lo, hi = np.minimum.reduce(proj, axis=2), np.maximum.reduce(proj, axis=2)
+    gaps = np.concatenate([lo[1] - hi[0], lo[0] - hi[1]], axis=1)  # row n + k above row k, then below
+    pick, ax = gaps.argmax(axis=1), axes.shape[2]
+    # corners on that axis, turned so that each piece's side facing the other is its least
+    on = proj[:, np.arange(n), :, pick % ax] * (np.where(pick < ax, 1.0, -1.0)[:, None] * [-1.0, 1.0])[..., None]
+    depth = on - np.minimum.reduce(on, axis=2)[..., None]
+    return gaps[np.arange(n), pick], depth.transpose(1, 0, 2).reshape(2 * n, -1)
 
 
 def _adjacent_faces(pattern: CreasePattern) -> set[tuple[int, int]]:
@@ -564,12 +591,7 @@ def _adjacent_faces(pattern: CreasePattern) -> set[tuple[int, int]]:
     for fi, cycle in enumerate(pattern.faces):
         for v in cycle:
             at_vertex.setdefault(v, []).append(fi)
-    out: set[tuple[int, int]] = set()
-    for members in at_vertex.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                out.add((members[i], members[j]))
-    return out
+    return {(f, g) for members in at_vertex.values() for k, f in enumerate(members) for g in members[k + 1 :]}
 
 
 @per_pattern
@@ -593,9 +615,10 @@ def clearance_records(
     reaches the least clearance found; the earliest pair wins a tie.  The
     narrow phase takes candidates from all samples in turn, at most
     NARROW_CHUNK piece pairs per batched call (a face pair with more goes
-    alone), and places only the pieces of its batch.  When every pair of
-    panels shares a pattern vertex no pair is checked: the clearance is inf
-    and the pair None.
+    alone), places only the pieces of its batch, at their most corners, and
+    is exact below each sample's least clearance so far.  When every pair
+    of panels shares a pattern vertex no pair is checked: the clearance is
+    inf and the pair None.
 
     A panel cut into convex pieces reports the deepest piece-pair depth,
     which can be less than the depth of the whole panel.
@@ -615,11 +638,16 @@ def clearance_records(
     pairs = position[_apart_faces(pattern)]
     pairs = pairs[(pairs >= 0).all(axis=1)]
     first, second = pairs[:, 0], pairs[:, 1]
-    counts = [len(solids[k].pieces) for k in order]
-    start = np.cumsum([0] + counts)
-    # piece pairs of each face pair, as rows of (piece of i, piece of j)
-    piece_pairs = [np.array([(p, q) for p in range(start[i], start[i + 1]) for q in range(start[j], start[j + 1])])
-                   for i, j in pairs]
+    counts = np.array([len(solids[k].pieces) for k in order])
+    start = np.cumsum(counts) - counts
+    # the piece pairs of every face pair, pair after pair, as the columns of one (2, P) array
+    size = counts[first] * counts[second]
+    offset = np.cumsum(size) - size
+    local = np.divmod(np.arange(size.sum()) - np.repeat(offset, size), np.repeat(counts[second], size))
+    piece_pairs, offset, size = np.repeat([start[first], start[second]], size, axis=1) + local, offset.tolist(), size.tolist()
+    # a batch is sliced to the most corners among its pieces
+    widest = np.array([max(len(p.normals) for p in solids[k].pieces) - 2 for k in order])
+    width = np.maximum(widest[first], widest[second]).tolist()
     face_of = np.repeat(faces, counts)
     stack = _stack([p for k in order for p in solids[k].pieces])
     rot = np.stack([s.rotations for s in motion])[:, face_of]
@@ -627,49 +655,51 @@ def clearance_records(
     # the broad phase places only the corners, x -> rot @ x + trans; the
     # narrow phase places the pieces of each batch
     corners = stack.vertices @ rot.swapaxes(-1, -2) + trans[..., None, :]
-    lo = np.minimum.reduceat(corners.min(axis=2), start[:-1], axis=1)
-    hi = np.maximum.reduceat(corners.max(axis=2), start[:-1], axis=1)
+    lo = np.minimum.reduceat(corners.min(axis=2), start, axis=1)
+    hi = np.maximum.reduceat(corners.max(axis=2), start, axis=1)
     del corners
     gap = np.maximum(0.0, np.maximum(lo[:, second] - hi[:, first], lo[:, first] - hi[:, second]))
     # AABB gaps are lower bounds, tried in ascending order, ties in pair
     # order; matmul takes the same dot product as np.linalg.norm
     lbs = np.sqrt((gap[..., None, :] @ gap[..., :, None])[..., 0, 0])
     ranked = np.argsort(lbs, axis=1, kind="stable")
+    bounds, ranked = np.take_along_axis(lbs, ranked, axis=1), ranked.tolist()
     # every piece's corners, normals and directions as rows of one array, placed by one product
     nv, nn = stack.vertices.shape[1], stack.normals.shape[1]
     body = np.concatenate([stack.vertices, stack.normals, stack.directions], axis=1)
+    columns = {w: np.r_[: 2 * w, nv : nv + w + 2, nv + nn : nv + nn + 2 * w] for w in set(width)}
 
     best = [math.inf] * len(motion)
     worst: list[tuple[int, int] | None] = [None] * len(motion)
     tried = [0] * len(motion)
     queue = deque(range(len(motion)))  # samples take turns, one candidate each
     while queue:
-        batch, rows = [], 0
+        batch, take, sample = [], [], []
         while queue:
             s = queue[0]
-            if tried[s] == len(pairs) or lbs[s, ranked[s, tried[s]]] >= best[s]:
+            if tried[s] == len(pairs) or bounds[s, tried[s]] >= best[s]:
                 queue.popleft()  # this sample's search is over
                 continue
-            c = ranked[s, tried[s]]
-            if batch and rows + len(piece_pairs[c]) > NARROW_CHUNK:
+            c = ranked[s][tried[s]]
+            if batch and len(take) + size[c] > NARROW_CHUNK:
                 break
             queue.rotate(-1)
+            batch.append((s, c, bounds[s, tried[s]], len(take)))
             tried[s] += 1
-            batch.append((s, c))
-            rows += len(piece_pairs[c])
+            take += range(offset[c], offset[c] + size[c])
+            sample += [s] * size[c]
         if not batch:
             break
-        # side a's rows, then side b's
-        sample = np.tile(np.repeat([s for s, _ in batch], [len(piece_pairs[c]) for _, c in batch]), 2)
-        p = np.vstack([piece_pairs[c] for _, c in batch]).T.ravel()
-        moved = body[p] @ rot[sample, p].swapaxes(-1, -2)
-        both = ConvexPiece(moved[:, :nv] + trans[sample, p][:, None, :], moved[:, nv : nv + nn], moved[:, nv + nn :],
-                           stack.edges[p], stack.loops[p])
-        ends = np.cumsum([0] + [len(piece_pairs[c]) for _, c in batch])
+        w = max(width[c] for _, c, *_ in batch)
+        p = piece_pairs[:, take].ravel()  # side a's rows, then side b's
+        cutoff, sample = np.array(best)[sample], sample * 2
+        moved = body[p[:, None], columns[w]] @ rot[sample, p].swapaxes(-1, -2)
+        both = ConvexPiece(moved[:, : 2 * w] + trans[sample, p][:, None, :], moved[:, 2 * w : 3 * w + 2],
+                           moved[:, 3 * w + 2 :], stack.edges[p, : 3 * w], stack.loops[p, : w + 2, : max(w, 4)])
         # a sample's candidates come in ascending gap order, so once a gap
         # reaches the best clearance no later candidate of it counts
-        for (s, c), d in zip(batch, np.minimum.reduceat(_clearance(both), ends[:-1]).tolist()):
-            if lbs[s, c] < best[s] and d < best[s]:
+        for (s, c, lb, _), d in zip(batch, np.minimum.reduceat(_clearance(both, cutoff), [h for *_, h in batch]).tolist()):
+            if lb < best[s] and d < best[s]:
                 best[s], worst[s] = d, (faces[first[c]], faces[second[c]])
     return [(float(m.t), best[s], worst[s]) for s, m in enumerate(motion)]
 
@@ -711,7 +741,7 @@ def watertight_gap(solids: Sequence[PanelSolid]) -> float:
     right, left = quads[:, 0], quads[:, 1] @ rot.swapaxes(-1, -2) + trans[:, None]
     # each quad's plane against the other's corners; matmul takes np.linalg.norm's dot product
     plane, probe = np.stack([right, left]), np.stack([left, right])
-    normal = _cross(plane[..., 1, :] - plane[..., 0, :], plane[..., 3, :] - plane[..., 0, :])
+    normal = _cross((plane[..., 1, :] - plane[..., 0, :]).T, (plane[..., 3, :] - plane[..., 0, :]).T).T
     size = np.sqrt(normal[..., None, :] @ normal[..., :, None])[..., 0]
     off = np.abs((probe - plane[..., :1, :]) @ (normal / np.where(size < 1e-30, 1.0, size))[..., None])
     return float(np.where(size < 1e-30, math.inf, off.max(axis=2)).max(initial=0.0))

@@ -490,6 +490,18 @@ def test_thicken_csv_of_the_reproduced_vertex_warns_of_nothing(tmp_path, capsysb
     assert min(float(row.split(",")[1]) for row in out.decode().splitlines()[1:]) > 0.0
 
 
+def test_thicken_refuses_fewer_than_two_samples(tmp_path, capsysbinary):
+    # the grid runs geometrically from t_max / 1000 to t_max: a single
+    # sample would be its start alone, a nearly flat state
+    single, doubled = _doubled_single(tmp_path, capsysbinary)
+    argv = ("thicken", str(doubled), "--tau", "0.01", "--format", "csv", "--samples")
+    assert run(capsysbinary, *argv, "1") == (1, b"", b"error: --samples must lie in [2, 10000], got 1\n")
+    code, out, err = run(capsysbinary, *argv, "2")
+    assert (code, err) == (0, b"")
+    rows = [row.split(",") for row in out.decode().splitlines()[1:]]
+    assert len(rows) == 2 and math.isclose(float(rows[1][0]), 1000.0 * float(rows[0][0]), rel_tol=1e-9)
+
+
 def test_import_doubleline_loads_no_submodule():
     code = "import sys, doubleline; print(*sorted(m for m in sys.modules if m.startswith('doubleline.')))"
     assert _fresh_python(code) == []

@@ -31,7 +31,7 @@ from doubleline import (
 )
 from doubleline.dl import axis_offsets
 from doubleline.geometry import polygon_area
-from doubleline.thicken import _clearance, _convex_pieces, _inset_reach, _outline, _stack
+from doubleline.thicken import ConvexPiece, _clearance, _convex_pieces, _inset_reach, _outline, _stack
 
 from conftest import deg, star_of
 import clearance_reference
@@ -328,7 +328,9 @@ def oracle_panels(name, factor, side, samples):
         pat = single_dl()
         g = pattern_multipliers(pat, MODE_A1)
     else:
-        pat = gen_dl_miura(int(name[3]), int(name[3]), math.radians(60), math.pi / 2)
+        make = gen_dl_miura if name.startswith("dlm") else gen_dl_yoshimura
+        shape = math.radians(60) if name.startswith("dlm") else 1.5
+        pat = make(int(name[3]), int(name[4]), shape, math.pi / 2)
         g = np.array(read_record(pat).multipliers)
     t_max = 0.97 * flat_fold_parameter(pat, g)
     motion = sweep_motion(pat, None, np.geomspace(t_max * 1e-3, t_max, samples), multipliers=g)
@@ -343,9 +345,11 @@ def oracle_panels(name, factor, side, samples):
     return motion, thicken(pat, motion, params)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(
-    name=st.sampled_from(("dlm22", "dlm33", "dl_single")),
+    # batches mix widths on dl-Miura (pentagons among quads) and the doubled vertex (triangles
+    # among quads); dl-Yoshimura 2x4 pieces are all quads
+    name=st.sampled_from(("dlm22", "dlm33", "dl_single", "dly24", "dlm44")),
     factor=st.floats(0.5, 2.5),
     side=st.sampled_from(("above", "below")),
     samples=st.integers(2, 12),
@@ -409,8 +413,61 @@ def test_face_with_two_reflex_corners_splits_into_convex_pieces(moving):
 
 
 def piece_clearance(a, b):
-    """The narrow-phase kernel on one row: one piece against another."""
-    return float(_clearance(_stack([a, b]))[0])
+    """The narrow-phase kernel on one row: one piece against another, every feature counted."""
+    return float(_clearance(_stack([a, b]), np.array([math.inf]))[0])
+
+
+@pytest.fixture(scope="module")
+def piece_pool():
+    """Unplaced convex pieces with 3, 4 and 5 corners, from thick panels of a doubled vertex, Miura and Yoshimura."""
+    pieces = [p for name in ("dl_single", "dlm22", "dlm44") for s in oracle_panels(name, 0.9, "above", 4)[1] for p in s.pieces]
+    return {m: [p for p in pieces if len(p.normals) - 2 == m] for m in (3, 4, 5)}
+
+
+def random_rows(pool, corners, n, rng):
+    """2n pieces with the given corner counts, and motions that turn each at random and put
+    piece n + k near piece k: some pairs apart, some overlapping."""
+    choices = [p for m in corners for p in pool[m]]
+    pieces = [choices[k] for k in rng.integers(0, len(choices), 2 * n)]
+    rot = np.stack([rot_z(a) @ rot_x(b) @ rot_z(c) for a, b, c in rng.uniform(-math.pi, math.pi, (2 * n, 3))])
+    trans = -np.einsum("nij,nj->ni", rot, [p.vertices.mean(axis=0) for p in pieces])
+    trans[n:] += rng.uniform(-1.0, 1.0, (n, 3)) * rng.choice([0.1, 0.5, 1.5], (n, 1))
+    return pieces, rot, trans
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
+def test_a_batch_at_its_own_width_measures_as_the_padded_batch(piece_pool, seed, n):
+    pieces, rot, trans = random_rows(piece_pool, (3, 4), n, np.random.default_rng(seed))
+    own = _stack(pieces)
+    # the same rows padded to five corners: a pentagon stacked last, then dropped
+    wide = _stack(pieces + piece_pool[5][:1])
+    wide = ConvexPiece(*(x[:-1] for x in (wide.vertices, wide.normals, wide.directions, wide.edges, wide.loops)))
+    assert own.normals.shape[1] < wide.normals.shape[1] == 7
+    own, wide = placed(own, rot, trans), placed(wide, rot, trans)
+    want = clearance_reference.padded_clearance(wide)
+    assert same_bits(_clearance(own, np.full(n, math.inf)), want)
+    assert same_bits(_clearance(wide, np.full(n, math.inf)), want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
+def test_a_row_below_its_cut_measures_as_if_every_feature_counted(piece_pool, seed, n):
+    rng = np.random.default_rng(seed)
+    pieces, rot, trans = random_rows(piece_pool, (3, 4, 5), n, rng)
+    both = placed(_stack(pieces), rot, trans)
+    want = clearance_reference.padded_clearance(both)
+    # cuts above, at and below each row's clearance, and none
+    best = np.where(rng.random(n) < 0.2, math.inf, want * rng.choice([0.5, 1.0, 1.0 + 1e-12, 1.01, 2.0], n) + rng.choice([0.0, 1e-3], n))
+    got = _clearance(both, best)
+    below = want < best
+    assert same_bits(got[below], want[below])
+    # a row at or beyond its cut may stop at its separation, which cannot beat the cut
+    assert np.all(got[~below] >= best[~below])
 
 
 def cube(side=1.0):
