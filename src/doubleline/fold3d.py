@@ -22,6 +22,11 @@ WELD_TOL = 1e-6
 RESIDUAL_TOL = 1e-9
 NULL_SPACE_TOL = 1e-9  # relative singular values spanning a motion; smallest usable motion entry
 NEWTON_MAX_ITER = 50
+# condition number of a solved Newton Jacobian above which the driver leaves
+# a second motion free: the forward differences put that motion's singular
+# value near their step (condition about 2.5e7 on Miura 3x3 and 4x4), and
+# single-motion states measured below 300
+ONE_MOTION_COND = 1e5
 
 
 class Fold3dError(ValueError):
@@ -208,7 +213,8 @@ def _closure_defects(stars: Sequence[VertexStar] | _StarTable, angles: np.ndarra
 
     Composes, crease by crease, the dihedral rotation by the fold angle and
     the in-plane rotation by the following sector angle; the stars of one
-    degree are composed together.  A pattern's callers pass its kept table.
+    degree are composed together.  Callers pass a table built once: a
+    pattern's kept one, or the solver's own for one solve.
     """
     table = stars if isinstance(stars, _StarTable) else _star_table(stars)
     out = np.empty((len(angles), table.size, 9))
@@ -343,13 +349,25 @@ def solve_fold_angles(
 
     Newton iteration (least squares on the stacked per-vertex closure
     defects) over all interior crease angles except the pinned driver.
-    Without an initial guess, continuation walks the driver from nearly
-    flat to the target in small steps.  Each iteration takes its
-    forward-difference Jacobian from one stacked closure call: the free
-    creases are coloured once so that no star holds two of one colour,
-    and one probe per colour gives every column of that colour (Curtis,
-    Powell and Reid, 1974).  The solved angles are bit for bit those of one
-    probe per crease.  Raises SolveError on
+    Without an initial guess, the solve cold-starts from flat along the
+    continuation's drivers, target * k / n with n = ceil(|target| / 0.05).
+    The first step, a Newton solve at the first driver, picks the branch.
+    Its tan-half ratios u = tan(x/2) / tan(driver/2) seed the target, since
+    a flat-foldable degree-4 network folds along tan(rho_c/2) = g_c * t
+    (Tachi 2009), and Newton polishes the seed there.  The tan-half path
+    through the polished state is then checked at every driver in one
+    stacked closure call: each sample must close (residual below
+    RESIDUAL_TOL), the first must lie within RESIDUAL_TOL of the first
+    step, and the Jacobian at the target must leave the driver no second
+    motion (condition below ONE_MOTION_COND).  When the polish fails or a
+    check does, the solve continues from the first step with a Newton
+    solve at each remaining driver in turn.
+
+    Each iteration takes its forward-difference Jacobian from one stacked
+    closure call: the free creases are coloured once so that no star holds
+    two of one colour, and one probe per colour gives every column of that
+    colour (Curtis, Powell and Reid, 1974).  The solved angles are bit for
+    bit those of one probe per crease.  Raises SolveError on
     non-convergence or a singular Jacobian, Fold3dError for a target
     outside [−π, π].
     """
@@ -363,16 +381,18 @@ def solve_fold_angles(
     if not stars:
         raise Fold3dError("pattern has no interior vertices to constrain")
     free = np.array([ci for ci in pattern.interior_creases if ci != driver_crease], dtype=int)
-    colouring, table = _crease_colouring(stars, free), _interior_star_table(pattern)
+    # built per solve, not kept on the pattern: a pattern solved but never swept holds no table
+    colouring, table = _crease_colouring(stars, free), _star_table(stars)
 
-    def newton(x0: np.ndarray, driver: float) -> np.ndarray:
+    def newton(x0: np.ndarray, driver: float) -> tuple[np.ndarray, np.ndarray]:
+        """The solved angles at the driver and the Jacobian at them."""
         x = x0.copy()
         x[driver_crease] = driver
         h = 1e-7
         for _ in range(NEWTON_MAX_ITER):
             r, jac = _defects_and_jacobian(table, free, colouring, x, h)
             if float(np.max(np.abs(r))) < tol:
-                return x
+                return x, jac
             # the stacked probes leave x untouched, where perturbing one crease
             # at a time and taking h back off leaves (x + h) - h, which can
             # differ from x by an ulp when |x| < h; this line keeps the solved
@@ -398,16 +418,29 @@ def solve_fold_angles(
         x0 = np.asarray(initial_guess, dtype=float).copy()
         if x0.shape != (len(pattern.creases),):
             raise PatternError("initial guess must cover every crease")
-        return newton(x0, target_angle)
+        return newton(x0, target_angle)[0]
 
     x = np.zeros(len(pattern.creases))
     if abs(target_angle) < 1e-12:
         return x
-    step = 0.05
-    n_steps = max(1, int(math.ceil(abs(target_angle) / step)))
-    for k in range(1, n_steps + 1):
-        driver = target_angle * k / n_steps
-        x = newton(x, driver)
+    n_steps = max(1, int(math.ceil(abs(target_angle) / 0.05)))
+    drivers = target_angle * np.arange(1, n_steps + 1) / n_steps
+    x = first = newton(x, drivers[0])[0]
+    if n_steps > 1:
+        try:
+            u = np.tan(first / 2.0) / math.tan(drivers[0] / 2.0)
+            end, jac = newton(2.0 * np.arctan(u * math.tan(target_angle / 2.0)), target_angle)
+        except SolveError:
+            pass
+        else:
+            u = np.tan(end / 2.0) / math.tan(target_angle / 2.0)
+            path = 2.0 * np.arctan(u * np.tan(drivers[:, None] / 2.0))
+            if (_norms(_closure_defects(table, path)).max() < RESIDUAL_TOL
+                    and np.max(np.abs(path[0] - first)) < RESIDUAL_TOL
+                    and np.linalg.cond(jac) < ONE_MOTION_COND):
+                return end
+    for driver in drivers[1:]:
+        x = newton(x, driver)[0]
     return x
 
 

@@ -174,17 +174,10 @@ class CreasePattern:
         return math.atan2(d[1], d[0])
 
     @cached_property
-    def _sorted_incidence(self) -> tuple[tuple[tuple[float, int, int], ...], ...]:
-        """Per vertex: (azimuth, crease id, neighbor vertex), counterclockwise."""
-        out = []
-        for v in range(len(self.vertices)):
-            items = []
-            for ci in self.incident[v]:
-                w = self.other_end(ci, v)
-                items.append((self.crease_azimuth(ci, v), ci, w))
-            items.sort()
-            out.append(tuple(items))
-        return tuple(out)
+    def _ccw_creases(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex: incident crease ids, counterclockwise by azimuth."""
+        return tuple(tuple(sorted(inc, key=lambda ci: (self.crease_azimuth(ci, v), ci)))
+                     for v, inc in enumerate(self.incident))
 
     @cached_property
     def _walks(self) -> tuple[dict[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, ...], ...]]:
@@ -199,12 +192,11 @@ class CreasePattern:
         """
         nxt: dict[tuple[int, int], tuple[int, int]] = {}
         crease_of: dict[tuple[int, int], int] = {}
-        for v, items in enumerate(self._sorted_incidence):
-            k = len(items)
-            for j in range(k):
-                w = items[j][2]
-                nxt[(w, v)] = (v, items[(j - 1) % k][2])
-                crease_of[(v, w)] = items[j][1]
+        for v, ids in enumerate(self._ccw_creases):
+            ends = [self.other_end(ci, v) for ci in ids]
+            for j, (ci, w) in enumerate(zip(ids, ends)):
+                nxt[(w, v)] = (v, ends[j - 1])
+                crease_of[(v, w)] = ci
         faces = {}
         outer = []
         seen: set[tuple[int, int]] = set()
@@ -359,13 +351,12 @@ class CreasePattern:
 
 def vertex_star(pattern: CreasePattern, vertex: int) -> VertexStar:
     """Sector angles around a vertex in counterclockwise order."""
-    items = pattern._sorted_incidence[vertex]
-    if not items:
+    ids = pattern._ccw_creases[vertex]
+    if not ids:
         raise PatternError(f"vertex {vertex} has no incident creases")
-    k = len(items)
+    k = len(ids)
     interior = pattern.is_interior(vertex)
-    az = [it[0] for it in items]
-    ids = [it[1] for it in items]
+    az = [pattern.crease_azimuth(ci, vertex) for ci in ids]
     if interior:
         start = ids.index(min(ids))
         order = [(start + j) % k for j in range(k)]

@@ -335,10 +335,12 @@ def test_motion_csv_refuses_samples_that_do_not_close(tmp_path, capsysbinary, ar
      b"--tolerance must be positive"),
     (("solve", "{doubled}", "--driver", "0", "--target", "25", "--tolerance", "-1"),
      b"--tolerance must be positive"),
+    (("solve", "{doubled}", "--driver", "0", "--target", "25", "--tolerance", "0.5"),
+     b"--tolerance must lie in [0, 1e-09], got 0.5"),
     (("thicken", "{doubled}", "--tau", "0.01", "--t-max", "0"), b"--t-max must be positive"),
     (("thicken", "{doubled}", "--tau", "0.01", "--t-max", "-1"), b"--t-max must be positive"),
 ], ids=("vertex-999", "vertex-minus-1", "driver-999", "t-max-nan", "target-1000", "target-minus-181",
-        "tolerance-0", "tolerance-minus-1", "thicken-t-max-0", "thicken-t-max-minus-1"))
+        "tolerance-0", "tolerance-minus-1", "tolerance-0.5", "thicken-t-max-0", "thicken-t-max-minus-1"))
 def test_bad_ids_and_non_finite_values(tmp_path, capsysbinary, argv, message):
     single, doubled = _doubled_single(tmp_path, capsysbinary)
     code, out, err = run(capsysbinary, *(a.format(single=single, doubled=doubled) for a in argv))

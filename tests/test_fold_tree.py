@@ -155,7 +155,7 @@ def test_folding_topology_is_compiled_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("doubleline") and hasattr(module, "vertex_star"):
             monkeypatch.setattr(module, "vertex_star", refuse)
-    for name in ("face_tree", "interior_stars", "_walks", "_sorted_incidence"):
+    for name in ("face_tree", "interior_stars", "_walks", "_ccw_creases"):
         prop = cached_property(refuse)
         prop.__set_name__(CreasePattern, name)
         monkeypatch.setattr(CreasePattern, name, prop)

@@ -1,5 +1,6 @@
-"""The Newton solver's coloured Jacobian against one probe per crease, and
-the inputs `sweep_motion` refuses."""
+"""The Newton solver's coloured Jacobian against one probe per crease, its
+tan-half cold start against the step-by-step continuation, and the inputs
+`sweep_motion` refuses."""
 import math
 from functools import cache
 
@@ -182,6 +183,87 @@ def test_coloured_jacobian_is_the_per_column_jacobian(name):
     assert np.array_equal(r, want_r)
     assert np.array_equal(jac, ref.jacobian(stars, free, x.copy(), want_r))
     assert np.count_nonzero(jac) > 0
+
+
+TARGETS_DEG = (30.0, 90.0, 170.0, -120.0)
+
+
+@cache
+def dl_miura70(n):
+    return gen_dl_miura(n, n, math.radians(70), math.pi / 2)
+
+
+def continued(pat, driver, target):
+    """ref.continuation's walk, each step a warm-started solve: bit for bit the
+    reference's, since the initial-guess tests pin those solves to it."""
+    x = np.zeros(len(pat.creases))
+    for step in ref._drivers(target):
+        x = solve_fold_angles(pat, driver, step, initial_guess=x)
+    return x
+
+
+def assert_follows_the_continuation(pat, driver, target):
+    try:
+        want = continued(pat, driver, target)
+    except SolveError as exc:
+        with pytest.raises(SolveError) as got:
+            solve_fold_angles(pat, driver, target)
+        assert str(got.value) == str(exc)
+        return
+    got = solve_fold_angles(pat, driver, target)
+    assert np.max(np.abs(got - want)) < 1e-9
+
+
+@pytest.mark.parametrize("target_deg", TARGETS_DEG)
+@pytest.mark.parametrize("end", [0, -1])
+@pytest.mark.parametrize("name", GENERATORS)
+def test_cold_start_stays_on_the_continuation_branch(name, end, target_deg):
+    pat = GENERATORS[name]()
+    assert_follows_the_continuation(pat, pat.interior_creases[end], math.radians(target_deg))
+
+
+@pytest.mark.parametrize("target_deg", TARGETS_DEG)
+@pytest.mark.parametrize("driver", ["argmax", 0, -1])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dl_miura_cold_start_stays_on_the_continuation_branch(n, driver, target_deg):
+    pat = dl_miura70(n)
+    if driver == "argmax":
+        g = network_multipliers(pat, infer_modes(pat))
+        driver = int(np.argmax(np.abs(g)))
+    else:
+        driver = pat.interior_creases[driver]
+    assert_follows_the_continuation(pat, driver, math.radians(target_deg))
+
+
+@pytest.mark.parametrize("case", ["dlm22-driver1--120", "miura33-last-30"])
+def test_uncertified_tan_half_path_falls_back_to_the_continuation(case):
+    if case == "dlm22-driver1--120":  # the polish lands on another branch, whose path misses the first step
+        pat, driver, target = dl_miura70(2), 1, math.radians(-120.0)
+    else:  # two straight fold lines: the driver leaves a second motion free
+        pat = miura(3)
+        driver, target = pat.interior_creases[-1], math.radians(30.0)
+    want = ref.continuation(pat, driver, target)
+    assert np.array_equal(continued(pat, driver, target), want)
+    assert np.array_equal(solve_fold_angles(pat, driver, target), want)
+
+
+@pytest.mark.parametrize("case", ["miura33", "dlm33"])
+def test_cold_start_takes_few_jacobians(case, monkeypatch):
+    if case == "miura33":
+        pat, _, driver = miura33_driver()
+    else:
+        pat = dl_miura70(3)
+        driver = int(np.argmax(np.abs(network_multipliers(pat, infer_modes(pat)))))
+    calls = []
+    inner = fold3d._defects_and_jacobian
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(fold3d, "_defects_and_jacobian", counted)
+    solve_fold_angles(pat, driver, math.radians(170.0))
+    assert len(calls) <= 20  # the step-by-step continuation takes more than 250
 
 
 def test_sweep_refuses_neither_modes_nor_multipliers():
