@@ -81,6 +81,13 @@ def test_enumerate_small_sequences():
         enumerate_mode_sequences(99)
 
 
+def test_enumerations_share_their_strings():
+    first, again = enumerate_mode_sequences(6), enumerate_mode_sequences(6)
+    assert first == again
+    kept = {s: s for s in first}
+    assert all(kept[s] is s for s in again)
+
+
 def test_counts_match_enumeration():
     for n, want in enumerate(NECKLACE_COUNTS, start=1):
         assert count_modes(n) == want
