@@ -187,9 +187,6 @@ def _cmd_modes(args) -> bytes:
 
 
 def _motion_csv(pattern: CreasePattern, samples) -> bytes:
-    from .fold3d import require_closing
-
-    require_closing(samples)
     header = "t," + ",".join(f"rho_{i}" for i in range(len(pattern.creases))) + ",residual"
     rows = [header]
     for s in samples:
@@ -199,29 +196,29 @@ def _motion_csv(pattern: CreasePattern, samples) -> bytes:
 
 
 def _cmd_sweep(args) -> bytes:
-    from .fold3d import sweep_motion
+    from .fold3d import require_closing, sweep_motion
 
     _check_range("--samples", args.samples, SAMPLES_RANGE)
     pattern = _load(args.pattern)
     mult = _motion_multipliers(pattern)
     t_max = args.t_max if args.t_max is not None else _default_t_max(pattern, mult)
-    grid = np.linspace(0.0, t_max, args.samples)
-    return _motion_csv(pattern, sweep_motion(pattern, None, grid, multipliers=mult))
+    motion = sweep_motion(pattern, None, np.linspace(0.0, t_max, args.samples), multipliers=mult)
+    require_closing(motion)
+    return _motion_csv(pattern, motion)
 
 
 def _cmd_fold(args) -> bytes:
-    from .fold3d import export_obj, propagate_fold, sweep_motion
+    from .fold3d import export_obj, require_closing, sweep_motion
     from .fold_io import save_fold
 
     pattern = _load(args.pattern)
-    mult = _motion_multipliers(pattern)
-    angles = 2.0 * np.arctan(mult * args.t)
+    motion = sweep_motion(pattern, None, [args.t], multipliers=_motion_multipliers(pattern))
+    require_closing(motion)
     if args.format == "obj":
-        return export_obj(propagate_fold(pattern, angles)).encode()
+        return export_obj(motion[0]).encode()
     if args.format == "csv":
-        motion = sweep_motion(pattern, None, [args.t], multipliers=mult)
         return _motion_csv(pattern, motion)
-    return save_fold(pattern, angles)
+    return save_fold(pattern, motion[0].fold_angles)
 
 
 def _cmd_solve(args) -> bytes:
@@ -323,10 +320,12 @@ def _cmd_export(args) -> bytes:
     pattern = _load(args.pattern)
     if args.format != "obj":
         return _save(pattern, args.format)
-    from .fold3d import export_obj, propagate_fold
+    from .fold3d import RESIDUAL_TOL, Fold3dError, export_obj, propagate_fold
 
-    angles = np.array([c.fold_angle if c.fold_angle is not None else 0.0 for c in pattern.creases])
-    return export_obj(propagate_fold(pattern, angles)).encode()
+    state = propagate_fold(pattern, [c.fold_angle if c.fold_angle is not None else 0.0 for c in pattern.creases])
+    if not state.valid:
+        raise Fold3dError(f"stored fold angles do not close: residual {state.residual:.3e} >= {RESIDUAL_TOL:g}")
+    return export_obj(state).encode()
 
 
 def _add_format(p: argparse.ArgumentParser, *choices: str) -> None:

@@ -15,10 +15,10 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .geometry import triangulate
 from .kinematics import FoldMode, mode_vector
 from .pattern import CreasePattern, PatternError, VertexStar, per_pattern
 
-WELD_TOL = 1e-6
 RESIDUAL_TOL = 1e-9
 NULL_SPACE_TOL = 1e-9  # relative singular values spanning a motion; smallest usable motion entry
 NEWTON_MAX_ITER = 50
@@ -488,14 +488,12 @@ def _defects_and_jacobian(
 
 
 def export_obj(state: FoldedState) -> str:
-    """Wavefront OBJ of the folded faces, triangulated by fans.
+    """Wavefront OBJ of the folded faces, each triangulated in the flat pattern by ear clipping.
 
-    Each face is fanned from its first corner whose fan triangles are all
-    counterclockwise in the flat pattern, so no triangle leaves a reflex
-    face; a face with no such corner raises Fold3dError.  Vertices shared
-    between faces are welded to the image under their lowest-id incident
-    face; a valid state keeps every face's own image of the vertex within
-    the weld tolerance of that position.
+    Every simple face is meshed, and its triangles turn counterclockwise in
+    the flat pattern; a face with no ear to clip raises Fold3dError.  A
+    vertex shared between faces is written once, at its image under its
+    lowest-id incident face.
     """
     owner: dict[int, int] = {}
     for fi, f in enumerate(state.pattern.faces):
@@ -514,16 +512,9 @@ def export_obj(state: FoldedState) -> str:
         lines.append(f"v {x:.9f} {y:.9f} {z:.9f}")
     flat = state.pattern.vertices_array
     for fi, f in enumerate(state.pattern.faces):
-        fans = (f[c:] + f[:c] for c in range(len(f)))
-        fan = next((cycle for cycle in fans if _fans_ccw(flat[list(cycle)])), None)
-        if fan is None:
-            raise Fold3dError(f"face {fi} has no corner to fan from without folding a triangle over")
-        for k in range(1, len(fan) - 1):
-            lines.append(f"f {index[fan[0]]} {index[fan[k]]} {index[fan[k + 1]]}")
+        try:
+            tris = triangulate(flat[list(f)])
+        except ValueError as err:
+            raise Fold3dError(f"face {fi}: {err}") from None
+        lines.extend(f"f {index[f[i0]]} {index[f[i1]]} {index[f[i2]]}" for i0, i1, i2 in tris)
     return "\n".join(lines) + "\n"
-
-
-def _fans_ccw(cycle: np.ndarray) -> bool:
-    """Whether every fan triangle from the first point of the cycle turns counterclockwise."""
-    d = cycle[1:] - cycle[0]
-    return bool(np.all(d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0] > 0.0))

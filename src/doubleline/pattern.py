@@ -74,12 +74,12 @@ class VertexStar:
     interior: bool
 
     @classmethod
-    def from_sectors(cls, sectors: Sequence[float], vertex: int = 0) -> "VertexStar":
-        """Synthetic interior star from raw sector angles (used heavily in tests)."""
+    def from_sectors(cls, sectors: Sequence[float]) -> "VertexStar":
+        """Synthetic interior star at vertex 0 from raw sector angles (used heavily in tests)."""
         sectors = tuple(float(s) for s in sectors)
         if abs(sum(sectors) - 2.0 * math.pi) > 1e-9:
             raise PatternError("sector angles of an interior vertex must sum to 2*pi")
-        return cls(vertex=vertex, sectors=sectors, crease_ids=tuple(range(len(sectors))), interior=True)
+        return cls(vertex=0, sectors=sectors, crease_ids=tuple(range(len(sectors))), interior=True)
 
     @property
     def degree(self) -> int:

@@ -39,7 +39,7 @@ from .dl import (  # noqa: F401  (NETWORK_KEY is re-exported for its importers)
     theta_for_ratio,
     write_record,
 )
-from .geometry import unit
+from .geometry import crossing, unit
 from .kinematics import FoldMode, mode_vector
 from .pattern import (
     Crease,
@@ -599,14 +599,10 @@ def _assemble(network: VertexNetwork, dls: dict[int, "_DlVertex"]) -> CreasePatt
         best = None
         for k in range(len(outer)):
             a = boundary_pts[k]
-            b = boundary_pts[(k + 1) % len(outer)]
-            e = b - a
-            det = direction[0] * (-e[1]) - (-e[0]) * direction[1]
-            if abs(det) < 1e-14:
+            su = crossing(origin, direction, a, boundary_pts[(k + 1) % len(outer)] - a)
+            if su is None:
                 continue
-            rhs = a - origin
-            s = (rhs[0] * (-e[1]) - (-e[0]) * rhs[1]) / det
-            tau = (direction[0] * rhs[1] - direction[1] * rhs[0]) / det
+            s, tau = su
             if s > 1e-9 and -1e-12 <= tau <= 1.0 + 1e-12:
                 if best is None or s < best[0]:
                     best = (s, k, min(max(tau, 0.0), 1.0))

@@ -5,36 +5,11 @@ to 1 user unit.  Byte output is deterministic for identical input.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
-
 from .pattern import CreasePattern
 
-Segment = tuple[tuple[float, float], tuple[float, float]]
-
-
-@dataclass(frozen=True)
-class SvgStyle:
-    """Stroke styling per assignment class plus optional dashed guides.
-
-    ``guides`` are raw segments (pattern coordinates) drawn beneath the
-    creases, e.g. original crease directions of a derived pattern.
-    """
-
-    colors: tuple[tuple[str, str], ...] = (
-        ("M", "#d62728"),
-        ("V", "#1f77b4"),
-        ("B", "#000000"),
-        ("U", "#888888"),
-    )
-    stroke_width: float = 0.01
-    margin: float = 0.05  # fraction of the larger bounding-box side
-    guides: tuple[Segment, ...] = field(default=())
-    guide_color: str = "#aaaaaa"
-
-    def with_guides(self, segments: Sequence[Segment]) -> "SvgStyle":
-        segs = tuple((tuple(map(float, a)), tuple(map(float, b))) for a, b in segments)
-        return SvgStyle(self.colors, self.stroke_width, self.margin, segs, self.guide_color)
+COLORS = {"M": "#d62728", "V": "#1f77b4", "B": "#000000", "U": "#888888"}  # stroke per assignment
+STROKE_WIDTH = 0.01  # fraction of the larger canvas side
+MARGIN = 0.05  # fraction of the larger bounding-box side
 
 
 def _fmt(x: float) -> str:
@@ -42,20 +17,20 @@ def _fmt(x: float) -> str:
     return "0" if s == "-0" else s
 
 
-def save_svg(pattern: CreasePattern, style: SvgStyle = SvgStyle()) -> bytes:
+def save_svg(pattern: CreasePattern) -> bytes:
     """Render a pattern; an empty pattern yields an empty unit canvas."""
-    pts = list(pattern.vertices) + [p for seg in style.guides for p in seg]
+    pts = pattern.vertices
     if pts:
         xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
         span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
-        pad = style.margin * span
+        pad = MARGIN * span
         x0, y0 = min(xs) - pad, min(ys) - pad
         w, h = max(xs) - min(xs) + 2 * pad, max(ys) - min(ys) + 2 * pad
     else:
         x0 = y0 = 0.0
         w = h = 1.0
-    sw = _fmt(style.stroke_width * max(w, h))
+    sw = _fmt(STROKE_WIDTH * max(w, h))
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -65,18 +40,11 @@ def save_svg(pattern: CreasePattern, style: SvgStyle = SvgStyle()) -> bytes:
         f'<g transform="translate(0 {_fmt(2 * y0 + h)}) scale(1 -1)" fill="none" '
         f'stroke-linecap="round" stroke-width="{sw}">',
     ]
-    for (ax, ay), (bx, by) in style.guides:
-        lines.append(
-            f'<path class="guide" stroke="{style.guide_color}" '
-            f'stroke-dasharray="{sw} {sw}" '
-            f'd="M {_fmt(ax)} {_fmt(ay)} L {_fmt(bx)} {_fmt(by)}"/>'
-        )
-    color = dict(style.colors)
     for c in pattern.creases:
         ax, ay = pattern.vertices[c.v0]
         bx, by = pattern.vertices[c.v1]
         lines.append(
-            f'<path class="{c.assignment}" stroke="{color[c.assignment]}" '
+            f'<path class="{c.assignment}" stroke="{COLORS[c.assignment]}" '
             f'd="M {_fmt(ax)} {_fmt(ay)} L {_fmt(bx)} {_fmt(by)}"/>'
         )
     lines.append("</g>")

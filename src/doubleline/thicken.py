@@ -29,9 +29,9 @@ import numpy as np
 
 from .dl import read_record
 from .fold3d import Fold3dError, MotionSample, crease_rotations, require_closing
+from .geometry import crossing, triangulate
 from .pattern import CreasePattern, per_pattern
 
-GAP_TOL = 1e-6
 NARROW_CHUNK = 8  # piece pairs per batched narrow-phase call: bounds its temporaries at no cost in speed
 
 
@@ -115,46 +115,6 @@ class PanelSolid:
     vertices: np.ndarray = field(repr=False)
     triangles: np.ndarray = field(repr=False)
     pieces: tuple[ConvexPiece, ...] = field(repr=False)
-
-
-def _ear_clip(poly: np.ndarray) -> list[tuple[int, int, int]]:
-    """Triangulates a simple CCW polygon by ear clipping."""
-    n = len(poly)
-    idx = list(range(n))
-    tris: list[tuple[int, int, int]] = []
-    guard = 0
-    while len(idx) > 3:
-        guard += 1
-        if guard > 4 * n * n:
-            raise ThickenError("polygon triangulation failed")
-        found = False
-        for k in range(len(idx)):
-            i0, i1, i2 = idx[k - 1], idx[k], idx[(k + 1) % len(idx)]
-            a, b, c = poly[i0], poly[i1], poly[i2]
-            cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if cross <= 1e-14:
-                continue
-            ok = True
-            for j in idx:
-                if j in (i0, i1, i2):
-                    continue
-                p = poly[j]
-                # strict interior test against the candidate ear
-                s1 = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-                s2 = (c[0] - b[0]) * (p[1] - b[1]) - (c[1] - b[1]) * (p[0] - b[0])
-                s3 = (a[0] - c[0]) * (p[1] - c[1]) - (a[1] - c[1]) * (p[0] - c[0])
-                if s1 >= -1e-14 and s2 >= -1e-14 and s3 >= -1e-14:
-                    ok = False
-                    break
-            if ok:
-                tris.append((i0, i1, i2))
-                del idx[k]
-                found = True
-                break
-        if not found:
-            raise ThickenError("polygon triangulation failed")
-    tris.append((idx[0], idx[1], idx[2]))
-    return tris
 
 
 class _Outline(NamedTuple):
@@ -273,14 +233,9 @@ def _convex_pieces(o: _Outline, rates: np.ndarray) -> list[tuple[np.ndarray, np.
     n = len(B)
     hit = (math.inf, 0, 0.0)
     for j in range(1, n - 1):
-        e, off = B[j + 1] - B[j], B[j] - B[0]
-        det = ray[0] * e[1] - ray[1] * e[0]
-        if det == 0.0:
-            continue
-        s = (off[0] * e[1] - off[1] * e[0]) / det
-        u = (off[0] * ray[1] - off[1] * ray[0]) / det
-        if 0.0 < s < hit[0] and -1e-12 <= u <= 1.0 + 1e-12:
-            hit = (s, j, u)
+        su = crossing(B[0], ray, B[j], B[j + 1] - B[j])
+        if su is not None and 0.0 < su[0] < hit[0] and -1e-12 <= su[1] <= 1.0 + 1e-12:
+            hit = (su[0], j, su[1])
     _, j, u = hit
     if u <= 1e-12 or u >= 1.0 - 1e-12:
         k = j if u <= 1e-12 else j + 1
@@ -443,11 +398,12 @@ def _prismatoids(parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, float
 def _build_solid(pattern, fi, base, top, tau, h, angles, sign_up, pieces) -> PanelSolid:
     n = len(base)
     verts = np.vstack([np.column_stack([base, np.zeros(n)]), np.column_stack([top, np.full(n, sign_up * h)])])
-    tris: list[tuple[int, int, int]] = []
-    for i0, i1, i2 in _ear_clip(base):
-        tris.append((i0, i2, i1))  # bottom, outward = -z for side above
-    for i0, i1, i2 in _ear_clip(top):
-        tris.append((n + i0, n + i1, n + i2))
+    try:
+        bottom, cap = triangulate(base), triangulate(top)
+    except ValueError as err:
+        raise ThickenError(f"panel for face {fi}: {err}") from None
+    tris = [(i0, i2, i1) for i0, i1, i2 in bottom]  # bottom, outward = -z for side above
+    tris += [(n + i0, n + i1, n + i2) for i0, i1, i2 in cap]
     for i in range(n):
         j = (i + 1) % n
         tris.append((i, j, n + j))

@@ -128,14 +128,57 @@ def test_export_svg(tmp_path, capsysbinary):
     assert b"argument --format: invalid choice: 'csv'" in err
 
 
-def test_export_obj_of_a_face_without_a_fan_corner_is_domain_error(tmp_path, capsysbinary):
+def test_export_obj_of_a_face_without_a_fan_corner(tmp_path, capsysbinary):
+    # a C-shaped face of area 7, which no fan from one corner meshes
     path = tmp_path / "c.fold"
     pts = [[0, 0], [3, 0], [3, 1], [1, 1], [1, 2], [3, 2], [3, 3], [0, 3]]
     path.write_text(json.dumps({"vertices_coords": pts, "edges_vertices": [[i, (i + 1) % 8] for i in range(8)],
                                 "edges_assignment": ["B"] * 8}))
     code, out, err = run(capsysbinary, "export", str(path), "--format", "obj")
+    assert (code, err) == (0, b"")
+    lines = out.decode().splitlines()
+    verts = [[float(x) for x in ln.split()[1:3]] for ln in lines if ln.startswith("v ")]
+    tris = [[verts[int(i) - 1] for i in ln.split()[1:]] for ln in lines if ln.startswith("f ")]
+    areas = [((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])) / 2.0 for a, b, c in tris]
+    assert len(areas) == 6 and min(areas) > 0.0
+    assert math.isclose(sum(areas), 7.0)
+
+
+def _dl_single(tmp_path, capsysbinary, scale=1.0):
+    """The doubled vertex of reproduce.sh, its largest motion multiplier scaled by `scale`."""
+    single, doubled = tmp_path / "single.fold", tmp_path / "dl_single.fold"
+    assert run(capsysbinary, "gen", "single", "--alpha", "60", "--beta", "80", "--out", str(single))[0] == 0
+    assert run(capsysbinary, "doubleline", str(single), "--theta", "90", "--radii", "0.2,0.2,0.2,0.2",
+               "--mode", "a-I", "--out", str(doubled))[0] == 0
+    doc = json.loads(doubled.read_text())
+    g = doc["doubleline:network"]["multipliers"]
+    k = max(range(len(g)), key=lambda i: abs(g[i]))
+    g[k] *= scale
+    doubled.write_text(json.dumps(doc))
+    return doubled
+
+
+@pytest.mark.parametrize("fmt", ["csv", "obj", "fold"])
+def test_fold_writes_no_state_that_does_not_close(tmp_path, capsysbinary, fmt):
+    torn = _dl_single(tmp_path, capsysbinary, 1.5)
+    code, out, err = run(capsysbinary, "fold", str(torn), "--t", "0.5", "--format", fmt)
     assert (code, out) == (1, b"")
-    assert err.startswith(b"error: face 0 has no corner to fan from")
+    assert err.startswith(b"error: motion sample t=0.5 does not close: residual 1.4")
+
+
+def test_export_obj_refuses_stored_angles_that_do_not_close(tmp_path, capsysbinary):
+    folded = tmp_path / "folded.fold"
+    code, _, _ = run(capsysbinary, "fold", str(_dl_single(tmp_path, capsysbinary)), "--t", "0.5",
+                     "--out", str(folded))
+    assert code == 0
+    assert run(capsysbinary, "export", str(folded), "--format", "obj")[0] == 0
+    doc = json.loads(folded.read_text())
+    k = next(i for i, a in enumerate(doc["edges_assignment"]) if a != "B")
+    doc["edges_foldAngle"][k] += 10.0
+    folded.write_text(json.dumps(doc))
+    code, out, err = run(capsysbinary, "export", str(folded), "--format", "obj")
+    assert (code, out) == (1, b"")
+    assert err.startswith(b"error: stored fold angles do not close: residual ")
 
 
 def test_export_obj_of_faces_sharing_only_a_vertex_is_domain_error(tmp_path, capsysbinary):

@@ -216,16 +216,22 @@ def test_export_obj_triangles_stay_inside_reflex_faces():
     pat = gen_dl_miura(3, 3, math.radians(60), math.pi / 2)
     tri = _obj_triangles(export_obj(propagate_fold(pat, [0.0] * len(pat.creases))))
     assert len(tri) == sum(len(f) - 2 for f in pat.faces)
+    assert np.all(_signed_areas(tri) > 0.0)
+
+
+def _signed_areas(tri):
     a, b = tri[:, 1, :2] - tri[:, 0, :2], tri[:, 2, :2] - tri[:, 0, :2]
-    assert np.all(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] > 0.0)
+    return (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]) / 2.0
 
 
-def test_export_obj_refuses_a_face_without_a_fan_corner():
-    # a C-shaped face: from every corner some fan triangle turns clockwise
+def test_export_obj_meshes_a_face_without_a_fan_corner():
+    # a C-shaped face of area 7: from every corner some fan triangle turns
+    # clockwise, but ear clipping meshes every simple polygon
     pts = [(0, 0), (3, 0), (3, 1), (1, 1), (1, 2), (3, 2), (3, 3), (0, 3)]
     pat = CreasePattern.build(pts, [Crease(i, (i + 1) % 8, "B") for i in range(8)])
-    with pytest.raises(Fold3dError, match="face 0"):
-        export_obj(propagate_fold(pat, [0.0] * 8))
+    areas = _signed_areas(_obj_triangles(export_obj(propagate_fold(pat, [0.0] * 8))))
+    assert len(areas) == 6 and np.all(areas > 0.0)
+    assert math.isclose(areas.sum(), 7.0)
 
 
 def test_export_obj_welds_and_is_deterministic():

@@ -1,16 +1,21 @@
-"""Every import in the package is used, and every lazy export resolves.
+"""Every import in the package is used, every constant and private helper is read, and every lazy export resolves.
 
 No linter ships with the project, so a deletion can leave an import behind
 unnoticed.  This parses each module and requires each name an import binds
 to be read in the scope that imports it: the module for a top-level import,
 the function for an import inside a function (the CLI imports what each
 subcommand runs there).  An import statement carrying ``# noqa: F401`` is
-exempt.  The package's ``__init__`` imports no submodule; it maps each
-public name to its module, and a misspelled entry would fail only when
-first used, so each entry is checked here.
+exempt.  Likewise every module-level UPPER_CASE constant must be read
+somewhere in the package, and every top-level ``_private`` function
+somewhere outside its own body: what only tests or nothing reads is dead.
+The package's ``__init__`` imports no submodule; it maps each public name
+to its module, and a misspelled entry would fail only when first used, so
+each entry is checked here.
 """
 import ast
 import importlib
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -49,6 +54,42 @@ def unused_imports(source: str) -> list[str]:
                 if bound not in read:
                     out.append((stmt.lineno, bound))
     return [f"line {lineno}: {bound}" for lineno, bound in sorted(out)]
+
+
+def _reads(node) -> Counter:
+    """How often each name is read under a node, as a bare name or as an attribute."""
+    return Counter([n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+                   + [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)])
+
+
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level UPPER_CASE constants that no module reads, and top-level _private functions
+    that nothing reads outside their own body, as "module.name"."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = sum((_reads(tree) for tree in trees.values()), Counter())
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                out += [f"{module}.{n.id}" for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", n.id) and not read[n.id]]
+            elif isinstance(node, ast.FunctionDef) and re.fullmatch(r"_[^_].*", node.name):
+                if read[node.name] == _reads(node)[node.name]:
+                    out.append(f"{module}.{node.name}")
+    return out
+
+
+def test_the_check_sees_an_unread_constant_and_private_function():
+    sources = {
+        "a": "TOL = 1e-9\nDEAD = 1\n_x: int = 0\ndef _used():\n    return TOL\ndef _dead(n):\n    return _dead(n - 1)\n",
+        "b": "from . import a\ndef f():\n    return a._used()\n",
+    }
+    assert unread_definitions(sources) == ["a.DEAD", "a._dead"]
+
+
+def test_every_constant_and_private_function_is_read():
+    assert unread_definitions({path.stem: path.read_text() for path in MODULES}) == []
 
 
 def test_the_check_sees_an_unused_import():

@@ -18,7 +18,7 @@ DIGESTS = {
     "dl_single.fold": "060a856a5f099d475c04fa9a501e6b8b22bac52db672c80e061d8664a670afe0",
     "regimes.csv": "ab016089fc2c29a3125a39ec45a3aa10734ef4e5fabd1dee6418367cc4dfa8ff",
     "motion.csv": "af36491b3ab4fe80529f1c0a5214cad9b5552c085ac0585dd5741667eed1acb3",
-    "state.obj": "e91cca150e606b94167ee5f778454433325e0ed7eb84c5dba98006070d22c2cb",
+    "state.obj": "a3ec9846cfbbb3162f51a38e2bbd862f4b91eeea241e339c7727aa0f1980e2e8",
     "panels.obj": "1dbee4b561f48368fd37067e753ed076430d8ac6a8652c65cf94a99e4a230cdf",
     "clearance.csv": "0ed0c2495da424fc43333f61e8acc905fc2ffb1a119a8185b3af8d19949ea7ce",
     "dl_miura.svg": "72c791a131d300179b05d2c92726eecd74e69dd419f0ed7c84dca6506840f48c",

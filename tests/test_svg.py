@@ -5,7 +5,7 @@ from conftest import star_of
 from doubleline.dl import DoubleLineParams, construct_dl
 from doubleline.pattern import CreasePattern
 from doubleline.patterns import gen_miura
-from doubleline.svg import SvgStyle, save_svg
+from doubleline.svg import save_svg
 
 NS = "{http://www.w3.org/2000/svg}"
 
@@ -34,13 +34,6 @@ def test_mountain_valley_classes():
     by_class = _paths_by_class(save_svg(pattern))
     assert len(by_class["M"]) == sum(1 for c in pattern.creases if c.assignment == "M")
     assert len(by_class["V"]) == sum(1 for c in pattern.creases if c.assignment == "V")
-
-
-def test_guides_are_drawn_beneath():
-    pattern = gen_miura(2, 2, math.radians(60)).pattern
-    style = SvgStyle().with_guides([((0.0, 0.0), (1.0, 1.0))])
-    by_class = _paths_by_class(save_svg(pattern, style))
-    assert len(by_class["guide"]) == 1
 
 
 def test_empty_pattern():

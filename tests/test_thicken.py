@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from doubleline import (
     MODE_A1,
@@ -31,7 +32,7 @@ from doubleline import (
 )
 from doubleline.dl import axis_offsets
 from doubleline.geometry import polygon_area
-from doubleline.thicken import ConvexPiece, _clearance, _convex_pieces, _inset_reach, _outline, _stack
+from doubleline.thicken import ConvexPiece, _clearance, _convex_pieces, _inset_reach, _outline, _separation, _stack
 
 from conftest import deg, star_of
 import clearance_reference
@@ -468,6 +469,37 @@ def test_a_row_below_its_cut_measures_as_if_every_feature_counted(piece_pool, se
     assert same_bits(got[below], want[below])
     # a row at or beyond its cut may stop at its separation, which cannot beat the cut
     assert np.all(got[~below] >= best[~below])
+
+
+def polar_piece(angles, radii, rates, height):
+    """The prismatoid on the polygon with corners radii * (cos, sin)(angles), its sides leaning in at rates."""
+    base = np.column_stack([np.cos(angles), np.sin(angles)]) * np.array(radii)[:, None]
+    return convex_piece(base, base + height * _inset_reach(_outline(base), np.array(rates))[0], np.array(rates), height)
+
+
+def test_a_second_candidate_closest_inside_the_slab_is_measured_exactly():
+    # A thin pentagonal plate a and a triangular frustum b.  The closest
+    # points are a's corner 4 and a point of b's lateral edge from corner 0
+    # to its top, just below the top.  On the best axis b's facing side is
+    # its third top corner, and that edge lies 0.0179 below it: inside the
+    # slab (cut minus separation, 0.0328 here), but not inside half of it.
+    # Without the edge, the nearest features left are the top corner's, 0.3%
+    # farther.
+    a = polar_piece([0.931, 1.309, 1.593, 3.446, 5.862], [1.613, 1.162, 0.805, 1.044, 1.927],
+                    [0.655, 1.248, 0.624, 1.289, 0.099], 0.011)
+    b = polar_piece([1.079, 4.745, 5.207], [1.489, 1.514, 1.051], [0.791, 1.153, 1.244], 0.127)
+    turn, at = Rotation.from_rotvec([1.762, 1.824, 3.889]).as_matrix(), np.array([2.224, -1.013, -1.379])
+    second = _stack([a, placed(b, turn, at)])
+    # the first candidate, the same pair drawn 0.004 farther apart along the
+    # closest direction, sets the sample's least clearance: the second's cut
+    first = _stack([a, placed(b, turn, at + 0.004 * np.array([0.0211, -0.4064, -0.9135]))])
+    cut = _clearance(first, np.array([math.inf]))
+    want = clearance_reference.padded_clearance(second)
+    assert want[0] < cut[0] < want[0] + 0.0041
+    assert same_bits(_clearance(second, cut), want)
+    separation, depth = _separation(second, 1)
+    edge = min(depth[1][0], depth[1][3])  # b's corner 0 and its top
+    assert depth[0][4] == 0.0 and (cut - separation)[0] / 2 < edge < (want - separation)[0]
 
 
 def cube(side=1.0):
