@@ -39,9 +39,8 @@ _EXPORTS = {
         "kawasaki_residual", "vertex_star",
     ),
     "patterns": (
-        "VertexNetwork", "connect_tree_dl", "connect_uniform_dl", "face_loop_products",
-        "gen_dl_miura", "gen_dl_yoshimura", "gen_miura", "gen_single_deg4",
-        "gen_symmetric_vertex", "gen_yoshimura", "infer_modes",
+        "VertexNetwork", "connect_dl", "face_loop_products", "gen_dl_miura", "gen_dl_yoshimura",
+        "gen_miura", "gen_single_deg4", "gen_symmetric_vertex", "gen_yoshimura", "infer_modes",
     ),
     "svg": ("save_svg",),
     "symmetric": (

@@ -407,7 +407,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, help="tessellation columns")
     p.add_argument("--angle", type=float, help="parallelogram angle in degrees (miura)")
     p.add_argument("--elongation", type=float, help="stretch factor > 1 (yoshimura)")
-    p.add_argument("--theta", type=float, help="doubling rotation angle in degrees (dl-*)")
+    p.add_argument("--theta", type=float,
+                   help="doubling rotation angle in degrees (dl-*): θ of the lowest interior vertex; "
+                        "others keep it where their shared pair allows")
     p.add_argument("--alpha", type=float, help="first sector angle in degrees (single)")
     p.add_argument("--beta", type=float, help="second sector angle in degrees (single)")
     p.add_argument("--n", type=int, help="half the vertex degree (symmetric)")

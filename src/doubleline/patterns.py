@@ -2,13 +2,14 @@
 
 Tessellation generators (Miura, elongated Yoshimura) return a
 VertexNetwork: the crease pattern together with the folding branch each
-interior vertex follows in the standard one-parameter motion.  The
-connection procedure replaces every such vertex by its doubled polygon and
-joins doubled pairs across shared creases, choosing each vertex's rotation
-angle and polygon distances so that the pairs line up as lines in the
-plane and fold with identical angles in 3-space.  Tree networks always
-admit a solution; cyclic ones are checked and rejected when the loop
-conditions fail.
+interior vertex follows in the standard one-parameter motion.  One
+connector, connect_dl, replaces every such vertex by its doubled polygon and
+joins doubled pairs across shared creases, choosing each vertex's mode,
+rotation angle and polygon distances so that the pairs line up as lines in
+the plane and fold with identical angles in 3-space.  Every vertex keeps the
+requested θ where its shared pair allows and solves its own θ for the pair
+ratio where it does not; loops are checked and rejected when they do not
+close.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .dl import (  # noqa: F401  (NETWORK_KEY is re-exported for its importers)
     axis_class,
     axis_offsets,
     classify_theta,
+    critical_thetas,
     dl_multipliers,
     polygon_corners,
     read_record,
@@ -142,10 +144,6 @@ class VertexNetwork:
                     order.append(w)
         return tuple(rows)
 
-    def is_tree(self) -> bool:
-        n = len(self.pattern.interior_vertices)
-        return len(self.shared_creases) == n - 1 == len(self.spanning_tree)
-
 
 def _branch_of(star: VertexStar) -> FoldMode:
     """The folding branch moving all four creases of a tessellation vertex."""
@@ -159,7 +157,7 @@ def _branch_of(star: VertexStar) -> FoldMode:
 def infer_modes(pattern: CreasePattern) -> dict[int, FoldMode]:
     """Folding branch of every interior vertex.
 
-    Prefers branch metadata stored by the DL connectors; without it each
+    Prefers branch metadata stored by the DL connector; without it each
     vertex must have a unique moving branch (tessellation vertices with
     collinear creases do, generic flat-foldable vertices have two).
     """
@@ -319,34 +317,38 @@ class _DlVertex:
 
 
 def _solve_child(dv: _DlVertex, axis: int, target_plus: float, target_minus: float,
-                 fixed_theta: float | None, family: FoldMode) -> None:
-    """Pick the child's mode variant (and θ when not fixed) matching a pair ratio."""
+                 theta: float, family: FoldMode) -> None:
+    """Fit the child's mode variant, and θ only if it must, to a shared pair.
+
+    Each mode of the family is tried at the requested θ first; only when
+    neither matches does the child solve its own θ for the pair ratio.
+    """
     alpha, beta = dv.star.sectors[0], dv.star.sectors[1]
     last = None
-    for mode in _FAMILY_MODES[family]:
-        try:
-            if fixed_theta is None:
-                cls, swapped = axis_class(mode, axis)
-                pair = (target_plus, target_minus) if not swapped else (target_minus, target_plus)
-                theta = theta_for_ratio(mode, cls, alpha, beta, DoubleLineRatio(*pair))
-            else:
-                theta = fixed_theta
-            mult = dl_multipliers(dv.star.sectors, mode.signs, theta)
-            if mult.closure_error > 1e-9:
-                raise DlError(f"mode {mode.label} does not close on vertex {dv.vertex}")
-            m_plus, m_minus = mult.rays_plus[axis], mult.rays_minus[axis]
-            if abs(m_plus) < 1e-15:
-                raise DlError(f"frozen doubled pair on vertex {dv.vertex}")
-            scale = target_plus / m_plus
-            err = abs(m_minus * scale - target_minus)
-            if err > 1e-9 * max(abs(target_minus), abs(target_plus), 1.0):
-                raise DlError(
-                    f"pair ratio mismatch on vertex {dv.vertex} in mode {mode.label}"
-                )
-            dv.signs, dv.theta, dv.scale, dv.mult = mode.signs, theta, scale, mult
-            return
-        except DlError as exc:
-            last = exc
+    for solve in (False, True):
+        for mode in _FAMILY_MODES[family]:
+            try:
+                th = theta
+                if solve:
+                    cls, swapped = axis_class(mode, axis)
+                    pair = (target_plus, target_minus) if not swapped else (target_minus, target_plus)
+                    th = theta_for_ratio(mode, cls, alpha, beta, DoubleLineRatio(*pair))
+                mult = dl_multipliers(dv.star.sectors, mode.signs, th)
+                if mult.closure_error > 1e-9:
+                    raise DlError(f"mode {mode.label} does not close on vertex {dv.vertex}")
+                m_plus, m_minus = mult.rays_plus[axis], mult.rays_minus[axis]
+                if abs(m_plus) < 1e-15:
+                    raise DlError(f"frozen doubled pair on vertex {dv.vertex}")
+                scale = target_plus / m_plus
+                err = abs(m_minus * scale - target_minus)
+                if err > 1e-9 * max(abs(target_minus), abs(target_plus), 1.0):
+                    raise DlError(
+                        f"pair ratio mismatch on vertex {dv.vertex} in mode {mode.label}"
+                    )
+                dv.signs, dv.theta, dv.scale, dv.mult = mode.signs, th, scale, mult
+                return
+            except DlError as exc:
+                last = exc
     raise DlError(f"no folding branch of vertex {dv.vertex} matches the shared pair: {last}")
 
 
@@ -472,12 +474,19 @@ def _solve_radii(network: VertexNetwork, dls: dict[int, "_DlVertex"],
         dls[v].radii = [float(x) for x in r[pos[v]: pos[v] + 4]]
 
 
-def _connect_dl(
-    network: VertexNetwork,
-    *,
-    theta_root: float | None = None,
-    thetas: Mapping[int, float] | None = None,
-) -> tuple[dict[int, float], CreasePattern]:
+def connect_dl(network: VertexNetwork, theta: float) -> CreasePattern:
+    """Double every vertex of a network at θ, rooted at the lowest vertex id.
+
+    The root folds in the first mode of its family (a-I or b-I) at θ.  Down
+    the spanning tree, each other vertex keeps θ in whichever mode of its
+    family lines its doubled pair up with its parent's on the shared crease;
+    only when neither mode does at θ does it solve its own θ for that pair's
+    ratio.  Shared creases off the tree are checked, not assumed, so a loop
+    that does not close is refused.  Each vertex's θ is in the record
+    (``read_record(pattern).thetas``).
+    """
+    if not 0.0 < theta < math.pi:
+        raise DlError("theta must lie strictly between 0 and pi")
     pattern = network.pattern
     interior = pattern.interior_vertices
     if not interior:
@@ -494,17 +503,18 @@ def _connect_dl(
         dls[v] = _DlVertex(v, star, tuple(az))
     axis_of = {v: {ci: i for i, ci in enumerate(dls[v].star.crease_ids)} for v in interior}
 
-    solve = thetas is None
     root = interior[0]
     rv = dls[root]
     rv_mode = _FAMILY_MODES[network.modes[root]][0]
-    rv.theta = theta_root if solve else thetas[root]
-    if solve and classify_theta(rv_mode, rv.star.sectors[0], rv.star.sectors[1], rv.theta).tag == CRITICAL:
-        raise DlError("root rotation angle is critical; pick a nearby value")
-    rv.mult = dl_multipliers(rv.star.sectors, rv_mode.signs, rv.theta)
+    alpha, beta = rv.star.sectors[0], rv.star.sectors[1]
+    if classify_theta(rv_mode, alpha, beta, theta).tag == CRITICAL:
+        lo, hi = sorted(math.degrees(c) for c in critical_thetas(rv_mode, alpha, beta))
+        raise DlError(f"theta {math.degrees(theta):.6g} deg is critical for mode {rv_mode.label} on vertex "
+                      f"{root}, whose critical values are {lo:.6g} and {hi:.6g} deg")
+    rv.mult = dl_multipliers(rv.star.sectors, rv_mode.signs, theta)
     if rv.mult.closure_error > 1e-9:
         raise DlError(f"mode {rv_mode.label} does not close on vertex {root}")
-    rv.signs, rv.scale = rv_mode.signs, 1.0
+    rv.signs, rv.theta, rv.scale = rv_mode.signs, theta, 1.0
 
     # Propagation of θ and scale down the spanning tree, then the radii at once.
     for w, u, ci in tree:
@@ -514,7 +524,7 @@ def _connect_dl(
             dw, i_w,
             du.mult.rays_minus[i_u] * du.scale,
             du.mult.rays_plus[i_u] * du.scale,
-            None if solve else thetas[w],
+            theta,
             network.modes[w],
         )
 
@@ -550,7 +560,7 @@ def _connect_dl(
         if abs(a_p - b_m) > 1e-9 * m_scale or abs(a_m - b_p) > 1e-9 * m_scale:
             raise DlError(f"doubled pairs disagree around a loop at crease {ci}")
 
-    return {v: dls[v].theta for v in interior}, _assemble(network, dls)
+    return _assemble(network, dls)
 
 
 def _assemble(network: VertexNetwork, dls: dict[int, "_DlVertex"]) -> CreasePattern:
@@ -691,56 +701,11 @@ def _assemble(network: VertexNetwork, dls: dict[int, "_DlVertex"]) -> CreasePatt
     return write_record(out, record)
 
 
-def connect_tree_dl(network: VertexNetwork, theta_root: float) -> tuple[dict[int, float], CreasePattern]:
-    """Double every vertex of a tree network, rooted at the lowest vertex id.
-
-    The root folds in the first mode of its family (a-I or b-I) at θ_root;
-    each child's mode and θ are solved so its doubled pair on the shared
-    crease folds with the same angles as the parent's.  The root's other
-    mode is not tried: it has never doubled a network the first could not.
-    When a shared pair lands on an unreachable ratio, θ_root is nudged in
-    ±0.5° steps (up to ±5°) before giving up.
-    """
-    if not 0.0 < theta_root < math.pi:
-        raise DlError("theta_root must lie strictly between 0 and pi")
-    if not network.pattern.interior_vertices:
-        raise DlError("network has no interior vertices to double")
-    if not network.is_tree():
-        raise DlError("vertex adjacency is not a tree")
-    last: DlError | None = None
-    for k in range(0, 11):
-        for sign in (1,) if k == 0 else (1, -1):
-            th = theta_root + sign * k * math.radians(0.5)
-            if not 0.0 < th < math.pi:
-                continue
-            try:
-                return _connect_dl(network, theta_root=th)
-            except DlError as exc:
-                last = exc
-    raise DlError(f"no workable rotation angle near the requested root value: {last}")
-
-
-def connect_uniform_dl(network: VertexNetwork, theta: float) -> CreasePattern:
-    """Double every vertex of a network with one shared rotation angle.
-
-    Unlike connect_tree_dl this handles cyclic networks, but only succeeds
-    when one θ closes every loop; the cyclic conditions are verified, not
-    assumed, so asymmetric networks are rejected.
-    """
-    if not 0.0 < theta < math.pi:
-        raise DlError("theta must lie strictly between 0 and pi")
-    thetas = {v: theta for v in network.pattern.interior_vertices}
-    try:
-        return _connect_dl(network, thetas=thetas)[1]
-    except DlError as exc:
-        raise DlError(f"uniform rotation angle does not close this network: {exc}") from None
-
-
 def gen_dl_miura(rows: int, cols: int, angle: float, theta: float) -> CreasePattern:
-    """Doubled Miura-ori: every vertex replaced by its polygon at one θ."""
-    return connect_uniform_dl(gen_miura(rows, cols, angle), theta)
+    """Doubled Miura-ori: every vertex replaced by its polygon (connect_dl at θ)."""
+    return connect_dl(gen_miura(rows, cols, angle), theta)
 
 
 def gen_dl_yoshimura(rows: int, cols: int, elongation: float, theta: float) -> CreasePattern:
-    """Doubled elongated Yoshimura pattern at one θ."""
-    return connect_uniform_dl(gen_yoshimura(rows, cols, elongation), theta)
+    """Doubled elongated Yoshimura pattern (connect_dl at θ)."""
+    return connect_dl(gen_yoshimura(rows, cols, elongation), theta)

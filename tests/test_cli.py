@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from doubleline import cli, gen_dl_yoshimura, gen_yoshimura
+from doubleline import cli, gen_dl_yoshimura, gen_yoshimura, read_record
 from doubleline.cli import main
 from doubleline.fold_io import load_fold, save_fold
 from doubleline.pattern import CreasePattern
@@ -405,6 +405,30 @@ def test_sweep_of_doubled_tessellation_follows_its_labels(tmp_path, capsysbinary
     labels = [c.assignment for c in load_fold(path.read_bytes()).creases]
     assert all(rho > 0 for a, rho in zip(labels, last) if a == "V")
     assert all(rho < 0 for a, rho in zip(labels, last) if a == "M")
+
+
+@pytest.mark.parametrize("theta", ["60", "120"])
+def test_gen_refuses_a_critical_root_theta_by_number(tmp_path, capsysbinary, theta):
+    code, out, err = run(capsysbinary, "gen", "dl-miura", "--rows", "2", "--cols", "2", "--angle", "60",
+                         "--theta", theta, "--out", str(tmp_path / "p.fold"))
+    assert code == 1
+    assert out == b""
+    assert err == (f"error: theta {theta} deg is critical for mode a-I on vertex 4, "
+                   "whose critical values are 60 and 120 deg\n").encode()
+    assert not (tmp_path / "p.fold").exists()
+
+
+def test_dl_yoshimura_off_90_alternates_theta_and_sweeps_closed(tmp_path, capsysbinary):
+    path = tmp_path / "dly.fold"
+    code, _, err = run(capsysbinary, "gen", "dl-yoshimura", "--rows", "2", "--cols", "2", "--elongation", "1.5",
+                       "--theta", "80", "--out", str(path))
+    assert (code, err) == (0, b"")
+    thetas = read_record(load_fold(path.read_bytes())).thetas
+    assert {round(math.degrees(t), 9) for t in thetas.values()} == {80.0, 100.0}
+    code, out, err = run(capsysbinary, "sweep", str(path), "--samples", "9")
+    assert (code, err) == (0, b"")
+    rows = out.decode().splitlines()[1:]
+    assert len(rows) == 9 and max(float(row.split(",")[-1]) for row in rows) < 1e-9
 
 
 def _fresh_python(code):

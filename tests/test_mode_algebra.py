@@ -13,7 +13,7 @@ from doubleline import (
     DoubleLineRatio,
     KinematicsError,
     axis_class,
-    connect_tree_dl,
+    connect_dl,
     corner_coefficients,
     critical_thetas,
     dl_multipliers,
@@ -77,7 +77,7 @@ def _doubled_networks():
     yield gen_dl_yoshimura(2, 4, 1.5, r(90))
     yield gen_dl_yoshimura(3, 3, 1.5, r(90))
     for cols in (3, 4, 5):
-        yield connect_tree_dl(gen_miura(2, cols, r(60)), r(90))[1]
+        yield connect_dl(gen_miura(2, cols, r(60)), r(90))
 
 
 def test_corner_branch_parity_rule_matches_the_projection():

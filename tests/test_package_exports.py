@@ -17,7 +17,7 @@ EXPORTS = (
     "PatternError", "SolveError", "ThetaRegime", "ThickPanelParams", "ThickenError",
     "VertexNetwork", "VertexStar", "assign_mode_mv", "axis_class", "axis_offsets", "axis_sums",
     "branch_multipliers", "classify_theta", "clearance_check", "clearance_records",
-    "connect_tree_dl", "connect_uniform_dl", "construct_dl", "construct_symmetric_dl",
+    "connect_dl", "construct_dl", "construct_symmetric_dl",
     "corner_coefficients", "corner_mode_map", "corner_modes", "count_modes", "crease_half_widths",
     "critical_thetas", "dl_multipliers", "double_line_ratio", "enumerate_mode_sequences",
     "export_clearance_csv", "export_obj", "export_solids_obj", "face_loop_products",

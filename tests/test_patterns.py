@@ -1,4 +1,4 @@
-"""Network generators and the doubling connectors."""
+"""Network generators and the doubling connector."""
 import math
 
 import numpy as np
@@ -11,8 +11,7 @@ from doubleline import (
     DlError,
     VertexNetwork,
     assign_mode_mv,
-    connect_tree_dl,
-    connect_uniform_dl,
+    connect_dl,
     face_loop_products,
     gen_dl_miura,
     gen_dl_yoshimura,
@@ -90,63 +89,74 @@ def test_gen_symmetric_vertex():
 def test_gen_yoshimura_is_tree():
     net = gen_yoshimura(2, 4, 1.5)
     assert len(net.pattern.interior_vertices) == 6
-    assert net.is_tree()
+    assert len(net.shared_creases) == len(net.spanning_tree) == 5
     assert face_loop_products(net) == {}
 
 
 def test_gen_miura_has_loops():
     net = gen_miura(3, 3, math.radians(60))
     assert len(net.pattern.interior_vertices) == 4
-    assert not net.is_tree()
+    assert len(net.shared_creases) == 4 > len(net.spanning_tree)
     products = face_loop_products(net)
     assert products
     assert all(abs(p - 1.0) < 1e-9 for p in products.values())
 
 
+def doubled_thetas(net, theta):
+    """connect_dl's doubled pattern and its per-vertex θ in degrees, to 1e-9."""
+    dl = connect_dl(net, theta)
+    return {v: round(math.degrees(t), 9) for v, t in read_record(dl).thetas.items()}, dl
+
+
 def test_connect_tree_chain_thetas():
     net = gen_miura(2, 3, math.radians(60))
-    assert net.is_tree()
-    thetas, dl = connect_tree_dl(net, math.pi / 2)
-    got = {v: math.degrees(t) for v, t in thetas.items()}
-    # 90 deg lands the shared pair on the extremum of the child's ratio: a
-    # double root of the ratio quadratic, so the child solves to 90 deg too
-    assert abs(got[5] - 90.0) < 1e-9
-    assert abs(got[6] - 90.0) < 1e-9
+    got, dl = doubled_thetas(net, math.pi / 2)
+    assert got == {5: 90.0, 6: 90.0}
     assert pair_sum_residual(net.pattern, dl, (0.2, 0.6, 1.1)) < 1e-9
+    # a child whose pair matches at the requested angle keeps it, rather
+    # than taking the other root of its ratio quadratic (80 deg here)
+    got, dl = doubled_thetas(net, deg(100)[0])
+    assert got == {5: 100.0, 6: 100.0}
+    assert pair_sum_residual(net.pattern, dl, (0.2, 0.6)) < 1e-9
 
 
 def test_connect_tree_path_same_row():
     net = gen_miura(2, 4, math.radians(60))
-    assert net.is_tree()
-    thetas, dl = connect_tree_dl(net, deg(80)[0])
-    assert all(abs(math.degrees(t) - 80.0) < 1e-9 for t in thetas.values())
+    got, dl = doubled_thetas(net, deg(80)[0])
+    assert set(got.values()) == {80.0}
     assert pair_sum_residual(net.pattern, dl, (0.4, 1.0)) < 1e-9
 
 
 def test_connect_tree_asymmetric_rows():
     net = rowwise_miura(3, 2, [0.5, 0.7, 0.9, 1.1])
     assert net.pattern.interior_vertices == (4, 7)
-    assert net.is_tree()
-    thetas, dl = connect_tree_dl(net, deg(80)[0])
-    assert abs(math.degrees(thetas[4]) - 80.0) < 1e-9
-    assert abs(math.degrees(thetas[7]) - 80.0) > 1.0  # child solves its own angle
+    got, dl = doubled_thetas(net, deg(80)[0])
+    assert got[4] == 80.0
+    assert abs(got[7] - 80.0) > 1.0  # child solves its own angle
     assert pair_sum_residual(net.pattern, dl, (0.3, 0.8)) < 1e-9
 
 
 def test_connect_tree_rejects_bad_root():
     net = gen_miura(2, 3, math.radians(60))
-    with pytest.raises(DlError):
-        connect_tree_dl(net, 0.0)
+    for theta in (0.0, math.pi):
+        with pytest.raises(DlError, match="^theta must lie strictly between 0 and pi$"):
+            connect_dl(net, theta)
+    # the root's critical angles are refused by number, not nudged away from
+    for theta in deg(60, 120):
+        with pytest.raises(DlError, match=r"^theta 1?[26]0 deg is critical for mode a-I on vertex 5, "
+                                          r"whose critical values are 60 and 120 deg$"):
+            connect_dl(net, theta)
 
 
-def test_connect_uniform_rejects_asymmetric_loop():
+def test_connect_dl_doubles_asymmetric_loop():
     net = rowwise_miura(3, 3, [0.5, 0.65, 0.8, 0.95])
-    assert not net.is_tree()
-    with pytest.raises(DlError):
-        connect_uniform_dl(net, deg(80)[0])
-    # at 90 deg every row's minor ratio is 1:1, so one angle still closes
-    dl = connect_uniform_dl(net, math.pi / 2)
-    assert pair_sum_residual(net.pattern, dl, (0.3, 0.9)) < 1e-9
+    assert len(net.shared_creases) > len(net.spanning_tree)
+    for theta in (80, 60, 100, 90):
+        got, dl = doubled_thetas(net, deg(theta)[0])
+        assert got[5] == theta
+        assert pair_sum_residual(net.pattern, dl, (0.3, 0.9)) < 1e-9
+    # at 90 deg every row's minor ratio is 1:1, so one angle closes the loop
+    assert set(got.values()) == {90.0}
 
 
 def test_second_root_mode_doubles_nothing_the_first_cannot(monkeypatch):
@@ -157,17 +167,14 @@ def test_second_root_mode_doubles_nothing_the_first_cannot(monkeypatch):
         rowwise_miura(3, 3, [0.5, 0.65, 0.8, 0.95]),
     ]
 
-    connectors = {"tree": lambda net, th: connect_tree_dl(net, th)[1], "uniform": connect_uniform_dl}
-
     def doubled():
         out = {}
         for k, net in enumerate(nets):
             for theta in deg(30, 60, 80, 100, 150):
-                for name, connect in connectors.items():
-                    try:
-                        out[k, theta, name] = read_record(connect(net, theta)).corner_modes
-                    except DlError:
-                        continue
+                try:
+                    out[k, theta] = read_record(connect_dl(net, theta)).corner_modes
+                except DlError:
+                    continue
         return out
 
     first = doubled()
@@ -204,9 +211,10 @@ def test_gen_dl_yoshimura():
     assert len(dl.vertices) == 70
     net = gen_yoshimura(2, 4, 1.5)
     assert pair_sum_residual(net.pattern, dl, (0.3, 0.8)) < 1e-9
-    # the split vertices' rotation angles only agree at 90 deg
-    with pytest.raises(DlError):
-        gen_dl_yoshimura(2, 4, 1.5, deg(80)[0])
+    # away from 90 deg the split vertices alternate between θ and 180° - θ
+    dl = gen_dl_yoshimura(2, 4, 1.5, deg(80)[0])
+    assert {round(math.degrees(t), 9) for t in read_record(dl).thetas.values()} == {80.0, 100.0}
+    assert pair_sum_residual(net.pattern, dl, (0.3, 0.8)) < 1e-9
 
 
 def test_infer_modes_uses_stored_branches():
