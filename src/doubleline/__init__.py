@@ -32,14 +32,14 @@ _EXPORTS = {
     "fold_io": ("get_extra", "load_fold", "save_fold", "set_extra"),
     "kinematics": (
         "FoldMode", "KinematicsError", "ModeVector", "branch_multipliers", "fold_angles_at",
-        "loop_closure_product", "mode_vector", "p_coeff", "q_coeff", "speed_coefficient",
+        "mode_vector", "p_coeff", "q_coeff",
     ),
     "pattern": (
         "Crease", "CreasePattern", "PatternError", "VertexStar", "is_flat_foldable_deg4",
         "kawasaki_residual", "vertex_star",
     ),
     "patterns": (
-        "VertexNetwork", "connect_dl", "face_loop_products", "gen_dl_miura", "gen_dl_yoshimura",
+        "VertexNetwork", "connect_dl", "gen_dl_miura", "gen_dl_yoshimura",
         "gen_miura", "gen_single_deg4", "gen_symmetric_vertex", "gen_yoshimura", "infer_modes",
     ),
     "svg": ("save_svg",),

@@ -247,7 +247,8 @@ def network_multipliers(
     iff the stacked homogeneous system has a one-dimensional null space; the
     result is scaled so the largest |g| equals 1.  Its sign makes the
     pattern's valleys fold positive (the convention assign_mode_mv writes);
-    without M/V labels the first entry of largest |g| is +1.
+    without M/V labels the lowest-id crease within 1e-9 of the largest |g|
+    folds positive, so ties that the SVD breaks by rounding do not choose it.
     """
     interior_v = pattern.interior_vertices
     if not interior_v:
@@ -287,8 +288,9 @@ def network_multipliers(
     k = int(np.argmax(np.abs(g)))
     if abs(g[k]) < NULL_SPACE_TOL:
         raise Fold3dError("mode assignment freezes every crease")
-    x = x / g[k]
-    # many entries tie at |g| = 1, so argmax alone leaves the sign to rounding
+    x = x / abs(g[k])
+    if x[np.flatnonzero(np.abs(x[:n_g]) >= 1.0 - 1e-9)[0]] < 0.0:
+        x = -x
     valley = [{"V": 1.0, "M": -1.0}.get(pattern.creases[ci].assignment, 0.0) for ci in g_index]
     if np.dot(valley, x[:n_g]) < 0.0:
         x = -x
@@ -360,16 +362,18 @@ def solve_fold_angles(
     RESIDUAL_TOL), the first must lie within RESIDUAL_TOL of the first
     step, and the Jacobian at the target must leave the driver no second
     motion (condition below ONE_MOTION_COND).  When the polish fails or a
-    check does, the solve continues from the first step with a Newton
-    solve at each remaining driver in turn.
+    check does, the solve walks on from the first step, one Newton solve
+    per remaining driver, and refuses a last state that fails the
+    one-motion test.  A target within one step is the first step: near
+    flat, one-motion Jacobians are ill conditioned too.
 
     Each iteration takes its forward-difference Jacobian from one stacked
     closure call: the free creases are coloured once so that no star holds
     two of one colour, and one probe per colour gives every column of that
     colour (Curtis, Powell and Reid, 1974).  The solved angles are bit for
     bit those of one probe per crease.  Raises SolveError on
-    non-convergence or a singular Jacobian, Fold3dError for a target
-    outside [−π, π].
+    non-convergence, a singular Jacobian or a cold-started state the driver
+    leaves a second motion, Fold3dError for a target outside [−π, π].
     """
     if not abs(target_angle) <= math.pi:
         raise Fold3dError(f"target angle {target_angle:.6g} rad lies outside [-pi, pi]")
@@ -426,21 +430,25 @@ def solve_fold_angles(
     n_steps = max(1, int(math.ceil(abs(target_angle) / 0.05)))
     drivers = target_angle * np.arange(1, n_steps + 1) / n_steps
     x = first = newton(x, drivers[0])[0]
-    if n_steps > 1:
-        try:
-            u = np.tan(first / 2.0) / math.tan(drivers[0] / 2.0)
-            end, jac = newton(2.0 * np.arctan(u * math.tan(target_angle / 2.0)), target_angle)
-        except SolveError:
-            pass
-        else:
-            u = np.tan(end / 2.0) / math.tan(target_angle / 2.0)
-            path = 2.0 * np.arctan(u * np.tan(drivers[:, None] / 2.0))
-            if (_norms(_closure_defects(table, path)).max() < RESIDUAL_TOL
-                    and np.max(np.abs(path[0] - first)) < RESIDUAL_TOL
-                    and np.linalg.cond(jac) < ONE_MOTION_COND):
-                return end
+    if n_steps == 1:
+        return x
+    try:
+        u = np.tan(first / 2.0) / math.tan(drivers[0] / 2.0)
+        end, jac = newton(2.0 * np.arctan(u * math.tan(target_angle / 2.0)), target_angle)
+    except SolveError:
+        pass
+    else:
+        u = np.tan(end / 2.0) / math.tan(target_angle / 2.0)
+        path = 2.0 * np.arctan(u * np.tan(drivers[:, None] / 2.0))
+        if (_norms(_closure_defects(table, path)).max() < RESIDUAL_TOL
+                and np.max(np.abs(path[0] - first)) < RESIDUAL_TOL
+                and np.linalg.cond(jac) < ONE_MOTION_COND):
+            return end
     for driver in drivers[1:]:
-        x = newton(x, driver)[0]
+        x, jac = newton(x, driver)
+    cond = np.linalg.cond(jac)
+    if not cond < ONE_MOTION_COND:
+        raise SolveError(f"the driver leaves a second motion free (condition number {cond:.3e} >= {ONE_MOTION_COND:g})")
     return x
 
 

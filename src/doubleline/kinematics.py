@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
@@ -103,24 +102,3 @@ def fold_angles_at(star: VertexStar, mode: FoldMode, t: float) -> np.ndarray:
     """
     mv = mode_vector(star, mode)
     return 2.0 * np.arctan(np.array(mv.multipliers) * float(t))
-
-
-def speed_coefficient(star: VertexStar, mode: FoldMode, from_crease: int) -> float:
-    """Ratio m_{i+1}/m_i taking crease index i to its counterclockwise neighbor."""
-    mv = mode_vector(star, mode)
-    cur = mv[from_crease % 4]
-    nxt = mv[(from_crease + 1) % 4]
-    if abs(cur) < DEGENERACY_TOL:
-        raise KinematicsError("speed coefficient from a frozen crease is undefined")
-    return nxt / cur
-
-
-def loop_closure_product(coefficients: Iterable[float]) -> float:
-    """Product of speed coefficients around one interior face.
-
-    The face admits the finite rigid folding iff the product is 1.
-    """
-    values = list(coefficients)
-    if not values:
-        raise KinematicsError("loop closure product of an empty sequence")
-    return math.prod(values)

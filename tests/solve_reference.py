@@ -6,7 +6,8 @@ takes the ``h`` back off in place.
 ``solve_fold_angles`` cold-starts as the kit does: the first continuation
 step, then the tan-half seed polished at the target and kept when its path
 closes at every continuation driver, meets the first step and leaves the
-driver no second motion; else the remaining continuation steps.
+driver no second motion; else the remaining continuation steps, whose last
+state must leave the driver no second motion either.
 ``continuation`` is the step-by-step walk from flat that the kit used
 before the tan-half seed.
 
@@ -107,7 +108,10 @@ def solve_fold_angles(pattern, driver_crease, target_angle, initial_guess=None, 
         if closes and np.max(np.abs(path[0] - first)) < RESIDUAL_TOL and sv[0] < ONE_MOTION_COND * sv[-1]:
             return end
     for driver in drivers[1:]:
-        x = newton(x, driver)[0]
+        x, jac = newton(x, driver)
+    sv = np.linalg.svd(jac, compute_uv=False)
+    if not sv[0] < ONE_MOTION_COND * sv[-1]:
+        raise SolveError(f"the driver leaves a second motion free (condition number {sv[0] / sv[-1]:.3e})")
     return x
 
 

@@ -114,6 +114,26 @@ def test_network_multipliers_needs_all_modes():
         network_multipliers(pat, modes)
 
 
+def test_network_multipliers_refuses_branches_without_one_motion():
+    pat = gen_miura(3, 3, math.radians(60)).pattern
+    one_b = {v: FoldMode.B if v == 10 else FoldMode.A for v in pat.interior_vertices}
+    with pytest.raises(Fold3dError, match=r"^mode assignment admits no motion \(smallest singular value"):
+        network_multipliers(pat, one_b)
+    with pytest.raises(Fold3dError, match=r"^mode assignment is degenerate"):
+        network_multipliers(pat, dict.fromkeys(pat.interior_vertices, FoldMode.B))
+
+
+def test_unlabeled_miura_signs_do_not_follow_rounding():
+    # many creases tie at |g| = 1 and the SVD orders them by rounding, so the
+    # sign must not follow whichever of them argmax meets first
+    for n in range(2, 6):
+        for angle in range(40, 90, 5):
+            pat = gen_miura(n, n, math.radians(angle)).pattern
+            lowest = pat.interior_creases[0]
+            assert pat.creases[lowest].assignment == "V", (n, angle)
+            assert network_multipliers(pat, infer_modes(pat))[lowest] > 1.0 - 1e-9
+
+
 def test_sweep_modes_and_multipliers_agree():
     pat = gen_dl_miura(2, 2, math.radians(60), math.pi / 2)
     modes = infer_modes(pat)

@@ -6,13 +6,10 @@ import pytest
 from conftest import star_of
 from doubleline.kinematics import (
     FoldMode,
-    KinematicsError,
     fold_angles_at,
-    loop_closure_product,
     mode_vector,
     p_coeff,
     q_coeff,
-    speed_coefficient,
 )
 
 SQ3 = math.sqrt(3.0)
@@ -76,22 +73,3 @@ def test_fold_angles_at():
     square = star_of([math.pi / 2] * 4)
     got = np.degrees(fold_angles_at(square, FoldMode.A, 1.0))
     assert np.allclose(got, (90.0, 0.0, 90.0, 0.0), atol=1e-9)
-
-
-def test_speed_coefficients():
-    star = star_of([math.radians(v) for v in (60, 60, 120, 120)])
-    assert abs(float(speed_coefficient(star, FoldMode.A, 0)) - (-0.5)) < 1e-12
-    assert abs(float(speed_coefficient(star, FoldMode.A, 1)) - (-2.0)) < 1e-12
-    cycle = [speed_coefficient(star, FoldMode.A, i) for i in range(4)]
-    assert abs(loop_closure_product(cycle) - 1.0) < 1e-12
-
-
-def test_loop_closure_product_empty():
-    with pytest.raises(KinematicsError):
-        loop_closure_product([])
-
-
-def test_degenerate_speed_rejected():
-    star = star_of([math.radians(v) for v in (60, 60, 120, 120)])
-    with pytest.raises(KinematicsError):
-        speed_coefficient(star, FoldMode.B, 0)

@@ -20,14 +20,14 @@ EXPORTS = (
     "connect_dl", "construct_dl", "construct_symmetric_dl",
     "corner_coefficients", "corner_mode_map", "corner_modes", "count_modes", "crease_half_widths",
     "critical_thetas", "dl_multipliers", "double_line_ratio", "enumerate_mode_sequences",
-    "export_clearance_csv", "export_obj", "export_solids_obj", "face_loop_products",
+    "export_clearance_csv", "export_obj", "export_solids_obj",
     "flat_fold_parameter", "fold_angles_at", "gen_dl_miura", "gen_dl_yoshimura", "gen_miura",
     "gen_single_deg4", "gen_symmetric_vertex", "gen_yoshimura", "get_extra", "infer_modes",
-    "is_flat_foldable_deg4", "kawasaki_residual", "load_fold", "loop_closure_product",
+    "is_flat_foldable_deg4", "kawasaki_residual", "load_fold",
     "major_coefficient", "max_thickness", "mode_from_label", "mode_is_valid", "mode_vector",
     "network_multipliers", "p_coeff", "pattern_multipliers", "propagate_fold", "q_coeff",
     "quarter_angle_coefficient", "read_record", "save_fold", "save_svg", "set_extra",
-    "sign_pattern_product", "solve_fold_angles", "speed_coefficient", "sweep_motion",
+    "sign_pattern_product", "solve_fold_angles", "sweep_motion",
     "symmetric_fold_relation", "theta_for_even_minor", "theta_for_ratio", "thicken", "valid_modes",
     "vertex_closure_residual", "vertex_star", "watertight_gap",
 )

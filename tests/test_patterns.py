@@ -1,10 +1,11 @@
 """Network generators and the doubling connector."""
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from doubleline import patterns
+from doubleline import fold3d, patterns
 from doubleline import (
     Crease,
     CreasePattern,
@@ -12,7 +13,6 @@ from doubleline import (
     VertexNetwork,
     assign_mode_mv,
     connect_dl,
-    face_loop_products,
     gen_dl_miura,
     gen_dl_yoshimura,
     gen_miura,
@@ -90,16 +90,12 @@ def test_gen_yoshimura_is_tree():
     net = gen_yoshimura(2, 4, 1.5)
     assert len(net.pattern.interior_vertices) == 6
     assert len(net.shared_creases) == len(net.spanning_tree) == 5
-    assert face_loop_products(net) == {}
 
 
 def test_gen_miura_has_loops():
     net = gen_miura(3, 3, math.radians(60))
     assert len(net.pattern.interior_vertices) == 4
     assert len(net.shared_creases) == 4 > len(net.spanning_tree)
-    products = face_loop_products(net)
-    assert products
-    assert all(abs(p - 1.0) < 1e-9 for p in products.values())
 
 
 def doubled_thetas(net, theta):
@@ -215,6 +211,28 @@ def test_gen_dl_yoshimura():
     dl = gen_dl_yoshimura(2, 4, 1.5, deg(80)[0])
     assert {round(math.degrees(t), 9) for t in read_record(dl).thetas.values()} == {80.0, 100.0}
     assert pair_sum_residual(net.pattern, dl, (0.3, 0.8)) < 1e-9
+
+
+@pytest.mark.parametrize("rows, cols, crease", [(3, 3, 22), (3, 2, 14)])
+def test_dl_yoshimura_loops_off_90_are_refused_by_crease(rows, cols, crease):
+    with pytest.raises(DlError, match=rf"^doubled pairs disagree at crease {crease}: "
+                                      r"corner \d+ of vertex \d+ is off its branch by ") as err:
+        gen_dl_yoshimura(rows, cols, 1.5, deg(80)[0])
+    assert float(str(err.value).rsplit(" ", 1)[1]) > 1e-2
+
+
+def test_the_doubled_build_runs_no_network_solve(monkeypatch):
+    inner = fold3d.network_multipliers
+
+    def outside_the_build(*args):
+        if sys._getframe(1).f_code.co_name == "_assemble":
+            raise AssertionError("the doubled build ran a network solve")
+        return inner(*args)
+
+    monkeypatch.setattr(fold3d, "network_multipliers", outside_the_build)
+    for dl in (gen_dl_miura(3, 3, math.radians(60), math.pi / 2), gen_dl_yoshimura(2, 3, 1.5, math.pi / 2)):
+        g = np.array(read_record(dl).multipliers)
+        assert max(s.residual for s in sweep_motion(dl, None, (0.3, 0.9), multipliers=g)) < 1e-9
 
 
 def test_infer_modes_uses_stored_branches():

@@ -202,13 +202,27 @@ def continued(pat, driver, target):
     return x
 
 
+def second_motion_condition(pat, driver, x):
+    """Condition number of the per-column closure Jacobian at x over the creases free of the driver."""
+    stars = pat.interior_stars
+    free = [ci for ci in pat.interior_creases if ci != driver]
+    r = fold3d._closure_defects(stars, x[None]).ravel()
+    return np.linalg.cond(ref.jacobian(stars, free, x.copy(), r))
+
+
 def assert_follows_the_continuation(pat, driver, target):
+    """The cold start returns the continuation's state, or refuses as it does;
+    a state where the driver leaves a second motion free is refused."""
     try:
         want = continued(pat, driver, target)
     except SolveError as exc:
         with pytest.raises(SolveError) as got:
             solve_fold_angles(pat, driver, target)
         assert str(got.value) == str(exc)
+        return
+    if second_motion_condition(pat, driver, want) >= fold3d.ONE_MOTION_COND:
+        with pytest.raises(SolveError, match="second motion free .*condition number"):
+            solve_fold_angles(pat, driver, target)
         return
     got = solve_fold_angles(pat, driver, target)
     assert np.max(np.abs(got - want)) < 1e-9
@@ -235,16 +249,35 @@ def test_dl_miura_cold_start_stays_on_the_continuation_branch(n, driver, target_
     assert_follows_the_continuation(pat, driver, math.radians(target_deg))
 
 
-@pytest.mark.parametrize("case", ["dlm22-driver1--120", "miura33-last-30"])
-def test_uncertified_tan_half_path_falls_back_to_the_continuation(case):
-    if case == "dlm22-driver1--120":  # the polish lands on another branch, whose path misses the first step
-        pat, driver, target = dl_miura70(2), 1, math.radians(-120.0)
-    else:  # two straight fold lines: the driver leaves a second motion free
-        pat = miura(3)
-        driver, target = pat.interior_creases[-1], math.radians(30.0)
+# the polish lands on another branch, whose path misses the first step
+@pytest.mark.parametrize("n, driver, target_deg", [(2, 1, -120.0)], ids=["dlm22-driver1--120"])
+def test_uncertified_tan_half_path_falls_back_to_the_continuation(n, driver, target_deg):
+    pat, target = dl_miura70(n), math.radians(target_deg)
     want = ref.continuation(pat, driver, target)
+    assert second_motion_condition(pat, driver, want) < 10.0
     assert np.array_equal(continued(pat, driver, target), want)
     assert np.array_equal(solve_fold_angles(pat, driver, target), want)
+
+
+def test_a_walk_that_ends_in_one_motion_answers():
+    # the driver that leaves Miura 3x3 a second motion at 30 deg pins one at -69 deg
+    pat = miura(3)
+    driver, target = pat.interior_creases[-1], math.radians(-69.0)
+    want = ref.continuation(pat, driver, target)
+    assert second_motion_condition(pat, driver, want) < 10.0
+    assert np.max(np.abs(solve_fold_angles(pat, driver, target) - want)) < 1e-9
+
+
+@pytest.mark.parametrize("case", ["miura33-last-30", "miura44-last--120"])
+def test_a_walk_left_in_a_second_motion_is_refused(case):
+    # two straight fold lines: driven at its last interior crease, the
+    # pattern keeps a second motion, and the walk drifts inside it
+    n, target = (3, 30.0) if case == "miura33-last-30" else (4, -120.0)
+    pat = miura(n)
+    driver, target = pat.interior_creases[-1], math.radians(target)
+    assert second_motion_condition(pat, driver, ref.continuation(pat, driver, target)) > 1e7
+    with pytest.raises(SolveError, match=r"second motion free \(condition number 2\.[34]\d*e\+07 >= 100000\)"):
+        solve_fold_angles(pat, driver, target)
 
 
 @pytest.mark.parametrize("case", ["miura33", "dlm33"])
