@@ -89,12 +89,20 @@ def _motion_multipliers(pattern: CreasePattern) -> np.ndarray:
     return network_multipliers(pattern, infer_modes(pattern))
 
 
-def _default_t_max(pattern: CreasePattern, multipliers: np.ndarray) -> float:
-    """Sweep limit: just short of the flat state for doubled patterns."""
+def _motion_end(pattern: CreasePattern, multipliers: np.ndarray, flag: str, t: float | None) -> float:
+    """The motion's end: t when given, else just short of the flat state for doubled patterns.
+
+    A doubled pattern's motion ends at its flat state t_flat (flat_fold_parameter);
+    a t beyond it, either way, is refused, naming t_flat.
+    """
     from .dl import flat_fold_parameter
 
     t_flat = flat_fold_parameter(pattern, multipliers)
-    return 0.97 * t_flat if t_flat is not None else 1.0
+    if t is None:
+        return 0.97 * t_flat if t_flat is not None else 1.0
+    if t_flat is not None and abs(t) > t_flat:
+        raise ValueError(f"{flag} {_fmt(t)} lies beyond the flat state at t_flat {_fmt(t_flat)}")
+    return t
 
 
 def _cmd_analyze(args) -> bytes:
@@ -128,7 +136,7 @@ def _cmd_analyze(args) -> bytes:
 
 
 def _cmd_doubleline(args) -> bytes:
-    from .dl import DoubleLineParams, construct_dl, fix_mode, mode_from_label
+    from .dl import DLMode, DoubleLineParams, construct_dl, fix_mode, mode_from_label
     from .pattern import PatternError, vertex_star
 
     pattern = _load(args.pattern)
@@ -143,7 +151,8 @@ def _cmd_doubleline(args) -> bytes:
     params = DoubleLineParams(math.radians(args.theta), radii)
     doubled = construct_dl(star, params, outer_length=args.outer_length)
     if args.mode:
-        doubled = fix_mode(doubled, mode_from_label(args.mode))
+        mode = DLMode(args.mode, tuple(args.mode)) if set(args.mode) <= {"+", "-"} else mode_from_label(args.mode)
+        doubled = fix_mode(doubled, mode)
     return _save(doubled, args.format)
 
 
@@ -201,7 +210,7 @@ def _cmd_sweep(args) -> bytes:
     _check_range("--samples", args.samples, SAMPLES_RANGE)
     pattern = _load(args.pattern)
     mult = _motion_multipliers(pattern)
-    t_max = args.t_max if args.t_max is not None else _default_t_max(pattern, mult)
+    t_max = _motion_end(pattern, mult, "--t-max", args.t_max)
     motion = sweep_motion(pattern, None, np.linspace(0.0, t_max, args.samples), multipliers=mult)
     require_closing(motion)
     return _motion_csv(pattern, motion)
@@ -212,7 +221,8 @@ def _cmd_fold(args) -> bytes:
     from .fold_io import save_fold
 
     pattern = _load(args.pattern)
-    motion = sweep_motion(pattern, None, [args.t], multipliers=_motion_multipliers(pattern))
+    mult = _motion_multipliers(pattern)
+    motion = sweep_motion(pattern, None, [_motion_end(pattern, mult, "--t", args.t)], multipliers=mult)
     require_closing(motion)
     if args.format == "obj":
         return export_obj(motion[0]).encode()
@@ -261,7 +271,7 @@ def _cmd_thicken(args) -> bytes:
         raise ValueError(f"--t-max must be positive, got {args.t_max:g}")
     pattern = _load(args.pattern)
     mult = _motion_multipliers(pattern)
-    t_max = args.t_max if args.t_max is not None else _default_t_max(pattern, mult)
+    t_max = _motion_end(pattern, mult, "--t-max", args.t_max)
     grid = np.geomspace(t_max * 1e-3, t_max, args.samples)
     motion = sweep_motion(pattern, None, grid, multipliers=mult)
     params = ThickPanelParams(tau=args.tau, side=args.side, enforce_bound=not args.ignore_bound)
@@ -352,7 +362,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True, help="rotation angle in degrees")
     p.add_argument("--radii", help="comma-separated polygon distances r_i")
     p.add_argument("--outer-length", type=float, help="boundary reach of the doubled rays")
-    p.add_argument("--mode", help="folding mode label (a-I, a-II, b-I, b-II) for M/V labels")
+    p.add_argument("--mode", help="folding mode for M/V labels and the record: a label (a-I, a-II, b-I, b-II) "
+                                  "or one + or - per crease of the vertex, as --mode=-+-+-+")
     p.set_defaults(handler=_cmd_doubleline)
 
     p = sub.add_parser("classify", parents=[common], help="theta regime of a doubled vertex")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .fold_io import get_extra, is_index, is_number, set_extra
 from .geometry import intersect_lines, unit
-from .kinematics import DEGENERACY_TOL, FoldMode, branch_multipliers, p_coeff, q_coeff, tan_half
+from .kinematics import DEGENERACY_TOL, FoldMode, branch_multipliers, mode_vector, p_coeff, q_coeff, tan_half
 from .pattern import Crease, CreasePattern, PatternError, VertexStar, per_pattern, vertex_star
 
 NETWORK_KEY = "doubleline:network"
@@ -40,7 +40,7 @@ class DlError(ValueError):
 
 @dataclass(frozen=True)
 class DLMode:
-    """A folding mode of a doubled degree-4 vertex: per-corner sign sequence."""
+    """A folding mode of a doubled vertex: one sign per corner (per doubled crease), any degree."""
 
     label: str
     signs: tuple[str, ...]
@@ -443,19 +443,47 @@ def pattern_multipliers(pattern: CreasePattern, mode: DLMode) -> np.ndarray:
     return out
 
 
-def corner_mode_map(pattern: CreasePattern, mode: DLMode) -> dict[int, FoldMode]:
-    """Vertex id -> local FoldMode assignment realizing a DL mode."""
-    rec, v = _single_vertex(pattern)
-    return dict(zip(rec.corners[v], corner_modes(mode)))
-
-
 def fix_mode(pattern: CreasePattern, mode: DLMode) -> CreasePattern:
-    """A constructed DL pattern labeled M/V by one mode, the mode kept in its record."""
-    mult = pattern_multipliers(pattern, mode)
+    """A constructed DL pattern in one mode: labeled M/V, certified and recorded by write_mode."""
     rec, v = _single_vertex(pattern)
-    rec = replace(rec, signs={v: "".join(mode.signs)}, scales={v: 1.0},
-                  corner_modes=corner_mode_map(pattern, mode), multipliers=tuple(mult.tolist()))
-    return write_record(assign_mode_mv(pattern, mult), rec)
+    return write_mode(pattern, rec, {v: "".join(mode.signs)}, {v: 1.0}, pattern_multipliers(pattern, mode))
+
+
+def write_mode(pattern: CreasePattern, record: DLRecord, signs: Mapping[int, str],
+               scales: Mapping[int, float], multipliers: Sequence[float]) -> CreasePattern:
+    """A doubled pattern labeled M/V by per-crease multipliers, certified corner by corner, its mode recorded.
+
+    Sign '-' puts corner i of a vertex on branch a of its construction star,
+    whose crease e_2 is side_{i+1}.  The pattern's star of the corner may start
+    elsewhere; where side_{i+1} sits at an odd position the letters swap.
+    Every corner is a flat-foldable degree-4 vertex, so the pattern folds
+    exactly when each corner's multipliers are its branch's mode vector
+    times one scale (Tachi 2009).  The scale is fitted on the corner's two
+    sides, which its own vertex sets; a doubled pair off it (a loop that does
+    not close, or a multiplier that is not the mode's) is refused, naming
+    its original crease.
+    """
+    g = np.asarray(multipliers, dtype=float)
+    tol = 1e-8 * np.max(np.abs(g))
+    origin = {c: ci for ci, *pair in record.pairs for c in pair}
+    branches: dict[int, FoldMode] = {}
+    for v in sorted(record.corners):
+        corners, sides = record.corners[v], record.sides[v]
+        for i, cv in enumerate(corners):
+            star = vertex_star(pattern, cv)
+            ids = list(star.crease_ids)
+            even = ids.index(sides[(i + 1) % len(sides)]) % 2 == 0
+            branches[cv] = FoldMode.A if (signs[v][i] == "-") == even else FoldMode.B
+            e = np.array(mode_vector(star, branches[cv]).multipliers)
+            own = np.array([c not in origin for c in ids])
+            miss = np.abs(g[ids] - (g[ids][own] @ e[own]) / (e[own] @ e[own]) * e)
+            if miss.max() > tol:
+                ray = max(np.flatnonzero(~own), key=lambda k: miss[k])
+                raise DlError(f"doubled pairs disagree at crease {origin[ids[ray]]}: corner {cv} of vertex {v} "
+                              f"is off its branch by {miss.max():.3e}")
+    record = replace(record, signs=dict(signs), scales=dict(scales), corner_modes=branches,
+                     multipliers=tuple(g.tolist()))
+    return write_record(assign_mode_mv(pattern, g), record)
 
 
 def assign_mode_mv(pattern: CreasePattern, multipliers: np.ndarray) -> CreasePattern:

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .pattern import VertexStar, is_flat_foldable_deg4
 
 DEGENERACY_TOL = 1e-12
@@ -94,11 +92,3 @@ def mode_vector(star: VertexStar, mode: FoldMode) -> ModeVector:
     m = branch_multipliers(mode, star.sectors[0], star.sectors[1])
     return ModeVector(m, mode, min(map(abs, m)) < DEGENERACY_TOL)
 
-
-def fold_angles_at(star: VertexStar, mode: FoldMode, t: float) -> np.ndarray:
-    """Fold angles ρ_i = 2·arctan(m_i·t), ordered like star.crease_ids.
-
-    t = 0 is the unfolded state; t → ±∞ drives the major creases to ±π.
-    """
-    mv = mode_vector(star, mode)
-    return 2.0 * np.arctan(np.array(mv.multipliers) * float(t))

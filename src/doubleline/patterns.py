@@ -39,7 +39,7 @@ from .dl import (  # noqa: F401  (NETWORK_KEY is re-exported for its importers)
     polygon_corners,
     read_record,
     theta_for_ratio,
-    write_record,
+    write_mode,
 )
 from .geometry import crossing, unit
 from .kinematics import FoldMode, mode_vector
@@ -619,34 +619,6 @@ def _assemble(network: VertexNetwork, dls: dict[int, "_DlVertex"]) -> CreasePatt
         out = CreasePattern.build(verts, creases)
     except PatternError as exc:
         raise DlError(f"doubled network has a degenerate embedding: {exc}") from exc
-    out = assign_mode_mv(out, np.array(mults))
-
-    # Sign '-' puts corner i on branch a of its construction star, whose
-    # crease e_2 is side_{i+1}.  The pattern's star of the corner may start
-    # elsewhere; where side_{i+1} sits at an odd position the letters swap.
-    # Every corner is a flat-foldable degree-4 vertex, so the network folds
-    # exactly when each corner's multipliers are its branch's mode vector
-    # times one scale (Tachi 2009).  The scale is fitted on the corner's two
-    # sides, which its own vertex set; a pair taken from a neighbour across a
-    # loop that does not close is off it.
-    g = np.array(mults)
-    tol = 1e-8 * np.max(np.abs(g))
-    origin = {c: ci for ci, *pair in pairs for c in pair}
-    corner_modes: dict[int, FoldMode] = {}
-    stars = {star.vertex: star for star in out.interior_stars}
-    for v in sorted(interior):
-        for i, cv in enumerate(corner_ids[v]):
-            ids = list(stars[cv].crease_ids)
-            even = ids.index(side_ids[v][(i + 1) % 4]) % 2 == 0
-            corner_modes[cv] = FoldMode.A if (dls[v].signs[i] == "-") == even else FoldMode.B
-            e = np.array(mode_vector(stars[cv], corner_modes[cv]).multipliers)
-            own = np.array([c not in origin for c in ids])
-            miss = np.abs(g[ids] - (g[ids][own] @ e[own]) / (e[own] @ e[own]) * e)
-            if miss.max() > tol:
-                ray = max(np.flatnonzero(~own), key=lambda k: miss[k])
-                raise DlError(f"doubled pairs disagree at crease {origin[ids[ray]]}: corner {cv} of vertex {v} "
-                              f"is off its branch by {miss.max():.3e}")
-
     record = DLRecord(
         pairs=tuple(sorted(pairs)),
         corners={v: tuple(corner_ids[v]) for v in interior},
@@ -654,12 +626,9 @@ def _assemble(network: VertexNetwork, dls: dict[int, "_DlVertex"]) -> CreasePatt
         thetas={v: dls[v].theta for v in interior},
         sectors={v: dls[v].star.sectors for v in interior},
         radii={v: tuple(dls[v].radii) for v in interior},
-        signs={v: "".join(dls[v].signs) for v in interior},
-        scales={v: dls[v].scale for v in interior},
-        corner_modes=corner_modes,
-        multipliers=tuple(mults),
     )
-    return write_record(out, record)
+    return write_mode(out, record, {v: "".join(dls[v].signs) for v in interior},
+                      {v: dls[v].scale for v in interior}, mults)
 
 
 def gen_dl_miura(rows: int, cols: int, angle: float, theta: float) -> CreasePattern:

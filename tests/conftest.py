@@ -1,6 +1,13 @@
 import math
+import os
 
-from doubleline.pattern import Crease, CreasePattern, vertex_star
+# One BLAS thread, set before anything imports numpy: the suite's small
+# solves run slower, and much slower on a busy host, with a thread pool.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from doubleline.pattern import Crease, CreasePattern, vertex_star  # noqa: E402  (after the thread pins)
 
 # one "criterion N: PASS/FAIL" line per acceptance criterion, printed after
 # the run so the verdicts survive pytest's output capture

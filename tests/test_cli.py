@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from doubleline import cli, gen_dl_yoshimura, gen_yoshimura, read_record
+from doubleline import cli, gen_dl_yoshimura, gen_yoshimura, read_record, symmetric_fold_relation
 from doubleline.cli import main
 from doubleline.fold_io import load_fold, save_fold
 from doubleline.pattern import CreasePattern
@@ -569,6 +569,90 @@ def test_thicken_refuses_fewer_than_two_samples(tmp_path, capsysbinary):
     assert (code, err) == (0, b"")
     rows = [row.split(",") for row in out.decode().splitlines()[1:]]
     assert len(rows) == 2 and math.isclose(float(rows[1][0]), 1000.0 * float(rows[0][0]), rel_tol=1e-9)
+
+
+def _doubled_symmetric(tmp_path, capsysbinary, mode="+-+-+-"):
+    """gen symmetric --n 3, doubled at 90 deg in one sign sequence: (exit code, stderr, doubled path)."""
+    sym, doubled = tmp_path / "sym.fold", tmp_path / "dl_sym.fold"
+    assert run(capsysbinary, "gen", "symmetric", "--n", "3", "--out", str(sym))[0] == 0
+    # --mode=SEQ: a sequence that starts with '-' would read as a flag
+    code, _, err = run(capsysbinary, "doubleline", str(sym), "--theta", "90", f"--mode={mode}", "--out", str(doubled))
+    return code, err, doubled
+
+
+def test_doubled_degree6_vertex_takes_a_sign_sequence_and_folds(tmp_path, capsysbinary):
+    code, err, doubled = _doubled_symmetric(tmp_path, capsysbinary)
+    assert (code, err) == (0, b"")
+    rec = read_record(load_fold(doubled.read_bytes()))
+    assert rec.signs == {0: "+-+-+-"} and rec.scales == {0: 1.0} and len(rec.multipliers) == 30
+    assert [rec.corner_modes[c].value for c in rec.corners[0]] == ["b", "a"] * 3
+
+    code, out, err = run(capsysbinary, "sweep", str(doubled), "--samples", "9")
+    assert (code, err) == (0, b"")
+    rows = [[float(x) for x in ln.split(",")] for ln in out.decode().splitlines()[1:]]
+    assert len(rows) == 9 and max(r[-1] for r in rows) < 1e-9
+    for r in rows:
+        sums = [math.radians(r[1 + plus] + r[1 + minus]) for _, plus, minus in rec.pairs]
+        for k in range(0, 6, 2):  # the odd pairs are rho_a, the even ones rho_b
+            assert abs(symmetric_fold_relation(3, sums[k + 1]) - sums[k]) < 1e-9
+
+    code, out, err = run(capsysbinary, "fold", str(doubled), "--t", "0.5", "--format", "obj")
+    assert (code, err) == (0, b"") and out.startswith(b"# doubleline folded state")
+    assert run(capsysbinary, "thicken", str(doubled), "--tau", "0.01")[::2] == (0, b"")
+
+
+def test_thicken_csv_of_the_doubled_degree6_vertex_reports_its_contact(tmp_path, capsysbinary):
+    # from t = 1.22 on, faces 1 and 4 touch with zero depth at any tau
+    # above: the odd pairs have summed past 180 deg since t = 1, long
+    # before the t_flat = 3.73 their even neighbours set
+    _, _, doubled = _doubled_symmetric(tmp_path, capsysbinary)
+    code, out, err = run(capsysbinary, "thicken", str(doubled), "--tau", "0.01", "--samples", "8", "--format", "csv")
+    assert code == 0
+    head, _, rest = err.decode().partition("least clearance ")
+    least, tail = rest.split(" ", 1)
+    assert head == "warning: panels penetrate: " and tail == "at t 1.34942220796, faces 1 and 4\n"
+    assert -1e-13 < float(least) < 0.0  # zero depth, to rounding
+    assert f"1.34942220796,{least},1-4" in out.decode().splitlines()
+
+
+@pytest.mark.parametrize("mode, message", [
+    ("+-+-", "mode +-+- has 4 signs, pattern degree 6"),
+    ("a-I", "mode a-I has 4 signs, pattern degree 6"),
+    ("+-x-+-", "unknown double-line mode '+-x-+-'"),
+    ("+-----", "mode +----- does not close on this vertex"),
+    ("-+-+--", "mode -+-+-- does not close on this vertex"),
+])
+def test_doubleline_refuses_a_sequence_that_cannot_fold_the_vertex(tmp_path, capsysbinary, mode, message):
+    code, err, doubled = _doubled_symmetric(tmp_path, capsysbinary, mode)
+    assert (code, err) == (1, f"error: {message}\n".encode())
+    assert not doubled.exists()
+
+
+def test_classify_takes_mode_labels_only(capsysbinary):
+    code, out, err = run(capsysbinary, "classify", "--alpha", "50", "--beta", "70", "--mode=-++-")
+    assert (code, out, err) == (1, b"", b"error: unknown double-line mode '-++-'\n")
+
+
+@pytest.mark.parametrize("argv", [("sweep", "--t-max", "{t}"), ("thicken", "--tau", "0.01", "--t-max", "{t}"),
+                                  ("fold", "--t", "{t}"), ("fold", "--t", "-{t}")],
+                         ids=("sweep", "thicken", "fold", "fold-negative"))
+def test_motion_past_the_flat_state_is_refused(tmp_path, capsysbinary, argv):
+    doubled = _dl_single(tmp_path, capsysbinary)
+    t_flat = "6.53127368337"
+    flag = argv[-2]
+    code, out, err = run(capsysbinary, argv[0], str(doubled), *(a.format(t=8) for a in argv[1:]))
+    assert (code, out) == (1, b"")
+    assert err == f"error: {flag} {argv[-1].format(t=8)} lies beyond the flat state at t_flat {t_flat}\n".encode()
+    # a t just short of t_flat still folds
+    code, _, err = run(capsysbinary, argv[0], str(doubled), *(a.format(t=6.5312) for a in argv[1:]))
+    assert (code, err) == (0, b"")
+
+
+def test_motion_without_a_flat_state_keeps_any_t(tmp_path, capsysbinary):
+    path = tmp_path / "miura.fold"
+    run(capsysbinary, "gen", "miura", "--rows", "2", "--cols", "2", "--angle", "60", "--out", str(path))
+    assert run(capsysbinary, "sweep", str(path), "--samples", "3", "--t-max", "8")[::2] == (0, b"")
+    assert run(capsysbinary, "fold", str(path), "--t", "8", "--format", "csv")[::2] == (0, b"")
 
 
 def test_import_doubleline_loads_no_submodule():

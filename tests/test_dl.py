@@ -23,7 +23,6 @@ from doubleline import (
     classify_theta,
     construct_dl,
     corner_coefficients,
-    corner_mode_map,
     critical_thetas,
     dl_multipliers,
     double_line_ratio,
@@ -42,7 +41,7 @@ from doubleline import (
     valid_modes,
     vertex_star,
 )
-from doubleline.dl import _mode_pairs
+from doubleline.dl import _mode_pairs, fix_mode
 
 from conftest import deg, star_of
 
@@ -333,11 +332,10 @@ def test_pattern_multipliers_layout():
     assert np.max(np.abs(g - h)) > 1e-6
 
 
-def test_corner_mode_map():
+def test_fix_mode_records_each_corners_branch():
     star = star_of(deg(60, 80, 120, 100))
-    pat = construct_dl(star, DoubleLineParams(math.pi / 2, (1.0,) * 4))
-    cm = corner_mode_map(pat, MODE_A1)
-    assert cm == {0: FoldMode.A, 1: FoldMode.B, 2: FoldMode.B, 3: FoldMode.A}
+    pat = fix_mode(construct_dl(star, DoubleLineParams(math.pi / 2, (1.0,) * 4)), MODE_A1)
+    assert read_record(pat).corner_modes == {0: FoldMode.A, 1: FoldMode.B, 2: FoldMode.B, 3: FoldMode.A}
 
 
 def test_mode_from_label_round_trip():

@@ -6,7 +6,6 @@ import pytest
 from conftest import star_of
 from doubleline.kinematics import (
     FoldMode,
-    fold_angles_at,
     mode_vector,
     p_coeff,
     q_coeff,
@@ -62,7 +61,10 @@ def test_mode_vector_sign_split():
             assert int(np.sum(np.sign(m) < 0)) in (1, 3)
 
 
-def test_fold_angles_at():
+def test_mode_vector_fold_angles():
+    def fold_angles_at(star, mode, t):
+        return 2.0 * np.arctan(np.array(mode_vector(star, mode).multipliers) * t)
+
     star = star_of([math.radians(v) for v in (60, 60, 120, 120)])
     assert np.allclose(fold_angles_at(star, FoldMode.A, 0.0), 0.0)
     got = np.degrees(fold_angles_at(star, FoldMode.A, 1.0))

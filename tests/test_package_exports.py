@@ -18,10 +18,10 @@ EXPORTS = (
     "VertexNetwork", "VertexStar", "assign_mode_mv", "axis_class", "axis_offsets", "axis_sums",
     "branch_multipliers", "classify_theta", "clearance_check", "clearance_records",
     "connect_dl", "construct_dl", "construct_symmetric_dl",
-    "corner_coefficients", "corner_mode_map", "corner_modes", "count_modes", "crease_half_widths",
+    "corner_coefficients", "corner_modes", "count_modes", "crease_half_widths",
     "critical_thetas", "dl_multipliers", "double_line_ratio", "enumerate_mode_sequences",
     "export_clearance_csv", "export_obj", "export_solids_obj",
-    "flat_fold_parameter", "fold_angles_at", "gen_dl_miura", "gen_dl_yoshimura", "gen_miura",
+    "flat_fold_parameter", "gen_dl_miura", "gen_dl_yoshimura", "gen_miura",
     "gen_single_deg4", "gen_symmetric_vertex", "gen_yoshimura", "get_extra", "infer_modes",
     "is_flat_foldable_deg4", "kawasaki_residual", "load_fold",
     "major_coefficient", "max_thickness", "mode_from_label", "mode_is_valid", "mode_vector",
