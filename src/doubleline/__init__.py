@@ -19,7 +19,7 @@ _EXPORTS = {
         "MODE_SYM_MINUS", "MODE_SYM_PLUS", "DLMode", "DLMultipliers", "DLRecord", "DlError",
         "DoubleLineParams", "DoubleLineRatio", "ThetaRegime", "assign_mode_mv", "axis_class",
         "axis_offsets", "axis_sums", "classify_theta", "construct_dl", "corner_coefficients",
-        "corner_modes", "critical_thetas", "dl_multipliers", "double_line_ratio",
+        "critical_thetas", "dl_multipliers", "double_line_ratio",
         "flat_fold_parameter", "major_coefficient", "mode_from_label", "mode_is_valid",
         "pattern_multipliers", "read_record", "sign_pattern_product", "theta_for_even_minor",
         "theta_for_ratio", "valid_modes",
@@ -31,7 +31,7 @@ _EXPORTS = {
     ),
     "fold_io": ("get_extra", "load_fold", "save_fold", "set_extra"),
     "kinematics": (
-        "FoldMode", "KinematicsError", "ModeVector", "branch_multipliers", "mode_vector",
+        "FoldMode", "KinematicsError", "branch_multipliers", "mode_vector",
         "p_coeff", "q_coeff",
     ),
     "pattern": (

@@ -126,7 +126,7 @@ def _cmd_analyze(args) -> bytes:
         modes = {}
     for star in pattern.interior_stars:
         v = star.vertex
-        flat = star.degree == 4 and is_flat_foldable_deg4(star)
+        flat = is_flat_foldable_deg4(star)
         branch = modes[v].value if v in modes else "?"
         lines.append(
             f"vertex {v}: degree {star.degree}, "
@@ -149,7 +149,7 @@ def _cmd_doubleline(args) -> bytes:
     star = vertex_star(pattern, vid)
     radii = tuple(float(x) for x in args.radii.split(",")) if args.radii else (1.0,) * star.degree
     params = DoubleLineParams(math.radians(args.theta), radii)
-    doubled = construct_dl(star, params, outer_length=args.outer_length)
+    doubled = construct_dl(star, params)
     if args.mode:
         mode = DLMode(args.mode, tuple(args.mode)) if set(args.mode) <= {"+", "-"} else mode_from_label(args.mode)
         doubled = fix_mode(doubled, mode)
@@ -361,9 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex", type=int, help="interior vertex id (default: lowest)")
     p.add_argument("--theta", type=float, required=True, help="rotation angle in degrees")
     p.add_argument("--radii", help="comma-separated polygon distances r_i")
-    p.add_argument("--outer-length", type=float, help="boundary reach of the doubled rays")
     p.add_argument("--mode", help="folding mode for M/V labels and the record: a label (a-I, a-II, b-I, b-II) "
-                                  "or one + or - per crease of the vertex, as --mode=-+-+-+")
+                                  "or one + or - per crease of the vertex, as --mode -+-+-+")
     p.set_defaults(handler=_cmd_doubleline)
 
     p = sub.add_parser("classify", parents=[common], help="theta regime of a doubled vertex")
@@ -434,10 +433,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_mode_sequence(argv: Sequence[str]) -> list[str]:
+    """argv with "--mode SEQ" as "--mode=SEQ" for a sign sequence, which argparse would read as a flag."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--mode" and arg and set(arg) <= {"+", "-"}:
+            out[-1] = f"--mode={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_mode_sequence(sys.argv[1:] if argv is None else argv))
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")

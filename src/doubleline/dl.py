@@ -72,11 +72,6 @@ def _branch(sign: str) -> FoldMode:
     return FoldMode.A if sign == "-" else FoldMode.B
 
 
-def corner_modes(mode: DLMode) -> tuple[FoldMode, ...]:
-    """Local folding mode of each corner vertex: sign '-' is a, '+' is b."""
-    return tuple(map(_branch, mode.signs))
-
-
 def _corner_coefficient(sign: str, sigma: float, theta: float) -> float:
     ray_plus, ray_minus, _, _ = branch_multipliers(_branch(sign), sigma, theta)
     if abs(ray_minus) < DEGENERACY_TOL:
@@ -277,20 +272,22 @@ def read_record(pattern: CreasePattern) -> DLRecord | None:
 
 
 def flat_fold_parameter(pattern: CreasePattern, multipliers: np.ndarray) -> float | None:
-    """Motion parameter t at which doubled-pair angle sums reach pi.
+    """Motion parameter t at which the earliest doubled pair's angle sum reaches pi.
 
     The sum 2 atan(g+ t) + 2 atan(g- t) hits pi at t = 1/sqrt(g+ g-), a
-    finite value when the multipliers share a sign; the flat state of the
-    underlying vertex network.  Motions designed for thick panels must
-    stop short of it.  None when the pattern carries no doubled pairs or
-    no pair folds toward flat.
+    finite value when the multipliers share a sign.  Pairs differ on a
+    doubled degree-2n vertex; the first in axis order within MATCH_TOL
+    (relative) of the least t gives the value, so rounding does not choose
+    it.  None when no doubled pair folds toward flat.
     """
     rec = read_record(pattern)
-    for plus, minus in rec.axes if rec is not None else ():
-        k = float(multipliers[plus]) * float(multipliers[minus])
-        if k > 0.0:
-            return 1.0 / math.sqrt(k)
-    return None
+    axes = rec.axes if rec is not None else ()
+    products = (float(multipliers[plus]) * float(multipliers[minus]) for plus, minus in axes)
+    ts = [1.0 / math.sqrt(k) for k in products if k > 0.0]
+    if not ts:
+        return None
+    least = min(ts)
+    return next(t for t in ts if t - least <= MATCH_TOL * least)
 
 
 # -- construction ------------------------------------------------------------
@@ -350,9 +347,7 @@ def axis_offsets(
     return tuple(out)
 
 
-def construct_dl(
-    star: VertexStar, params: DoubleLineParams, outer_length: float | None = None
-) -> CreasePattern:
+def construct_dl(star: VertexStar, params: DoubleLineParams) -> CreasePattern:
     """Build the doubled crease pattern DL(V, θ) of one interior vertex.
 
     Axis e_0 is placed along +x.  Crease ids are laid out so that every
@@ -362,8 +357,6 @@ def construct_dl(
     The layout is attached as a one-vertex record (see DLRecord) and
     survives FOLD round-trips.
     """
-    if not star.interior:
-        raise DlError("double-line construction needs an interior vertex")
     n = star.degree
     if n < 3:
         raise DlError("double-line construction needs degree >= 3")
@@ -379,7 +372,7 @@ def construct_dl(
     corners = polygon_corners(phis, params.radii, theta)
 
     reach = max(float(np.linalg.norm(c)) for c in corners)
-    length = outer_length if outer_length is not None else 3.0 * max(reach, max(params.radii), 1.0)
+    length = 3.0 * max(reach, max(params.radii), 1.0)
 
     # vertex ids: corners 0..n-1, far ends of ray_i^+ at n+i and of ray_i^- at 2n+i
     verts = [(c[0], c[1]) for c in corners]
@@ -474,7 +467,7 @@ def write_mode(pattern: CreasePattern, record: DLRecord, signs: Mapping[int, str
             ids = list(star.crease_ids)
             even = ids.index(sides[(i + 1) % len(sides)]) % 2 == 0
             branches[cv] = FoldMode.A if (signs[v][i] == "-") == even else FoldMode.B
-            e = np.array(mode_vector(star, branches[cv]).multipliers)
+            e = np.array(mode_vector(star, branches[cv]))
             own = np.array([c not in origin for c in ids])
             miss = np.abs(g[ids] - (g[ids][own] @ e[own]) / (e[own] @ e[own]) * e)
             if miss.max() > tol:

@@ -44,8 +44,6 @@ def vertex_closure_residual(star: VertexStar, angles: Sequence[float]) -> float:
     the in-plane rotation by the following sector angle.  Zero iff the faces
     around the vertex close up rigidly in 3-space.
     """
-    if not star.interior:
-        raise PatternError("closure residual requires an interior vertex")
     if len(angles) != star.degree:
         raise PatternError("need one fold angle per crease of the star")
     x = np.zeros((1, max(star.crease_ids) + 1))

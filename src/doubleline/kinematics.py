@@ -9,7 +9,6 @@ package; fold angles are derived from it, never integrated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .pattern import VertexStar, is_flat_foldable_deg4
@@ -52,26 +51,6 @@ def q_coeff(alpha: float, beta: float) -> float:
     return (tb - ta) / (ta + tb)
 
 
-@dataclass(frozen=True)
-class ModeVector:
-    """Multipliers m_0..m_3 with tan(ρ_i/2) = m_i·t, in star crease order.
-
-    ``degenerate`` marks a vanishing minor coefficient (p or q equal to 0):
-    the two frozen creases make the vector unusable for speed ratios and
-    for driving doubled patterns, though the motion itself is still valid.
-    """
-
-    multipliers: tuple[float, float, float, float]
-    mode: FoldMode
-    degenerate: bool
-
-    def __iter__(self):
-        return iter(self.multipliers)
-
-    def __getitem__(self, i: int) -> float:
-        return self.multipliers[i]
-
-
 def branch_multipliers(mode: FoldMode, alpha: float, beta: float) -> tuple[float, float, float, float]:
     """Multipliers of one folding branch of the vertex with sectors (α, β, π−α, π−β).
 
@@ -85,10 +64,9 @@ def branch_multipliers(mode: FoldMode, alpha: float, beta: float) -> tuple[float
     return (-q, 1.0, q, 1.0)
 
 
-def mode_vector(star: VertexStar, mode: FoldMode) -> ModeVector:
-    """Fold-speed multipliers of one folding mode (see branch_multipliers)."""
+def mode_vector(star: VertexStar, mode: FoldMode) -> tuple[float, float, float, float]:
+    """Multipliers m_0..m_3 of one folding mode in star crease order (see branch_multipliers)."""
     if not is_flat_foldable_deg4(star):
         raise KinematicsError("mode_vector requires a flat-foldable degree-4 vertex")
-    m = branch_multipliers(mode, star.sectors[0], star.sectors[1])
-    return ModeVector(m, mode, min(map(abs, m)) < DEGENERACY_TOL)
+    return branch_multipliers(mode, star.sectors[0], star.sectors[1])
 

@@ -60,18 +60,16 @@ class Crease:
 
 @dataclass(frozen=True)
 class VertexStar:
-    """Sector angles around one vertex, counterclockwise.
+    """Sector angles around one interior vertex, counterclockwise.
 
-    For an interior vertex the listing starts at the incident crease with
-    the lowest id and has as many sectors as creases.  For a boundary
-    vertex it starts just after the exterior gap and has one sector fewer
-    than creases; sectors[i] lies between crease_ids[i] and crease_ids[i+1].
+    The listing starts at the incident crease with the lowest id and has as
+    many sectors as creases; sectors[i] lies between crease_ids[i] and
+    crease_ids[i+1].
     """
 
     vertex: int
     sectors: tuple[float, ...]
     crease_ids: tuple[int, ...]
-    interior: bool
 
     @classmethod
     def from_sectors(cls, sectors: Sequence[float]) -> "VertexStar":
@@ -79,7 +77,7 @@ class VertexStar:
         sectors = tuple(float(s) for s in sectors)
         if abs(sum(sectors) - 2.0 * math.pi) > 1e-9:
             raise PatternError("sector angles of an interior vertex must sum to 2*pi")
-        return cls(vertex=0, sectors=sectors, crease_ids=tuple(range(len(sectors))), interior=True)
+        return cls(vertex=0, sectors=sectors, crease_ids=tuple(range(len(sectors))))
 
     @property
     def degree(self) -> int:
@@ -248,25 +246,33 @@ class CreasePattern:
     @cached_property
     def boundary_vertices(self) -> frozenset[int]:
         """Vertices on the outer face."""
-        if not self.creases:
-            return frozenset(range(len(self.vertices)))
         return frozenset(v for cycle in self._walks[1] for v in cycle)
-
-    def is_interior(self, vertex: int) -> bool:
-        return vertex not in self.boundary_vertices
 
     @cached_property
     def interior_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v in range(len(self.vertices)) if self.is_interior(v))
+        """Vertices with creases off the outer face; an isolated vertex is neither this nor boundary."""
+        return tuple(v for v, ids in enumerate(self.incident) if ids and v not in self.boundary_vertices)
 
     @cached_property
     def interior_creases(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.creases) if c.assignment != "B")
 
     @cached_property
+    def _stars(self) -> dict[int, VertexStar]:
+        """Star of each interior vertex by id, in interior_vertices order: the one table of stars."""
+        stars = {}
+        for v in self.interior_vertices:
+            ids = self._ccw_creases[v]
+            k = ids.index(min(ids))
+            ids = ids[k:] + ids[:k]
+            az = [self.crease_azimuth(ci, v) for ci in ids]
+            stars[v] = VertexStar(v, tuple(angle_ccw(a, b) for a, b in zip(az, az[1:] + az[:1])), ids)
+        return stars
+
+    @cached_property
     def interior_stars(self) -> tuple[VertexStar, ...]:
         """Star of each interior vertex, aligned with interior_vertices."""
-        return tuple(vertex_star(self, v) for v in self.interior_vertices)
+        return tuple(self._stars.values())
 
     @cached_property
     def face_tree(self) -> FaceTree:
@@ -350,40 +356,15 @@ class CreasePattern:
 
 
 def vertex_star(pattern: CreasePattern, vertex: int) -> VertexStar:
-    """Sector angles around a vertex in counterclockwise order."""
-    ids = pattern._ccw_creases[vertex]
-    if not ids:
-        raise PatternError(f"vertex {vertex} has no incident creases")
-    k = len(ids)
-    interior = pattern.is_interior(vertex)
-    az = [pattern.crease_azimuth(ci, vertex) for ci in ids]
-    if interior:
-        start = ids.index(min(ids))
-        order = [(start + j) % k for j in range(k)]
-        sectors = tuple(angle_ccw(az[order[j]], az[order[(j + 1) % k]]) for j in range(k))
-        return VertexStar(vertex, sectors, tuple(ids[j] for j in order), True)
-
-    # Boundary vertex: drop the gap that belongs to the outer region and start
-    # the listing just after it.  The wedge from az[j] to az[j+1] is the face
-    # left of the half-edge leaving along items[j].
-    gap_face = [
-        pattern.crease_faces[ci][pattern.creases[ci].v0 != vertex] is not None for ci in ids
-    ]
-    if all(gap_face):
-        # Can happen for flat 180-degree boundary runs; treat the largest gap as exterior.
-        gap_face[max(range(k), key=lambda j: angle_ccw(az[j], az[(j + 1) % k]))] = False
-    start = (gap_face.index(False) + 1) % k
-    order = [(start + j) % k for j in range(k)]
-    sectors = tuple(
-        angle_ccw(az[order[j]], az[order[j + 1]]) for j in range(k - 1)
-    )
-    return VertexStar(vertex, sectors, tuple(ids[j] for j in order), False)
+    """The star of an interior vertex, read from the pattern's table of them."""
+    star = pattern._stars.get(vertex)
+    if star is None:
+        raise PatternError(f"vertex {vertex} is not an interior vertex")
+    return star
 
 
 def kawasaki_residual(star: VertexStar) -> float:
     """Absolute alternating sector sum; zero for flat-foldable interior vertices."""
-    if not star.interior:
-        raise PatternError("Kawasaki residual requires an interior vertex")
     if star.degree % 2 != 0:
         raise PatternError("Kawasaki residual requires an even-degree vertex")
     alt = sum(s if i % 2 == 0 else -s for i, s in enumerate(star.sectors))
@@ -391,8 +372,8 @@ def kawasaki_residual(star: VertexStar) -> float:
 
 
 def is_flat_foldable_deg4(star: VertexStar) -> bool:
-    """True for an interior degree-4 vertex whose opposite sectors sum to pi."""
-    if not star.interior or star.degree != 4:
+    """True for a degree-4 vertex whose opposite sectors sum to pi."""
+    if star.degree != 4:
         return False
     s = star.sectors
     return abs(s[0] + s[2] - math.pi) <= GEOMETRY_TOL and abs(s[1] + s[3] - math.pi) <= GEOMETRY_TOL

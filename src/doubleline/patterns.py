@@ -42,7 +42,7 @@ from .dl import (  # noqa: F401  (NETWORK_KEY is re-exported for its importers)
     write_mode,
 )
 from .geometry import crossing, unit
-from .kinematics import FoldMode, mode_vector
+from .kinematics import DEGENERACY_TOL, FoldMode, mode_vector
 from .pattern import (
     Crease,
     CreasePattern,
@@ -146,12 +146,11 @@ class VertexNetwork:
 
 
 def _branch_of(star: VertexStar) -> FoldMode:
-    """The folding branch moving all four creases of a tessellation vertex."""
-    a = mode_vector(star, FoldMode.A)
-    b = mode_vector(star, FoldMode.B)
-    if a.degenerate == b.degenerate:
+    """The folding branch moving all four creases of a tessellation vertex: no multiplier below DEGENERACY_TOL."""
+    moving = [m for m in FoldMode if min(map(abs, mode_vector(star, m))) >= DEGENERACY_TOL]
+    if len(moving) != 1:
         raise PatternError(f"vertex {star.vertex} has no unique moving branch")
-    return FoldMode.A if not a.degenerate else FoldMode.B
+    return moving[0]
 
 
 def infer_modes(pattern: CreasePattern) -> dict[int, FoldMode]:

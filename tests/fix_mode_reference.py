@@ -10,11 +10,11 @@ from dataclasses import replace
 from doubleline.dl import (
     DlError,
     assign_mode_mv,
-    corner_modes,
     pattern_multipliers,
     read_record,
     write_record,
 )
+from doubleline.kinematics import FoldMode
 
 
 def _single_vertex(pattern):
@@ -28,7 +28,7 @@ def _single_vertex(pattern):
 def corner_mode_map(pattern, mode):
     """Vertex id -> local FoldMode assignment realizing a DL mode."""
     rec, v = _single_vertex(pattern)
-    return dict(zip(rec.corners[v], corner_modes(mode)))
+    return {cv: FoldMode.A if s == "-" else FoldMode.B for cv, s in zip(rec.corners[v], mode.signs)}
 
 
 def fix_mode(pattern, mode):

@@ -117,7 +117,7 @@ def projected_corner_branches(pattern, record):
             want = np.array([record.multipliers[ci] for ci in star.crease_ids])
             best, best_d = None, math.inf
             for fm in (FoldMode.A, FoldMode.B):
-                mv = np.array(mode_vector(star, fm).multipliers)
+                mv = np.array(mode_vector(star, fm))
                 d = float(
                     np.linalg.norm(want - mv * (want @ mv) / (mv @ mv))
                 ) / max(float(np.linalg.norm(want)), 1e-300)

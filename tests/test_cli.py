@@ -575,9 +575,17 @@ def _doubled_symmetric(tmp_path, capsysbinary, mode="+-+-+-"):
     """gen symmetric --n 3, doubled at 90 deg in one sign sequence: (exit code, stderr, doubled path)."""
     sym, doubled = tmp_path / "sym.fold", tmp_path / "dl_sym.fold"
     assert run(capsysbinary, "gen", "symmetric", "--n", "3", "--out", str(sym))[0] == 0
-    # --mode=SEQ: a sequence that starts with '-' would read as a flag
-    code, _, err = run(capsysbinary, "doubleline", str(sym), "--theta", "90", f"--mode={mode}", "--out", str(doubled))
+    code, _, err = run(capsysbinary, "doubleline", str(sym), "--theta", "90", "--mode", mode, "--out", str(doubled))
     return code, err, doubled
+
+
+@pytest.mark.parametrize("mode", ["-+-+-+", "+-+-+-"])
+def test_doubleline_mode_sequence_may_follow_as_its_own_argument(tmp_path, capsysbinary, mode):
+    # argparse alone reads "-+-+-+" as a flag; main joins it to --mode
+    code, err, doubled = _doubled_symmetric(tmp_path, capsysbinary, mode)
+    assert (code, err) == (0, b"")
+    code, out, err = run(capsysbinary, "doubleline", str(tmp_path / "sym.fold"), "--theta", "90", f"--mode={mode}")
+    assert (code, err) == (0, b"") and out == doubled.read_bytes()
 
 
 def test_doubled_degree6_vertex_takes_a_sign_sequence_and_folds(tmp_path, capsysbinary):
@@ -601,18 +609,18 @@ def test_doubled_degree6_vertex_takes_a_sign_sequence_and_folds(tmp_path, capsys
     assert run(capsysbinary, "thicken", str(doubled), "--tau", "0.01")[::2] == (0, b"")
 
 
-def test_thicken_csv_of_the_doubled_degree6_vertex_reports_its_contact(tmp_path, capsysbinary):
-    # from t = 1.22 on, faces 1 and 4 touch with zero depth at any tau
-    # above: the odd pairs have summed past 180 deg since t = 1, long
-    # before the t_flat = 3.73 their even neighbours set
+def test_doubled_degree6_vertex_ends_at_its_earliest_flat_pair(tmp_path, capsysbinary):
+    # in +-+-+- the odd pairs sum to 180 deg at t = 1, the even ones only at 3.73
     _, _, doubled = _doubled_symmetric(tmp_path, capsysbinary)
-    code, out, err = run(capsysbinary, "thicken", str(doubled), "--tau", "0.01", "--samples", "8", "--format", "csv")
-    assert code == 0
-    head, _, rest = err.decode().partition("least clearance ")
-    least, tail = rest.split(" ", 1)
-    assert head == "warning: panels penetrate: " and tail == "at t 1.34942220796, faces 1 and 4\n"
-    assert -1e-13 < float(least) < 0.0  # zero depth, to rounding
-    assert f"1.34942220796,{least},1-4" in out.decode().splitlines()
+    code, out, err = run(capsysbinary, "sweep", str(doubled), "--t-max", "1.3")
+    assert (code, out, err) == (1, b"", b"error: --t-max 1.3 lies beyond the flat state at t_flat 1\n")
+    for side, least in (("above", "1.13530053838"), ("below", "1.14950232405")):
+        code, out, err = run(capsysbinary, "thicken", str(doubled), "--tau", "0.01", "--samples", "8",
+                             "--format", "csv", "--side", side)
+        assert (code, err) == (0, b"")
+        rows = [row.split(",") for row in out.decode().splitlines()[1:]]
+        assert rows[-1][:2] == ["0.97", least]
+        assert min(float(r[1]) for r in rows) == float(least)
 
 
 @pytest.mark.parametrize("mode, message", [

@@ -54,7 +54,7 @@ def test_construct_dl_deg4_shape():
     assert len(pat.vertices) == 12
     assert len(pat.creases) == 20
     assert len(pat.faces) == 9
-    assert sum(1 for v in range(len(pat.vertices)) if vertex_star(pat, v).interior) == 4
+    assert pat.interior_vertices == (0, 1, 2, 3)
     info = read_record(pat)
     assert len(info.sectors[0]) == 4
     assert info.corners[0] == (0, 1, 2, 3)

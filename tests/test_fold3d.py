@@ -36,7 +36,7 @@ def test_closure_residual_on_mode_motion():
     star = star_of(deg(60, 80, 120, 100))
 
     def fold_angles(mode, t):
-        return 2.0 * np.arctan(np.array(mode_vector(star, mode).multipliers) * t)
+        return 2.0 * np.arctan(np.array(mode_vector(star, mode)) * t)
 
     for t in (0.1, 0.7, 1.0, 3.0, -2.0):
         for mode in (FoldMode.A, FoldMode.B):

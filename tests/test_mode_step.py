@@ -92,7 +92,7 @@ def test_a_doubled_degree6_vertex_carries_a_certified_mode(signs):
         star = vertex_star(pat, corner)
         # the construction numbers every corner's star from its ray_i^+, so each corner takes its own sign's branch
         assert rec.corner_modes[corner].value == ("a" if signs[i] == "-" else "b")
-        e = np.array(mode_vector(star, rec.corner_modes[corner]).multipliers)
+        e = np.array(mode_vector(star, rec.corner_modes[corner]))
         k = g[list(star.crease_ids)] @ e / (e @ e)
         assert np.max(np.abs(g[list(star.crease_ids)] - k * e)) < 1e-12
     assert {c.assignment for c, m in zip(pat.creases, g) if m} == {"M", "V"}

@@ -13,12 +13,12 @@ EXPORTS = (
     "ALL_MODES", "Crease", "CreasePattern", "DLMode", "DLMultipliers", "DLRecord", "DlError",
     "DoubleLineParams", "DoubleLineRatio", "Fold3dError", "FoldMode", "FoldedState",
     "GENERIC_MODES", "KinematicsError", "MODE_A1", "MODE_A2", "MODE_B1", "MODE_B2",
-    "MODE_SYM_MINUS", "MODE_SYM_PLUS", "ModeVector", "MotionSample", "PanelSolid",
+    "MODE_SYM_MINUS", "MODE_SYM_PLUS", "MotionSample", "PanelSolid",
     "PatternError", "SolveError", "ThetaRegime", "ThickPanelParams", "ThickenError",
     "VertexNetwork", "VertexStar", "assign_mode_mv", "axis_class", "axis_offsets", "axis_sums",
     "branch_multipliers", "classify_theta", "clearance_check", "clearance_records",
     "connect_dl", "construct_dl", "construct_symmetric_dl",
-    "corner_coefficients", "corner_modes", "count_modes", "crease_half_widths",
+    "corner_coefficients", "count_modes", "crease_half_widths",
     "critical_thetas", "dl_multipliers", "double_line_ratio", "enumerate_mode_sequences",
     "export_clearance_csv", "export_obj", "export_solids_obj",
     "flat_fold_parameter", "gen_dl_miura", "gen_dl_yoshimura", "gen_miura",

@@ -16,7 +16,6 @@ from doubleline.patterns import gen_miura, gen_single_deg4, gen_symmetric_vertex
 
 def test_plus_vertex_sectors():
     star = vertex_star(gen_single_deg4(math.pi / 2, math.pi / 2), 0)
-    assert star.interior
     assert star.degree == 4
     assert all(abs(s - math.pi / 2) < 1e-12 for s in star.sectors)
 
@@ -28,15 +27,24 @@ def test_supplementary_sector_layout():
     assert max(abs(a - b) for a, b in zip(got, want)) < 1e-9
 
 
-def test_boundary_vertex_single_sector():
+def test_vertex_star_refuses_a_boundary_vertex():
     square = CreasePattern.build(
         [(0, 0), (1, 0), (1, 1), (0, 1)],
         [Crease(0, 1, "B"), Crease(1, 2, "B"), Crease(2, 3, "B"), Crease(3, 0, "B")],
     )
-    star = vertex_star(square, 0)
-    assert not star.interior
-    assert len(star.sectors) == 1
-    assert abs(star.sectors[0] - math.pi / 2) < 1e-12
+    for v in range(4):
+        with pytest.raises(PatternError, match=f"^vertex {v} is not an interior vertex$"):
+            vertex_star(square, v)
+    single = gen_single_deg4(math.radians(60), math.radians(80))
+    with pytest.raises(PatternError, match="^vertex 3 is not an interior vertex$"):
+        vertex_star(single, 3)
+
+
+def test_vertex_star_reads_the_one_table_of_interior_stars():
+    pattern = gen_miura(3, 3, math.radians(60)).pattern
+    assert len(pattern.interior_stars) == len(pattern.interior_vertices) == 4
+    for v, star in zip(pattern.interior_vertices, pattern.interior_stars):
+        assert vertex_star(pattern, v) is star and star.vertex == v
 
 
 def test_flat_foldable_deg4():
@@ -81,6 +89,17 @@ def test_isolated_vertex_accepted():
     pts, creases = _square(0)
     pat = CreasePattern.build(pts + [(5.0, 5.0)], creases)
     assert len(pat.faces) == 1 and pat.outer_cycle == (0, 3, 2, 1)
+
+
+def test_an_isolated_vertex_has_no_star():
+    # it is on no walk of the outer face, but no crease makes it a vertex star
+    pts, creases = _square(0)
+    pat = CreasePattern.build(pts + [(0.5, 0.5)], creases)
+    assert pat.interior_vertices == () and pat.interior_stars == ()
+    assert pat.boundary_vertices == frozenset(range(4))
+    with pytest.raises(PatternError, match="^vertex 4 is not an interior vertex$"):
+        vertex_star(pat, 4)
+    assert CreasePattern.build(pts, []).boundary_vertices == frozenset()
 
 
 def test_interior_bookkeeping():
