@@ -274,7 +274,7 @@ def _cmd_thicken(args) -> bytes:
     t_max = _motion_end(pattern, mult, "--t-max", args.t_max)
     grid = np.geomspace(t_max * 1e-3, t_max, args.samples)
     motion = sweep_motion(pattern, None, grid, multipliers=mult)
-    params = ThickPanelParams(tau=args.tau, side=args.side, enforce_bound=not args.ignore_bound)
+    params = ThickPanelParams(tau=args.tau, side=args.side)
     solids = thicken(pattern, motion, params)
     if args.format == "csv":
         records = clearance_records(solids, motion)
@@ -407,7 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=("above", "below"), default="above", help="panel side")
     p.add_argument("--t-max", type=float, help="largest motion parameter (default: near flat)")
     p.add_argument("--samples", type=int, default=50, help="number of motion samples (2 to 10000)")
-    p.add_argument("--ignore-bound", action="store_true", help="allow thickness beyond the bound")
     p.set_defaults(handler=_cmd_thicken)
 
     p = sub.add_parser("gen", parents=[common], help="generate a standard pattern")

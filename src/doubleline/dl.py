@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from .fold_io import get_extra, is_index, is_number, set_extra
-from .geometry import intersect_lines, unit
+from .geometry import crossing, intersect_lines, unit
 from .kinematics import DEGENERACY_TOL, FoldMode, branch_multipliers, mode_vector, p_coeff, q_coeff, tan_half
 from .pattern import Crease, CreasePattern, PatternError, VertexStar, per_pattern, vertex_star
 
@@ -176,7 +177,8 @@ _MODE_FIELDS = ("signs", "scales", "corner_modes", "multipliers")
 class DLRecord:
     """Layout of a doubled pattern, stored in its extras under NETWORK_KEY.
 
-    pairs holds (original crease id, ray^+ id, ray^- id) per doubled crease;
+    pairs holds (original crease id, ray^+ id, ray^- id) per doubled crease,
+    in the order the layout numbers them (see _layout);
     the other maps are keyed by original vertex id (corner_modes by corner
     vertex id) and list, in axis order, the polygon's corner vertex ids and
     side crease ids (side_i joins c_{i-1} to c_i), its θ, sector angles and
@@ -276,7 +278,7 @@ def flat_fold_parameter(pattern: CreasePattern, multipliers: np.ndarray) -> floa
 
     The sum 2 atan(g+ t) + 2 atan(g- t) hits pi at t = 1/sqrt(g+ g-), a
     finite value when the multipliers share a sign.  Pairs differ on a
-    doubled degree-2n vertex; the first in axis order within MATCH_TOL
+    doubled degree-2n vertex; the first in record order within MATCH_TOL
     (relative) of the least t gives the value, so rounding does not choose
     it.  None when no doubled pair folds toward flat.
     """
@@ -347,13 +349,99 @@ def axis_offsets(
     return tuple(out)
 
 
+def _layout(vertices: Sequence[tuple[VertexStar, Sequence[float], Sequence[float], float, Sequence[float]]],
+           boundary: Sequence[Sequence[float]]) -> tuple[CreasePattern, DLRecord]:
+    """The doubled pattern of some vertices inside a boundary polygon, and its record (no mode yet).
+
+    Each entry is (star, origin, crease azimuths, θ, radii), in ascending
+    vertex order, at any degree.  A crease in two stars is shared: its
+    doubled pair joins the two polygons.  Every other ray runs from its
+    corner to the first boundary edge it meets, and the boundary is closed
+    through the hits.  Pairs are laid out vertex by vertex in axis order,
+    each once, by its owner: the lower vertex, whose corner c_i its ray^+
+    leaves.  Vertices are numbered corners first, then ray^+ ends, ray^-
+    ends and the rest of the boundary; creases every ray^+, then every
+    ray^-, the polygon sides and the boundary, so of P pairs the k-th is
+    creases (k, P + k).
+    """
+    verts: list[tuple[float, float]] = []
+
+    def add_vertex(p) -> int:
+        for k, q in enumerate(verts):
+            if abs(q[0] - p[0]) < 1e-7 and abs(q[1] - p[1]) < 1e-7:
+                return k
+        verts.append((float(p[0]), float(p[1])))
+        return len(verts) - 1
+
+    corners = [[add_vertex(np.add(origin, c)) for c in polygon_corners(az, radii, theta)]
+               for _, origin, az, theta, radii in vertices]
+    axes: dict[int, list[tuple[int, int]]] = {}  # crease id -> (entry, axis) in each star holding it
+    for k, (star, *_) in enumerate(vertices):
+        for i, ci in enumerate(star.crease_ids):
+            axes.setdefault(ci, []).append((k, i))
+    boundary = np.asarray(boundary, dtype=float).tolist()  # python floats: the clip loop is scalar
+    edges = list(zip(boundary, boundary[1:] + boundary[:1]))
+    splits: list[list[tuple[float, int]]] = [[] for _ in edges]
+
+    def clip(start: int, azimuth: float) -> int:
+        (x, y), (dx, dy) = verts[start], (math.cos(azimuth), math.sin(azimuth))
+        best = None
+        for e, (a, b) in enumerate(edges):
+            su = crossing((x, y), (dx, dy), a, (b[0] - a[0], b[1] - a[1]))
+            if su is None:
+                continue
+            s, tau = su
+            if s > 1e-9 and -1e-12 <= tau <= 1.0 + 1e-12 and (best is None or s < best[0]):
+                best = (s, e, min(max(tau, 0.0), 1.0))
+        if best is None:
+            raise DlError("doubled crease does not reach the pattern boundary")
+        s, e, tau = best
+        hit = add_vertex((x + s * dx, y + s * dy))
+        splits[e].append((tau, hit))
+        return hit
+
+    creases: list[Crease] = []
+    for plus in (True, False):
+        for ci, ((k, i), *far) in axes.items():
+            start = corners[k][i if plus else i - 1]
+            if far:
+                ((w, j),) = far
+                end = corners[w][j - 1 if plus else j]
+            else:  # out along the crease's azimuth
+                end = clip(start, vertices[k][2][i])
+            creases.append(Crease(start, end, "U"))
+    sides = []
+    for cu in corners:
+        sides.append(tuple(range(len(creases), len(creases) + len(cu))))
+        creases += [Crease(cu[i - 1], cu[i], "U") for i in range(len(cu))]
+    for (a, b), hits in zip(edges, splits):
+        chain = [add_vertex(a), *(h for _, h in sorted(hits)), add_vertex(b)]
+        creases += [Crease(p, q, "B") for p, q in zip(chain, chain[1:]) if p != q]
+
+    try:
+        pattern = CreasePattern.build(verts, creases)
+    except PatternError as exc:
+        raise DlError(f"degenerate double-line geometry: {exc}") from exc
+    ids = [star.vertex for star, *_ in vertices]
+    return pattern, DLRecord(
+        pairs=tuple((ci, k, len(axes) + k) for k, ci in enumerate(axes)),
+        corners=dict(zip(ids, map(tuple, corners))),
+        sides=dict(zip(ids, sides)),
+        thetas={star.vertex: theta for star, _, _, theta, _ in vertices},
+        sectors={star.vertex: tuple(star.sectors) for star, *_ in vertices},
+        radii={star.vertex: tuple(radii) for star, *_, radii in vertices},
+    )
+
+
 def construct_dl(star: VertexStar, params: DoubleLineParams) -> CreasePattern:
     """Build the doubled crease pattern DL(V, θ) of one interior vertex.
 
-    Axis e_0 is placed along +x.  Crease ids are laid out so that every
-    corner's lowest incident id is its ray_i^+, which makes the corner's
-    star sectors read (σ_i, θ, π−σ_i, π−θ) and keeps the corner-branch
-    conventions of this module aligned with the constructed pattern.
+    Axis e_0 is placed along +x, and the boundary is the 2n-gon through the
+    ray ends at three times the polygon's reach (at least 3): the end of
+    ray_i^+, then of ray_{i+1}^-, both from c_i.  The layout numbers ray_i^+
+    crease i, so it is every corner's lowest incident id and the corner's
+    star reads (σ_i, θ, π−σ_i, π−θ), as this module's corner-branch
+    conventions have it; a corner that does not is inverted and refused.
     The layout is attached as a one-vertex record (see DLRecord) and
     survives FOLD round-trips.
     """
@@ -362,51 +450,17 @@ def construct_dl(star: VertexStar, params: DoubleLineParams) -> CreasePattern:
         raise DlError("double-line construction needs degree >= 3")
     if len(params.radii) != n:
         raise DlError(f"need {n} radii, got {len(params.radii)}")
-    theta = params.theta
-    sectors = star.sectors
-
-    phis = [0.0]
-    for s in sectors[:-1]:
-        phis.append(phis[-1] + s)
-    us = [unit(phi) for phi in phis]
+    theta, sectors = params.theta, star.sectors
+    phis = list(accumulate(sectors[:-1], initial=0.0))
     corners = polygon_corners(phis, params.radii, theta)
-
-    reach = max(float(np.linalg.norm(c)) for c in corners)
-    length = 3.0 * max(reach, max(params.radii), 1.0)
-
-    # vertex ids: corners 0..n-1, far ends of ray_i^+ at n+i and of ray_i^- at 2n+i
-    verts = [(c[0], c[1]) for c in corners]
-    verts += [tuple(corners[i] + length * us[i]) for i in range(n)]
-    verts += [tuple(corners[(i - 1) % n] + length * us[i]) for i in range(n)]
-    creases = [Crease(i, n + i, "U") for i in range(n)]  # ids 0..n-1: rays from c_i
-    creases += [Crease((i - 1) % n, 2 * n + i, "U") for i in range(n)]  # n..2n-1: from c_{i-1}
-    creases += [Crease((i - 1) % n, i, "U") for i in range(n)]  # 2n..3n-1: polygon sides
-    # boundary: wedge chord after ray_i^+, then strip chords
-    creases += [Crease(n + i, 2 * n + (i + 1) % n, "B") for i in range(n)]
-    creases += [Crease(2 * n + i, n + i, "B") for i in range(n)]
-
-    try:
-        pattern = CreasePattern.build(verts, creases)
-    except PatternError as exc:
-        raise DlError(f"degenerate double-line geometry: {exc}") from exc
-
-    for i in range(n):
-        corner = vertex_star(pattern, i)
+    length = 3.0 * max(max(float(np.linalg.norm(c)) for c in corners), max(params.radii), 1.0)
+    boundary = [c + length * unit(phi) for i, c in enumerate(corners) for phi in (phis[i], phis[(i + 1) % n])]
+    pattern, record = _layout([(star, (0.0, 0.0), phis, theta, params.radii)], boundary)
+    for i, cv in enumerate(record.corners[star.vertex]):
+        corner = vertex_star(pattern, cv)
         want = (sectors[i], theta, math.pi - sectors[i], math.pi - theta)
-        if corner.crease_ids[0] != i or any(
-            abs(a - b) > 1e-9 for a, b in zip(corner.sectors, want)
-        ):
+        if corner.crease_ids[0] != i or any(abs(a - b) > 1e-9 for a, b in zip(corner.sectors, want)):
             raise DlError(f"corner {i} inverted; radii too small for this theta")
-
-    v = star.vertex
-    record = DLRecord(
-        pairs=tuple((star.crease_ids[i], i, n + i) for i in range(n)),
-        corners={v: tuple(range(n))},
-        sides={v: tuple(range(2 * n, 3 * n))},
-        thetas={v: theta},
-        sectors={v: tuple(sectors)},
-        radii={v: tuple(params.radii)},
-    )
     return write_record(pattern, record)
 
 
@@ -418,6 +472,28 @@ def _single_vertex(pattern: CreasePattern) -> tuple[DLRecord, int]:
     return rec, v
 
 
+def _placed(pattern: CreasePattern, record: DLRecord, mults: Mapping[int, DLMultipliers],
+            scales: Mapping[int, float]) -> np.ndarray:
+    """Per-crease multipliers: each vertex's, times its scale, on its sides and on the pairs it owns.
+
+    A vertex owns a pair when the pair's ray^+ leaves one of its corners,
+    corner c_i of axis i; the layout gives a shared pair to its lower vertex.
+    """
+    g = np.zeros(len(pattern.creases))
+    axis_of = {}
+    for v, corners in record.corners.items():
+        g[list(record.sides[v])] = np.multiply(mults[v].sides, scales[v])
+        axis_of.update((cv, (v, i)) for i, cv in enumerate(corners))
+    for ci, plus, minus in record.pairs:
+        owner = axis_of.get(pattern.creases[plus].v0)
+        if owner is None:
+            raise DlError(f"{NETWORK_KEY}: the ray^+ of crease {ci} leaves no polygon corner")
+        v, i = owner
+        g[plus] = mults[v].rays_plus[i] * scales[v]
+        g[minus] = mults[v].rays_minus[i] * scales[v]
+    return g
+
+
 def pattern_multipliers(pattern: CreasePattern, mode: DLMode) -> np.ndarray:
     """Per-crease multiplier vector of a constructed DL pattern in one mode."""
     rec, v = _single_vertex(pattern)
@@ -427,24 +503,35 @@ def pattern_multipliers(pattern: CreasePattern, mode: DLMode) -> np.ndarray:
     mult = dl_multipliers(sectors, mode.signs, rec.thetas[v])
     if mult.closure_error > 1e-9:
         raise DlError(f"mode {mode.label} does not close on this vertex")
-    out = np.zeros(len(pattern.creases))
-    for i, (plus, minus) in enumerate(rec.axes):
-        out[plus] = mult.rays_plus[i]
-        out[minus] = mult.rays_minus[i]
-    for i, side in enumerate(rec.sides[v]):
-        out[side] = mult.sides[i]
-    return out
+    return _placed(pattern, rec, {v: mult}, {v: 1.0})
 
 
 def fix_mode(pattern: CreasePattern, mode: DLMode) -> CreasePattern:
     """A constructed DL pattern in one mode: labeled M/V, certified and recorded by write_mode."""
     rec, v = _single_vertex(pattern)
-    return write_mode(pattern, rec, {v: "".join(mode.signs)}, {v: 1.0}, pattern_multipliers(pattern, mode))
+    pattern_multipliers(pattern, mode)  # refuses a sequence of another degree or one that does not close
+    return write_mode(pattern, rec, {v: "".join(mode.signs)}, {v: 1.0})
 
 
 def write_mode(pattern: CreasePattern, record: DLRecord, signs: Mapping[int, str],
-               scales: Mapping[int, float], multipliers: Sequence[float]) -> CreasePattern:
-    """A doubled pattern labeled M/V by per-crease multipliers, certified corner by corner, its mode recorded.
+               scales: Mapping[int, float]) -> CreasePattern:
+    """A laid-out doubled pattern in a mode: multipliers placed, certified corner by corner, labeled M/V, recorded.
+
+    Each vertex takes its sign sequence's dl_multipliers at its θ, times its
+    scale, on its sides and on the pairs it owns (_placed); the certificate
+    (_certify) then checks every corner, so a loop that does not close is
+    refused, naming its crease.
+    """
+    mults = {v: dl_multipliers(record.sectors[v], signs[v], record.thetas[v]) for v in record.corners}
+    g = _placed(pattern, record, mults, scales)
+    record = replace(record, signs=dict(signs), scales=dict(scales), corner_modes=_certify(pattern, record, signs, g),
+                     multipliers=tuple(g.tolist()))
+    return write_record(assign_mode_mv(pattern, g), record)
+
+
+def _certify(pattern: CreasePattern, record: DLRecord, signs: Mapping[int, str],
+             g: np.ndarray) -> dict[int, FoldMode]:
+    """The branch of every corner, each corner's multipliers checked against it.
 
     Sign '-' puts corner i of a vertex on branch a of its construction star,
     whose crease e_2 is side_{i+1}.  The pattern's star of the corner may start
@@ -456,7 +543,6 @@ def write_mode(pattern: CreasePattern, record: DLRecord, signs: Mapping[int, str
     not close, or a multiplier that is not the mode's) is refused, naming
     its original crease.
     """
-    g = np.asarray(multipliers, dtype=float)
     tol = 1e-8 * np.max(np.abs(g))
     origin = {c: ci for ci, *pair in record.pairs for c in pair}
     branches: dict[int, FoldMode] = {}
@@ -474,9 +560,7 @@ def write_mode(pattern: CreasePattern, record: DLRecord, signs: Mapping[int, str
                 ray = max(np.flatnonzero(~own), key=lambda k: miss[k])
                 raise DlError(f"doubled pairs disagree at crease {origin[ids[ray]]}: corner {cv} of vertex {v} "
                               f"is off its branch by {miss.max():.3e}")
-    record = replace(record, signs=dict(signs), scales=dict(scales), corner_modes=branches,
-                     multipliers=tuple(g.tolist()))
-    return write_record(assign_mode_mv(pattern, g), record)
+    return branches
 
 
 def assign_mode_mv(pattern: CreasePattern, multipliers: np.ndarray) -> CreasePattern:

@@ -27,9 +27,9 @@ from .dl import (  # noqa: F401  (NETWORK_KEY is re-exported for its importers)
     MODE_B1,
     MODE_B2,
     NETWORK_KEY,
-    DLRecord,
     DlError,
     DoubleLineRatio,
+    _layout,
     assign_mode_mv,
     axis_class,
     axis_offsets,
@@ -41,15 +41,8 @@ from .dl import (  # noqa: F401  (NETWORK_KEY is re-exported for its importers)
     theta_for_ratio,
     write_mode,
 )
-from .geometry import crossing, unit
 from .kinematics import DEGENERACY_TOL, FoldMode, mode_vector
-from .pattern import (
-    Crease,
-    CreasePattern,
-    PatternError,
-    VertexStar,
-    is_flat_foldable_deg4,
-)
+from .pattern import Crease, CreasePattern, PatternError, VertexStar, is_flat_foldable_deg4
 
 # Every doubled polygon is scaled to reach at most this share of the
 # shortest crease at its vertex.
@@ -286,9 +279,6 @@ class _DlVertex:
     radii: list[float] | None = None
     mult: object = None
 
-    def corners(self, origin: np.ndarray) -> list[np.ndarray]:
-        return [origin + c for c in polygon_corners(self.azimuths, self.radii, self.theta)]
-
 
 def _solve_child(dv: _DlVertex, axis: int, target_plus: float, target_minus: float,
                  theta: float, family: FoldMode) -> None:
@@ -503,131 +493,23 @@ def connect_dl(network: VertexNetwork, theta: float) -> CreasePattern:
     _solve_radii(network, dls, axis_of)
 
     # One global rescale keeps every polygon well inside its vertex's creases.
-    lengths = pattern.vertices_array
+    pts = pattern.vertices_array
     factor = math.inf
     for v in interior:
         dv = dls[v]
         reach = max(float(np.linalg.norm(c)) for c in polygon_corners(dv.azimuths, dv.radii, dv.theta))
         edge_len = min(
-            float(np.linalg.norm(lengths[pattern.creases[ci].v1] - lengths[pattern.creases[ci].v0]))
+            float(np.linalg.norm(pts[pattern.creases[ci].v1] - pts[pattern.creases[ci].v0]))
             for ci in dv.star.crease_ids
         )
         factor = min(factor, _REACH_FRACTION * edge_len / reach)
     for v in interior:
         dls[v].radii = [r * factor for r in dls[v].radii]
 
-    return _assemble(network, dls)
-
-
-def _assemble(network: VertexNetwork, dls: dict[int, "_DlVertex"]) -> CreasePattern:
-    pattern = network.pattern
-    pts_in = pattern.vertices_array
-    interior = set(pattern.interior_vertices)
-
-    verts: list[tuple[float, float]] = []
-
-    def add_vertex(p) -> int:
-        for k, q in enumerate(verts):
-            if abs(q[0] - p[0]) < 1e-7 and abs(q[1] - p[1]) < 1e-7:
-                return k
-        verts.append((float(p[0]), float(p[1])))
-        return len(verts) - 1
-
-    creases: list[Crease] = []
-    mults: list[float] = []
-
-    def add_crease(a: int, b: int, mult: float, kind: str = "U") -> int:
-        creases.append(Crease(a, b, kind))
-        mults.append(mult)
-        return len(creases) - 1
-
-    corner_ids: dict[int, list[int]] = {}
-    for v in sorted(interior):
-        dv = dls[v]
-        corner_ids[v] = [add_vertex(c) for c in dv.corners(pts_in[v])]
-
-    side_ids: dict[int, list[int]] = {}
-    for v in sorted(interior):
-        dv = dls[v]
-        ids = corner_ids[v]
-        side_ids[v] = [
-            add_crease(ids[(i - 1) % 4], ids[i], dv.mult.sides[i] * dv.scale)
-            for i in range(4)
-        ]
-
-    outer = pattern.outer_cycle
-    boundary_pts = [pts_in[v] for v in outer]
-    splits: dict[int, list[tuple[float, int]]] = {k: [] for k in range(len(outer))}
-
-    def clip_ray(origin: np.ndarray, direction: np.ndarray) -> int:
-        best = None
-        for k in range(len(outer)):
-            a = boundary_pts[k]
-            su = crossing(origin, direction, a, boundary_pts[(k + 1) % len(outer)] - a)
-            if su is None:
-                continue
-            s, tau = su
-            if s > 1e-9 and -1e-12 <= tau <= 1.0 + 1e-12:
-                if best is None or s < best[0]:
-                    best = (s, k, min(max(tau, 0.0), 1.0))
-        if best is None:
-            raise DlError("doubled crease does not reach the pattern boundary")
-        s, k, tau = best
-        hit = add_vertex(origin + s * direction)
-        splits[k].append((tau, hit))
-        return hit
-
-    pairs: list[tuple[int, int, int]] = []
-    done: set[int] = set()
-    for v in sorted(interior):
-        dv = dls[v]
-        for i, ci in enumerate(dv.star.crease_ids):
-            if ci in done:
-                continue
-            done.add(ci)
-            c = pattern.creases[ci]
-            other = c.v1 if c.v0 == v else c.v0
-            cu = corner_ids[v]
-            m_plus = dv.mult.rays_plus[i] * dv.scale
-            m_minus = dv.mult.rays_minus[i] * dv.scale
-            if other in interior:
-                dw = dls[other]
-                j = dw.star.crease_ids.index(ci)
-                cw = corner_ids[other]
-                plus_id = add_crease(cu[i], cw[(j - 1) % 4], m_plus)
-                minus_id = add_crease(cu[(i - 1) % 4], cw[j], m_minus)
-            else:
-                u_dir = unit(dv.azimuths[i])
-                plus_id = add_crease(
-                    cu[i], clip_ray(np.asarray(verts[cu[i]]), u_dir), m_plus
-                )
-                minus_id = add_crease(
-                    cu[(i - 1) % 4], clip_ray(np.asarray(verts[cu[(i - 1) % 4]]), u_dir), m_minus
-                )
-            pairs.append((ci, plus_id, minus_id))
-
-    for k in range(len(outer)):
-        chain = [add_vertex(boundary_pts[k])]
-        chain += [h for _, h in sorted(splits[k])]
-        chain.append(add_vertex(boundary_pts[(k + 1) % len(outer)]))
-        for a, b in zip(chain, chain[1:]):
-            if a != b:
-                add_crease(a, b, 0.0, "B")
-
-    try:
-        out = CreasePattern.build(verts, creases)
-    except PatternError as exc:
-        raise DlError(f"doubled network has a degenerate embedding: {exc}") from exc
-    record = DLRecord(
-        pairs=tuple(sorted(pairs)),
-        corners={v: tuple(corner_ids[v]) for v in interior},
-        sides={v: tuple(side_ids[v]) for v in interior},
-        thetas={v: dls[v].theta for v in interior},
-        sectors={v: dls[v].star.sectors for v in interior},
-        radii={v: tuple(dls[v].radii) for v in interior},
-    )
+    out, record = _layout([(dls[v].star, pts[v], dls[v].azimuths, dls[v].theta, dls[v].radii) for v in interior],
+                          pts[list(pattern.outer_cycle)])
     return write_mode(out, record, {v: "".join(dls[v].signs) for v in interior},
-                      {v: dls[v].scale for v in interior}, mults)
+                      {v: dls[v].scale for v in interior})
 
 
 def gen_dl_miura(rows: int, cols: int, angle: float, theta: float) -> CreasePattern:

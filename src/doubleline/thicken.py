@@ -344,10 +344,9 @@ def thicken(
         V, reach = _inset_reach(outline, slopes)
         # stop short of the reach: a top within rounding of it is degenerate
         h = min(params.tau, reach * (1.0 - 1e-9))
-        if h < params.tau and params.enforce_bound:
-            raise ThickenError(f"panel for face {fi} vanishes at this thickness")
-        if h <= 0.0:
-            raise ThickenError(f"panel for face {fi} admits no valid top")
+        if (h < params.tau and params.enforce_bound) or h <= 0.0:
+            fault = "vanishes" if params.enforce_bound else "admits no valid top"
+            raise ThickenError(f"panel for face {fi} {fault} at thickness {params.tau:.12g}: its reach is {reach:.12g}")
         cut = _convex_pieces(outline, slopes)
         faces.append((fi, base, base + h * V, h, tuple(angles), len(cut)))
         parts += [(b, r, v, h) for b, r, v in cut]

@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -569,6 +570,25 @@ def test_thicken_refuses_fewer_than_two_samples(tmp_path, capsysbinary):
     assert (code, err) == (0, b"")
     rows = [row.split(",") for row in out.decode().splitlines()[1:]]
     assert len(rows) == 2 and math.isclose(float(rows[1][0]), 1000.0 * float(rows[0][0]), rel_tol=1e-9)
+
+
+def test_thicken_names_the_face_that_vanishes_its_reach_and_the_thickness(tmp_path, capsysbinary):
+    # the least crease bound here is 0.0199502893699, so tau = 0.01 passes it; one face's reach is below it
+    path = tmp_path / "m44.fold"
+    argv = ("gen", "dl-miura", "--rows", "4", "--cols", "4", "--angle", "70", "--theta", "90", "--out", str(path))
+    assert run(capsysbinary, *argv)[0] == 0
+    refusals = set()
+    for tau in ("0.01", "0.0056"):
+        code, out, err = run(capsysbinary, "thicken", str(path), "--tau", tau, "--side", "below", "--format", "csv")
+        assert (code, out) == (1, b"")
+        # faces are read from the message: they are numbered by the layout
+        face, reach = re.fullmatch(rf"error: panel for face (\d+) vanishes at thickness {tau}: its reach is (\S+)\n",
+                                   err.decode()).groups()
+        refusals.add((int(face), reach))
+    ((face, reach),) = refusals
+    assert face < len(load_fold(path.read_bytes()).faces) and float(reach) == 0.00556060005186
+    # just below the named reach the face stands
+    assert run(capsysbinary, "thicken", str(path), "--tau", "0.00556", "--side", "below", "--format", "csv")[0] == 0
 
 
 def _doubled_symmetric(tmp_path, capsysbinary, mode="+-+-+-"):

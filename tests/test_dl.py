@@ -14,6 +14,8 @@ from doubleline import (
     MODE_A1,
     MODE_A2,
     MODE_B1,
+    Crease,
+    CreasePattern,
     DlError,
     DoubleLineParams,
     DoubleLineRatio,
@@ -90,6 +92,29 @@ def test_construct_dl_degree6():
     assert len(pat.faces) == 13
     for v in read_record(pat).corners[0]:
         assert is_flat_foldable_deg4(vertex_star(pat, v))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_construct_dl_numbers_rays_first_at_any_degree(n):
+    rng = np.random.default_rng(n)
+    built = 0
+    while built < 4:
+        sectors = rng.uniform(0.5, 1.5, n)
+        star = VertexStar.from_sectors(sectors / sectors.sum() * 2.0 * math.pi)
+        theta = rng.uniform(deg(50)[0], deg(130)[0])
+        try:
+            pat = construct_dl(star, DoubleLineParams(theta, tuple(rng.uniform(0.3, 1.5, n))))
+        except DlError:  # a corner inverts: radii too small for this theta
+            continue
+        built += 1
+        rec = read_record(pat)
+        assert max(c for _, plus, minus in rec.pairs for c in (plus, minus)) < min(rec.sides[0])
+        for i, ((_, plus, _), corner, sigma) in enumerate(zip(rec.pairs, rec.corners[0], star.sectors)):
+            assert pat.creases[plus].v0 == corner  # ray_i^+ leaves c_i
+            got = vertex_star(pat, corner)
+            assert got.crease_ids[0] == plus
+            want = (sigma, theta, math.pi - sigma, math.pi - theta)
+            assert max(abs(a - b) for a, b in zip(got.sectors, want)) < 1e-9
 
 
 def _degrees(lo, hi):
@@ -330,6 +355,15 @@ def test_pattern_multipliers_layout():
     # modes assign different speeds
     h = pattern_multipliers(pat, MODE_B1)
     assert np.max(np.abs(g - h)) > 1e-6
+
+
+def test_a_pair_whose_ray_plus_leaves_no_corner_is_refused():
+    pat = construct_dl(star_of(deg(60, 80, 120, 100)), DoubleLineParams(math.pi / 2, (1.0,) * 4))
+    ci, plus, _ = read_record(pat).pairs[2]
+    flipped = [Crease(c.v1, c.v0, c.assignment) if k == plus else c for k, c in enumerate(pat.creases)]
+    pat = CreasePattern.build(pat.vertices, flipped, extras=dict(pat.extras))
+    with pytest.raises(DlError, match=rf"^doubleline:network: the ray\^\+ of crease {ci} leaves no polygon corner$"):
+        pattern_multipliers(pat, MODE_A1)
 
 
 def test_fix_mode_records_each_corners_branch():

@@ -20,6 +20,8 @@ from doubleline import (
     VertexNetwork,
     axis_offsets,
     connect_dl,
+    gen_dl_miura,
+    gen_dl_yoshimura,
     gen_miura,
     gen_yoshimura,
     read_record,
@@ -44,19 +46,19 @@ TREE = [
 # keeps the requested θ, so the digests pin the fixed-θ arithmetic: a change
 # that moves a byte of them must say so by updating this table.
 UNIFORM_DIGESTS = {
-    "miura-2x2-60-90": "3a30dd4b60dbc24112180b24fa9478ca3a346499d121382db1ee74ac5f0f2742",
-    "miura-3x3-60-90": "19d637f068fcba0dbeb1eac11e92523ed388e7c286700d8acb14d8f52598b4de",
-    "miura-4x4-60-90": "e61d055062bf67e78347fc56eeeb41f2572f8e3505c585ae755e1892a877c89c",
-    "miura-2x2-70-90": "20646db48d1798f3f3e0e61fa708bf8056c3b0fdd6b589525a292f904b0d5e68",
-    "miura-3x3-70-90": "37a5db9d408b5ab49121988b694f7daab743e784fc556d86f9f38345ba5e5300",
-    "miura-4x4-70-90": "81fb53b77e8c17531ed05501d8f2ff99108fb36d94e0a20236cf681d50c626b3",
-    "miura-2x2-55-90": "da9d6b637882694c73cb544b3173f7568e3b97aba0285c45fce1e204019c4d0b",
-    "miura-3x3-55-90": "c813e4ca82cf78cc600dfd0e536ae59f3bcf8e66e07bb205a8f334c5bd286271",
-    "miura-4x4-55-90": "1680315236e5a99202729ef764a273071cf36f2a04366196a66435367ad64d85",
-    "miura-2x2-65-80": "12a5669fa6cf2b1f077d575d4d2eeccd75ed48723e6f97f15c6505147bb4b56c",
-    "miura-3x3-65-80": "597477e3a56ce600f9c6cbb3bc2837d270d6d2411f451698b59ac653fbc8edda",
-    "miura-4x4-65-80": "7fc66ad5f7bf342232c8c80edc71a0a3277a9e8667fe7b169b0caa46bbdeeff0",
-    "yoshimura-2x4": "80fe3ca56125639e008d9915cfb05ee2866c31ae53a8d6f1a64d6e013baeb569",
+    "miura-2x2-60-90": "923c9a583c092f6e89b93bd94275817e5f2ada7633544cc281685a92d279c51f",
+    "miura-3x3-60-90": "d7e1dd280aee72c39568ff743aa3f0e98954f59c813122996c7af9d261221fa2",
+    "miura-4x4-60-90": "ac2ef536ddc1e142b7fc5e77e043fe5c04e124ecf06c24eaa2680a0cfd81ec31",
+    "miura-2x2-70-90": "59709872e7db1a855c0c9c836b3f7a40d8fc1e8a63e257c157b7cfa350d4800d",
+    "miura-3x3-70-90": "09a264ecf827e7da7d01644989b25ca152659bcc300547ea0a4c6083266b36a3",
+    "miura-4x4-70-90": "86a3ed0e17c6248f846d51c831f0455294660796964f154c4dc23e0f64dd458c",
+    "miura-2x2-55-90": "51a15d14956866580a22c82e87b1e7fec3d033417c027491f289a1f4bbf7ee0b",
+    "miura-3x3-55-90": "be9006fe6c8865c5665dfd19400eeb272ca248d6b149efb54ae07933b6cf7c12",
+    "miura-4x4-55-90": "7db8dc79ef6128c0abed05921ebcc81fa720a1f1d1a6ada3f0b551aa31354ceb",
+    "miura-2x2-65-80": "6461d6e85f7ce51a0764490d16f0893f219549cdc41c1dd2496f65f0e9af8da6",
+    "miura-3x3-65-80": "b82f3ef399cc68d62c5e7b0df3e2b8259c439a220a5e60e7c8911bb4cf4340cf",
+    "miura-4x4-65-80": "00f921a225e85da845ff49315724eec3d086345e32ee5955d9b7cb0ad862e048",
+    "yoshimura-2x4": "d2506c19fd0759febb575ac107108d1fcce2900bb9423d2794da56a1f49ef677",
 }
 
 
@@ -104,6 +106,21 @@ def test_networks_doubled_at_one_theta_keep_their_bytes(name, make, theta):
     _, dl = doubled(make, theta)
     assert {round(math.degrees(t), 9) for t in read_record(dl).thetas.values()} == {theta}
     assert hashlib.sha256(save_fold(dl)).hexdigest() == UNIFORM_DIGESTS[name]
+
+
+@pytest.mark.parametrize("pattern", [
+    lambda: gen_dl_miura(3, 3, deg(60)[0], math.pi / 2), lambda: gen_dl_miura(2, 4, deg(70)[0], deg(80)[0]),
+    lambda: gen_dl_yoshimura(2, 4, 1.5, math.pi / 2), lambda: gen_dl_yoshimura(2, 2, 2.0, deg(80)[0]),
+], ids=["miura-3x3", "miura-2x4-80", "yoshimura-2x4", "yoshimura-2x2-80"])
+def test_doubled_networks_number_their_rays_first(pattern):
+    dl = pattern()
+    rec = read_record(dl)
+    rays = [c for _, plus, minus in rec.pairs for c in (plus, minus)]
+    assert sorted(rays) == list(range(len(rays)))
+    assert max(rays) < min(c for sides in rec.sides.values() for c in sides)
+    # crease 0 is ray_0^+ of the lowest vertex: it leaves that vertex's corner c_0
+    low = min(rec.corners)
+    assert rec.pairs[0][1] == 0 and dl.creases[0].v0 == rec.corners[low][0]
 
 
 def test_spanning_tree_is_breadth_first_from_the_lowest_vertex():

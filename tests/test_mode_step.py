@@ -1,6 +1,7 @@
 """The one mode step of every doubled pattern: corner branches, the per-corner
 certificate, M/V labels and the record's mode fields (dl.write_mode)."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,21 +11,26 @@ from hypothesis import strategies as st
 from doubleline import (
     GENERIC_MODES,
     MODE_A1,
+    Crease,
+    CreasePattern,
     DlError,
     DLMode,
     DoubleLineParams,
+    FoldMode,
     VertexStar,
     construct_dl,
     construct_symmetric_dl,
+    flat_fold_parameter,
     load_fold,
     mode_vector,
     pattern_multipliers,
     propagate_fold,
     read_record,
     save_fold,
+    sweep_motion,
     vertex_star,
 )
-from doubleline.dl import fix_mode, write_mode
+from doubleline.dl import _certify, fix_mode, write_mode, write_record
 
 import fix_mode_reference as ref
 from conftest import deg, star_of
@@ -64,13 +70,13 @@ def test_a_multiplier_off_its_branch_is_refused_naming_the_crease(ray):
     rec = read_record(pat)
     g = pattern_multipliers(pat, MODE_A1)
     signs, scales = {0: "".join(MODE_A1.signs)}, {0: 1.0}
-    assert read_record(write_mode(pat, rec, signs, scales, g)).multipliers == tuple(g.tolist())
+    assert read_record(write_mode(pat, rec, signs, scales)).multipliers == tuple(g.tolist())
     for original, plus, minus in rec.pairs:
         bad = g.copy()
         bad[plus if ray == "plus" else minus] *= 1.0 + 1e-4
         with pytest.raises(DlError, match=rf"^doubled pairs disagree at crease {original}: corner \d+ of vertex 0 "
                                           r"is off its branch by \d\.\d{3}e-\d\d$"):
-            write_mode(pat, rec, signs, scales, bad)
+            _certify(pat, rec, signs, bad)
 
 
 def test_a_wrong_sign_is_refused_by_the_certificate():
@@ -78,7 +84,34 @@ def test_a_wrong_sign_is_refused_by_the_certificate():
     rec = read_record(pat)
     g = pattern_multipliers(pat, MODE_A1)
     with pytest.raises(DlError, match="^doubled pairs disagree at crease 0: corner 0 of vertex 0"):
-        write_mode(pat, rec, {0: "++--"}, {0: 1.0}, g)
+        _certify(pat, rec, {0: "++--"}, g)
+
+
+def test_a_vertex_whose_spokes_are_not_numbered_in_turn_folds_by_its_own_star():
+    alpha, beta = deg(60, 80)
+    azimuths = (0.0, alpha, alpha + beta, math.pi + beta)
+    spokes = [Crease(0, 1 + k) for k in (0, 2, 1, 3)]  # counterclockwise the spokes read 0, 2, 1, 3
+    ring = [Crease(1 + k, 1 + (k + 1) % 4, "B") for k in range(4)]
+    single = CreasePattern.build([(0.0, 0.0)] + [(math.cos(a), math.sin(a)) for a in azimuths], spokes + ring)
+    star = vertex_star(single, 0)
+    assert star.crease_ids == (0, 2, 1, 3)
+    pat = _doubled(star, 4)
+    g = pattern_multipliers(pat, MODE_A1)
+    folded = fix_mode(pat, MODE_A1)
+    rec = read_record(folded)
+    assert np.array_equal(np.array(rec.multipliers), g)
+    # placement follows each pair's corners, not the order the record lists the pairs in
+    shuffled = write_record(pat, replace(read_record(pat), pairs=tuple(sorted(rec.pairs))))
+    assert np.array_equal(pattern_multipliers(shuffled, MODE_A1), g)
+    ts = np.linspace(0.05, 0.97 * flat_fold_parameter(folded, g), 9)
+    assert max(s.residual for s in sweep_motion(folded, None, ts, multipliers=g)) < 1e-9
+    # the pair sums fold the original star along its branch a: tan(S_c / 2) = e_c * s
+    e = np.array(mode_vector(star, FoldMode.A))
+    pair_of = {c: (plus, minus) for c, plus, minus in rec.pairs}
+    for t in ts:
+        tans = np.array([math.tan(math.atan(g[pair_of[c][0]] * t) + math.atan(g[pair_of[c][1]] * t))
+                         for c in star.crease_ids])
+        assert np.max(np.abs(tans - (tans @ e) / (e @ e) * e)) < 1e-9 * np.max(np.abs(tans))
 
 
 @pytest.mark.parametrize("signs", ["+-+-+-", "++-+--", "+++---", "+--+-+"])

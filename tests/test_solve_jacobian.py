@@ -250,7 +250,7 @@ def test_dl_miura_cold_start_stays_on_the_continuation_branch(n, driver, target_
 
 
 # the polish lands on another branch, whose path misses the first step
-@pytest.mark.parametrize("n, driver, target_deg", [(2, 1, -120.0)], ids=["dlm22-driver1--120"])
+@pytest.mark.parametrize("n, driver, target_deg", [(2, 8, -120.0)], ids=["dlm22-driver8--120"])
 def test_uncertified_tan_half_path_falls_back_to_the_continuation(n, driver, target_deg):
     pat, target = dl_miura70(n), math.radians(target_deg)
     want = ref.continuation(pat, driver, target)
