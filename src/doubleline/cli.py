@@ -42,6 +42,9 @@ GEN_SIZE_RANGE = (1, 12)
 GEN_ANGLE_RANGE = (0.01, 90.0)
 # gen --elongation: a 12x12 Yoshimura builds at 1000 and fails at 1e4; gen_yoshimura refuses 1
 GEN_ELONGATION_RANGE = (1.0, 1000.0)
+# doubleline --radii: with equal radii at 90 deg the 60/80 vertex builds from
+# about 1.3e-6 to 4e7, where rounding starts to merge or cross its creases
+RADII_RANGE = (1e-5, 1e6)
 SYMMETRIC_N_RANGE = (2, 100)  # gen symmetric --n: n = 100 builds in about 1.3 s
 TARGET_RANGE = (-180.0, 180.0)  # solve --target, degrees: a fold angle
 # solve: doubled Miura 8x8 at 70/90 deg (420 interior creases) solves from
@@ -148,6 +151,8 @@ def _cmd_doubleline(args) -> bytes:
         raise PatternError(f"--vertex {vid} is not an interior vertex id")
     star = vertex_star(pattern, vid)
     radii = tuple(float(x) for x in args.radii.split(",")) if args.radii else (1.0,) * star.degree
+    for r in radii:
+        _check_range("--radii", r, RADII_RANGE)
     params = DoubleLineParams(math.radians(args.theta), radii)
     doubled = construct_dl(star, params)
     if args.mode:

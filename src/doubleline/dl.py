@@ -103,15 +103,14 @@ def sign_pattern_product(signs: Sequence[str], sectors: Sequence[float], theta: 
 def mode_is_valid(mode: DLMode, alpha: float, beta: float, theta: float) -> bool:
     """Whether a mode produces a rigid motion of DL(V,θ) for this vertex.
 
-    The four generic modes always close up.  The alternating sym± modes
-    need the symmetric sector condition (α = β or α = π−β) and, by
-    convention, the perpendicular construction θ = π/2.
+    Its corner-coefficient product must be 1, which no mode meets at a pole.
+    The alternating sym± modes also need the symmetric sector condition
+    (α = β or α = π−β) and, by convention, the perpendicular θ = π/2.
     """
-    if mode in GENERIC_MODES:
-        sigmas = (alpha, beta, math.pi - alpha, math.pi - beta)
-        return abs(sign_pattern_product(mode.signs, sigmas, theta) - 1.0) <= MATCH_TOL
+    sigmas = (alpha, beta, math.pi - alpha, math.pi - beta)
+    closes = abs(sign_pattern_product(mode.signs, sigmas, theta) - 1.0) <= MATCH_TOL
     symmetric = abs(alpha - beta) <= MATCH_TOL or abs(alpha - (math.pi - beta)) <= MATCH_TOL
-    return symmetric and abs(theta - math.pi / 2) <= MATCH_TOL
+    return closes and (mode in GENERIC_MODES or symmetric and abs(theta - math.pi / 2) <= MATCH_TOL)
 
 
 def valid_modes(alpha: float, beta: float, theta: float) -> tuple[DLMode, ...]:
@@ -441,9 +440,10 @@ def construct_dl(star: VertexStar, params: DoubleLineParams) -> CreasePattern:
     ray_i^+, then of ray_{i+1}^-, both from c_i.  The layout numbers ray_i^+
     crease i, so it is every corner's lowest incident id and the corner's
     star reads (σ_i, θ, π−σ_i, π−θ), as this module's corner-branch
-    conventions have it; a corner that does not is inverted and refused.
-    The layout is attached as a one-vertex record (see DLRecord) and
-    survives FOLD round-trips.
+    conventions have it, exactly when every doubled pair's separation
+    (axis_offsets) is positive; a pair whose separation is not is refused
+    first.  The layout is attached as a one-vertex record (see DLRecord)
+    and survives FOLD round-trips.
     """
     n = star.degree
     if n < 3:
@@ -451,25 +451,33 @@ def construct_dl(star: VertexStar, params: DoubleLineParams) -> CreasePattern:
     if len(params.radii) != n:
         raise DlError(f"need {n} radii, got {len(params.radii)}")
     theta, sectors = params.theta, star.sectors
+    if 0.0 in sectors:  # axis_offsets divides by the sine of each sector
+        i = sectors.index(0.0)
+        raise DlError(f"polygon sides {i} and {(i + 1) % n} are parallel")
+    for ci, (plus, minus) in zip(star.crease_ids, axis_offsets(sectors, params.radii, theta)):
+        if not plus - minus > 0.0:
+            raise DlError(f"the doubled pair of crease {ci} has separation {plus - minus:.6g} at theta "
+                          f"{math.degrees(theta):.6g} deg: its radii are too small")
     phis = list(accumulate(sectors[:-1], initial=0.0))
     corners = polygon_corners(phis, params.radii, theta)
     length = 3.0 * max(max(float(np.linalg.norm(c)) for c in corners), max(params.radii), 1.0)
     boundary = [c + length * unit(phi) for i, c in enumerate(corners) for phi in (phis[i], phis[(i + 1) % n])]
-    pattern, record = _layout([(star, (0.0, 0.0), phis, theta, params.radii)], boundary)
-    for i, cv in enumerate(record.corners[star.vertex]):
-        corner = vertex_star(pattern, cv)
-        want = (sectors[i], theta, math.pi - sectors[i], math.pi - theta)
-        if corner.crease_ids[0] != i or any(abs(a - b) > 1e-9 for a, b in zip(corner.sectors, want)):
-            raise DlError(f"corner {i} inverted; radii too small for this theta")
-    return write_record(pattern, record)
+    return write_record(*_layout([(star, (0.0, 0.0), phis, theta, params.radii)], boundary))
 
 
-def _single_vertex(pattern: CreasePattern) -> tuple[DLRecord, int]:
+def _lone_mode(pattern: CreasePattern, mode: DLMode) -> tuple[DLRecord, int, DLMultipliers]:
+    """Record, vertex and multipliers of one doubled vertex in a mode of its degree that closes."""
     rec = read_record(pattern)
     if rec is None or len(rec.corners) != 1 or len(rec.pairs) != len(*rec.corners.values()):
         raise DlError("pattern carries no single-vertex double-line record")
     (v,) = rec.corners
-    return rec, v
+    sectors = rec.sectors[v]
+    if len(mode.signs) != len(sectors):
+        raise DlError(f"mode {mode.label} has {len(mode.signs)} signs, pattern degree {len(sectors)}")
+    mult = dl_multipliers(sectors, mode.signs, rec.thetas[v])
+    if mult.closure_error > 1e-9:
+        raise DlError(f"mode {mode.label} does not close on this vertex")
+    return rec, v, mult
 
 
 def _placed(pattern: CreasePattern, record: DLRecord, mults: Mapping[int, DLMultipliers],
@@ -496,20 +504,13 @@ def _placed(pattern: CreasePattern, record: DLRecord, mults: Mapping[int, DLMult
 
 def pattern_multipliers(pattern: CreasePattern, mode: DLMode) -> np.ndarray:
     """Per-crease multiplier vector of a constructed DL pattern in one mode."""
-    rec, v = _single_vertex(pattern)
-    sectors = rec.sectors[v]
-    if len(mode.signs) != len(sectors):
-        raise DlError(f"mode {mode.label} has {len(mode.signs)} signs, pattern degree {len(sectors)}")
-    mult = dl_multipliers(sectors, mode.signs, rec.thetas[v])
-    if mult.closure_error > 1e-9:
-        raise DlError(f"mode {mode.label} does not close on this vertex")
+    rec, v, mult = _lone_mode(pattern, mode)
     return _placed(pattern, rec, {v: mult}, {v: 1.0})
 
 
 def fix_mode(pattern: CreasePattern, mode: DLMode) -> CreasePattern:
     """A constructed DL pattern in one mode: labeled M/V, certified and recorded by write_mode."""
-    rec, v = _single_vertex(pattern)
-    pattern_multipliers(pattern, mode)  # refuses a sequence of another degree or one that does not close
+    rec, v, _ = _lone_mode(pattern, mode)
     return write_mode(pattern, rec, {v: "".join(mode.signs)}, {v: 1.0})
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -107,8 +107,9 @@ def _canon_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
 class CreasePattern:
     """Immutable crease pattern.
 
-    Construct through :meth:`build`, which extracts faces from the planar
-    embedding when they are not supplied and validates everything.
+    Construct through :meth:`build`, which checks each crease, extracts
+    faces from the planar embedding when they are not supplied, then checks
+    the creases together and against the faces.
     """
 
     vertices: tuple[tuple[float, float], ...]
@@ -126,14 +127,54 @@ class CreasePattern:
     ) -> "CreasePattern":
         verts = tuple((float(p[0]), float(p[1])) for p in vertices)
         cr = tuple(c if isinstance(c, Crease) else Crease(*c) for c in creases)
-        for i, c in enumerate(cr):  # the face walk indexes vertices by these ids
+        pat = cls(verts, cr, (), tuple(sorted((extras or {}).items())))
+        pts = pat.vertices_array
+        seen_pairs = set()
+        for i, c in enumerate(cr):  # each crease alone, before the face walk, which needs them simple
             if not (0 <= c.v0 < len(verts) and 0 <= c.v1 < len(verts)):
                 raise PatternError(f"crease {i} references a missing vertex")
-        items = tuple(sorted((extras or {}).items()))
+            if c.v0 == c.v1:
+                raise PatternError(f"crease {i} is a loop")
+            if c.assignment not in ASSIGNMENTS:
+                raise PatternError(f"crease {i} has unknown assignment {c.assignment!r}")
+            key = (min(c.v0, c.v1), max(c.v0, c.v1))
+            if key in seen_pairs:
+                raise PatternError(f"duplicate crease between vertices {key}")
+            seen_pairs.add(key)
+            if np.linalg.norm(pts[c.v1] - pts[c.v0]) < GEOMETRY_TOL:
+                raise PatternError(f"crease {i} has zero length")
+            if c.fold_angle is not None and abs(c.fold_angle) > math.pi + GEOMETRY_TOL:
+                raise PatternError(f"crease {i} fold angle outside [-pi, pi]")
         if faces is None:
-            faces = cls(verts, cr, (), items)._walks[0]
-        pat = cls(verts, cr, tuple(_canon_cycle(f) for f in faces), items)
-        pat.validate()
+            faces = pat._walks[0]
+        pat = replace(pat, faces=tuple(_canon_cycle(f) for f in faces))
+        if pat.faces and not verts:
+            raise PatternError("creases or faces without vertices")
+
+        # Planarity: creases may meet only at shared endpoints.
+        for i in range(len(cr)):
+            a = cr[i]
+            for j in range(i + 1, len(cr)):
+                b = cr[j]
+                if {a.v0, a.v1} & {b.v0, b.v1}:
+                    continue
+                if segments_intersect(pts[a.v0], pts[a.v1], pts[b.v0], pts[b.v1]):
+                    raise PatternError(f"creases {i} and {j} cross: non-planar embedding")
+
+        if cr:
+            # Connectivity: each component of a planar graph has its own
+            # outer walk, so the creases are connected exactly when one is.
+            if len(pat._walks[1]) > 1:
+                raise PatternError("crease graph is disconnected")
+
+            # Faces must match the embedding (face_creases checks them).
+            for ci, (c, sides) in enumerate(zip(cr, pat.crease_faces)):
+                got = sum(f is not None for f in sides)
+                want = 1 if c.assignment == "B" else 2
+                if got != want:
+                    raise PatternError(
+                        f"crease {ci} ({c.assignment}) borders {got} faces, expected {want}"
+                    )
         return pat
 
     def __getstate__(self) -> dict:
@@ -203,13 +244,11 @@ class CreasePattern:
                 continue
             cycle, sides = [], []
             cur = he
-            while cur not in seen:
+            while cur not in seen:  # simple creases make nxt a permutation: the walk returns to he
                 seen.add(cur)
                 cycle.append(cur[0])
                 sides.append(crease_of[cur])
                 cur = nxt[cur]
-            if cur != he:
-                raise PatternError("embedding walk failed to close a face")
             k = cycle.index(min(cycle))
             cycle, sides = tuple(cycle[k:] + cycle[:k]), tuple(sides[k:] + sides[:k])
             if polygon_area(self.vertices_array[list(cycle)]) > 0:
@@ -303,53 +342,8 @@ class CreasePattern:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
-        n = len(self.vertices)
-        if n == 0:
-            if self.creases or self.faces:
-                raise PatternError("creases or faces without vertices")
-            return
-        pts = self.vertices_array
-        seen_pairs = set()
-        for i, c in enumerate(self.creases):
-            if not (0 <= c.v0 < n and 0 <= c.v1 < n):
-                raise PatternError(f"crease {i} references a missing vertex")
-            if c.v0 == c.v1:
-                raise PatternError(f"crease {i} is a loop")
-            if c.assignment not in ASSIGNMENTS:
-                raise PatternError(f"crease {i} has unknown assignment {c.assignment!r}")
-            key = (min(c.v0, c.v1), max(c.v0, c.v1))
-            if key in seen_pairs:
-                raise PatternError(f"duplicate crease between vertices {key}")
-            seen_pairs.add(key)
-            if np.linalg.norm(pts[c.v1] - pts[c.v0]) < GEOMETRY_TOL:
-                raise PatternError(f"crease {i} has zero length")
-            if c.fold_angle is not None and abs(c.fold_angle) > math.pi + GEOMETRY_TOL:
-                raise PatternError(f"crease {i} fold angle outside [-pi, pi]")
-
-        # Planarity: creases may meet only at shared endpoints.
-        for i in range(len(self.creases)):
-            a = self.creases[i]
-            for j in range(i + 1, len(self.creases)):
-                b = self.creases[j]
-                if {a.v0, a.v1} & {b.v0, b.v1}:
-                    continue
-                if segments_intersect(pts[a.v0], pts[a.v1], pts[b.v0], pts[b.v1]):
-                    raise PatternError(f"creases {i} and {j} cross: non-planar embedding")
-
-        if self.creases:
-            # Connectivity: each component of a planar graph has its own
-            # outer walk, so the creases are connected exactly when one is.
-            if len(self._walks[1]) > 1:
-                raise PatternError("crease graph is disconnected")
-
-            # Faces must match the embedding (face_creases checks them).
-            for ci, (c, sides) in enumerate(zip(self.creases, self.crease_faces)):
-                got = sum(f is not None for f in sides)
-                want = 1 if c.assignment == "B" else 2
-                if got != want:
-                    raise PatternError(
-                        f"crease {ci} ({c.assignment}) borders {got} faces, expected {want}"
-                    )
+        """Raise PatternError where build refuses these vertices, creases and faces (see build)."""
+        type(self).build(self.vertices, self.creases, self.faces, dict(self.extras))
 
 
 # -- vertex analysis --------------------------------------------------------

@@ -298,8 +298,6 @@ def _solve_child(dv: _DlVertex, axis: int, target_plus: float, target_minus: flo
                     pair = (target_plus, target_minus) if not swapped else (target_minus, target_plus)
                     th = theta_for_ratio(mode, cls, alpha, beta, DoubleLineRatio(*pair))
                 mult = dl_multipliers(dv.star.sectors, mode.signs, th)
-                if mult.closure_error > 1e-9:
-                    raise DlError(f"mode {mode.label} does not close on vertex {dv.vertex}")
                 m_plus, m_minus = mult.rays_plus[axis], mult.rays_minus[axis]
                 if abs(m_plus) < 1e-15:
                     raise DlError(f"frozen doubled pair on vertex {dv.vertex}")

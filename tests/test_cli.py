@@ -10,8 +10,21 @@ from pathlib import Path
 
 import pytest
 
-from doubleline import cli, gen_dl_yoshimura, gen_yoshimura, read_record, symmetric_fold_relation
+from doubleline import (
+    MODE_A1,
+    Crease,
+    DoubleLineParams,
+    cli,
+    construct_dl,
+    gen_dl_yoshimura,
+    gen_single_deg4,
+    gen_yoshimura,
+    read_record,
+    symmetric_fold_relation,
+    vertex_star,
+)
 from doubleline.cli import main
+from doubleline.dl import fix_mode
 from doubleline.fold_io import load_fold, save_fold
 from doubleline.pattern import CreasePattern
 
@@ -290,6 +303,78 @@ def test_malformed_fold_is_domain_error(tmp_path, capsysbinary, doc, message):
     assert err == b"error: " + message + b"\n"
 
 
+def _single():
+    return gen_single_deg4(math.radians(60), math.radians(80))
+
+
+def _doubled():
+    return fix_mode(construct_dl(vertex_star(_single(), 0), DoubleLineParams(math.pi / 2, (0.2,) * 4)), MODE_A1)
+
+
+def _square():
+    return CreasePattern.build([(0, 0), (1, 0), (1, 1), (0, 1)], [Crease(i, (i + 1) % 4, "B") for i in range(4)])
+
+
+def _set(key, index, value, faces=True):
+    """An edit setting one entry of a document array; faces=False also drops faces_vertices, so faces are walked."""
+    def edit(doc):
+        doc[key][index] = value
+        if not faces:
+            del doc["faces_vertices"]
+    return edit
+
+
+def _add_crease(v0, v1, point=None):
+    """An edit adding a U crease (after a vertex at point, if given) and dropping faces_vertices."""
+    def edit(doc):
+        if point is not None:
+            doc["vertices_coords"].append(point)
+        doc["edges_vertices"].append([v0, v1])
+        doc["edges_assignment"].append("U")
+        doc["edges_foldAngle"].append(None)
+        del doc["faces_vertices"]
+    return edit
+
+
+# id, pattern, edit of its FOLD document, command, the fault's one-line message
+_HOSTILE_FOLDS = [
+    ("missing-vertex", _single, _set("edges_vertices", 0, [0, 9], faces=False), ("analyze",),
+     "crease 0 references a missing vertex"),
+    ("loop", _single, _add_crease(2, 2), ("analyze",), "crease 8 is a loop"),
+    ("unknown-assignment", _single, _set("edges_assignment", 1, "X", faces=False), ("analyze",),
+     "crease 1 has unknown assignment 'X'"),
+    ("duplicate", _single, _add_crease(2, 0), ("analyze",), "duplicate crease between vertices (0, 2)"),
+    ("zero-length", _single, _add_crease(1, 5, point=[1.0, 0.0]), ("analyze",), "crease 8 has zero length"),
+    ("fold-angle-range", _single, _set("edges_foldAngle", 0, 200.0), ("analyze",),
+     "crease 0 fold angle outside [-pi, pi]"),
+    ("boundary-between-faces", _single, _set("edges_assignment", 0, "B"), ("analyze",),
+     "crease 0 (B) borders 2 faces, expected 1"),
+    ("not-planar", _single, _set("vertices_coords", 0, [0.0, 0.0, 0.5]), ("analyze",),
+     "vertex 0 is not planar (z = 0.5)"),
+    ("attribute-length", _single, lambda doc: doc["edges_assignment"].pop(), ("analyze",),
+     "edge attribute arrays must match edges_vertices in length"),
+    ("fold-angle-text", _single, _set("edges_foldAngle", 0, "90"), ("analyze",),
+     "edge 0 fold angle must be a finite number or null"),
+    ("short-face", _single, _set("faces_vertices", 0, [0, 1]), ("analyze",),
+     "face 0 must be a list of at least 3 integer vertex ids"),
+    ("record-degree", _doubled, lambda doc: doc["doubleline:network"]["sectors"][0][1].pop(), ("analyze",),
+     "doubleline:network: sectors and corners disagree on vertices or degrees"),
+    ("no-interior-vertex", _square, lambda doc: None, ("doubleline", "--theta", "90"),
+     "pattern has no interior vertex to double"),
+]
+
+
+@pytest.mark.parametrize("pattern, edit, command, message", [row[1:] for row in _HOSTILE_FOLDS],
+                         ids=[row[0] for row in _HOSTILE_FOLDS])
+def test_a_hostile_fold_file_is_refused_in_one_line_naming_its_fault(tmp_path, capsysbinary, pattern, edit,
+                                                                      command, message):
+    doc = json.loads(save_fold(pattern()))
+    edit(doc)
+    path = tmp_path / "hostile.fold"
+    path.write_text(json.dumps(doc))
+    assert run(capsysbinary, command[0], str(path), *command[1:]) == (1, b"", f"error: {message}\n".encode())
+
+
 @pytest.mark.parametrize("argv", [
     ("classify", "--alpha", "50", "--beta", "70", "--grid", "0.001"),
     ("modes", "--n", "1001"),
@@ -307,6 +392,34 @@ def test_size_arguments_are_capped(tmp_path, capsysbinary, argv):
     assert out == b""
     assert err.startswith(b"error: --") and b"must lie in" in err
     assert err.count(b"\n") == 1
+
+
+def test_doubleline_refuses_radii_beyond_their_range_in_one_line(tmp_path, capsysbinary):
+    single = tmp_path / "single.fold"
+    run(capsysbinary, "gen", "single", "--alpha", "60", "--beta", "80", "--out", str(single))
+    for r in ("1e-05", "1e6"):
+        assert run(capsysbinary, "doubleline", str(single), "--theta", "90", "--radii", ",".join([r] * 4))[::2] \
+            == (0, b"")
+    # in a fresh process, so that a warning numpy printed would show on stderr
+    proc = subprocess.run([sys.executable, "-m", "doubleline", "doubleline", str(single), "--theta", "90",
+                           "--radii", "1e200,1e200,1e200,1e200"], capture_output=True, env=_checkout_env(), timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"error: --radii must lie in [1e-05, 1e+06], got 1e+200\n"
+
+
+def test_solve_writes_its_angles_as_a_fold_file(tmp_path, capsysbinary):
+    doubled = _dl_single(tmp_path, capsysbinary)
+    argv = ("solve", str(doubled), "--driver", "0", "--target", "25")
+    code, csv, err = run(capsysbinary, *argv)
+    assert (code, err) == (0, b"")
+    rho = [float(row.split(",")[1]) for row in csv.decode().splitlines()[1:]]
+    solved = tmp_path / "solved.fold"
+    assert run(capsysbinary, *argv, "--format", "fold", "--out", str(solved)) == (0, b"", b"")
+    angles = json.loads(solved.read_text())["edges_foldAngle"]
+    assert len(angles) == len(rho) and max(abs(a - b) for a, b in zip(angles, rho)) <= 1e-9
+    assert len(load_fold(solved.read_bytes()).creases) == len(rho)
+    code, out, err = run(capsysbinary, "export", str(solved), "--format", "obj")
+    assert (code, err) == (0, b"") and out.startswith(b"# doubleline folded state")
 
 
 def _doubled_single(tmp_path, capsysbinary):
@@ -432,12 +545,16 @@ def test_dl_yoshimura_off_90_alternates_theta_and_sweeps_closed(tmp_path, capsys
     assert len(rows) == 9 and max(float(row.split(",")[-1]) for row in rows) < 1e-9
 
 
+def _checkout_env():
+    """The environment of a new interpreter that imports doubleline from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _fresh_python(code):
     """Run code in a new interpreter that imports doubleline from this checkout."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_checkout_env(),
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
 
@@ -524,13 +641,13 @@ def test_solve_refuses_patterns_above_the_crease_cap(tmp_path, capsysbinary, mon
 def test_solve_refuses_yoshimura_12x12(tmp_path, capsysbinary, monkeypatch):
     path = tmp_path / "y12.fold"
     path.write_bytes(save_fold(gen_yoshimura(12, 12, 1.5).pattern))
-    validated = []
-    validate = CreasePattern.validate
-    monkeypatch.setattr(CreasePattern, "validate", lambda self: validated.append(self) or validate(self))
+    built = []
+    build = CreasePattern.build
+    monkeypatch.setattr(CreasePattern, "build", lambda *args, **kw: built.append(args) or build(*args, **kw))
     code, out, err = run(capsysbinary, "solve", str(path), "--driver", "0", "--target", "10")
     assert (code, out) == (1, b"")
     assert err == b"error: solve takes at most 500 interior creases, the pattern has 517\n"
-    assert validated == []
+    assert built == []
 
 
 def test_thicken_csv_warns_when_panels_penetrate(tmp_path, capsysbinary):

@@ -21,6 +21,7 @@ from doubleline import (
     DoubleLineRatio,
     FoldMode,
     VertexStar,
+    axis_offsets,
     axis_sums,
     classify_theta,
     construct_dl,
@@ -104,7 +105,7 @@ def test_construct_dl_numbers_rays_first_at_any_degree(n):
         theta = rng.uniform(deg(50)[0], deg(130)[0])
         try:
             pat = construct_dl(star, DoubleLineParams(theta, tuple(rng.uniform(0.3, 1.5, n))))
-        except DlError:  # a corner inverts: radii too small for this theta
+        except DlError:  # a pair does not separate: radii too small for this theta
             continue
         built += 1
         rec = read_record(pat)
@@ -127,7 +128,7 @@ def test_record_round_trips_and_drives_every_closing_mode(alpha, beta, theta):
     star = VertexStar.from_sectors([alpha, beta, math.pi - alpha, math.pi - beta])
     try:
         pat = construct_dl(star, DoubleLineParams(theta, (0.2,) * 4))
-    except DlError:  # a corner inverts: radii too small for this theta
+    except DlError:  # a pair does not separate: radii too small for this theta
         assume(False)
     blob = save_fold(pat)
     reloaded = load_fold(blob)
@@ -149,6 +150,58 @@ def test_construct_dl_rejects_bad_input():
         DoubleLineParams(0.0, (1.0,) * 4)
     with pytest.raises(DlError):
         DoubleLineParams(math.pi / 2, (1.0, -1.0, 1.0, 1.0))
+    for sectors in ((0.0,) + (2 * math.pi / 3,) * 3, (math.pi, math.pi / 2, math.pi / 2)):  # a zero or straight sector
+        with pytest.raises(DlError, match=r"^polygon sides 0 and 1 are parallel$"):
+            construct_dl(VertexStar.from_sectors(sectors), DoubleLineParams(math.pi / 2, (1.0,) * len(sectors)))
+
+
+@st.composite
+def _lone_vertices(draw):
+    """A star of degree 3 to 8, some with a reflex sector, and its θ and radii."""
+    n = draw(st.integers(3, 8))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    star = VertexStar.from_sectors([w / sum(weights) * 2.0 * math.pi for w in weights])
+    theta = draw(st.floats(0.05, math.pi - 0.05))
+    return star, theta, tuple(draw(st.lists(st.floats(0.01, 1.5), min_size=n, max_size=n)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_lone_vertices())
+def test_construct_dl_refuses_exactly_a_pair_that_does_not_separate(case):
+    star, theta, radii = case
+    seps = [plus - minus for plus, minus in axis_offsets(star.sectors, radii, theta)]
+    try:
+        construct_dl(star, DoubleLineParams(theta, radii))
+        refusal = None
+    except DlError as exc:
+        refusal = str(exc)
+    bad = [i for i, s in enumerate(seps) if not s > 0.0]
+    if bad:
+        i = bad[0]  # star ids from from_sectors: axis i is crease i
+        assert refusal == (f"the doubled pair of crease {i} has separation {seps[i]:.6g} at theta "
+                           f"{math.degrees(theta):.6g} deg: its radii are too small")
+    elif min(seps) > 1e-6 * max(radii):
+        assert refusal is None
+    else:
+        assert refusal is None or not refusal.startswith("the doubled pair")
+
+
+def test_construct_dl_names_the_pair_that_does_not_separate():
+    star = star_of(deg(30, 50, 150, 130))
+    with pytest.raises(DlError, match=r"^the doubled pair of crease 1 has separation -0\.994052 at theta 40 deg: "
+                                      r"its radii are too small$"):
+        construct_dl(star, DoubleLineParams(deg(40)[0], (0.05, 1.0, 0.05, 1.0)))
+
+
+def test_valid_modes_lists_no_mode_at_a_pole_and_every_mode_it_lists_builds():
+    assert valid_modes(*deg(90, 90, 90)) == ()
+    for a in range(10, 171, 10):  # symmetric stars at 90 deg, each with both symmetries
+        for b in {a, 180 - a}:
+            pat = construct_dl(star_of(deg(a, b, 180 - a, 180 - b)), DoubleLineParams(math.pi / 2, (0.2,) * 4))
+            listed = valid_modes(*deg(a, b, 90))
+            assert len(listed) == (0 if 90 in (a, b) else 6)
+            for mode in listed:
+                assert read_record(fix_mode(pat, mode)).signs == {0: "".join(mode.signs)}
 
 
 def test_corner_coefficients_closed_form():

@@ -54,7 +54,7 @@ def test_fix_mode_writes_the_reference_bytes(alpha, beta, theta, radii):
     star = VertexStar.from_sectors([alpha, beta, math.pi - alpha, math.pi - beta])
     try:
         pat = construct_dl(star, DoubleLineParams(theta, radii))
-    except DlError:  # a corner inverts: radii too small for this theta
+    except DlError:  # a pair does not separate: radii too small for this theta
         return
     for mode in GENERIC_MODES:
         assert _outcome(fix_mode, pat, mode) == _outcome(ref.fix_mode, pat, mode), mode.label

@@ -248,7 +248,7 @@ def test_assign_mode_mv_relabels_without_rebuilding(monkeypatch):
         cases.append((pat, np.array(read_record(pat).multipliers)))
     for pat, g in cases:
         with monkeypatch.context() as m:
-            m.setattr(CreasePattern, "validate", lambda self, tol=1e-9: pytest.fail("rebuilt"))
+            m.setattr(CreasePattern, "build", lambda *args, **kw: pytest.fail("rebuilt"))
             out = assign_mode_mv(pat, -g)  # every label flips
             with pytest.raises(DlError):
                 assign_mode_mv(pat, g[:-1])
