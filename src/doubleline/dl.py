@@ -25,8 +25,9 @@ import numpy as np
 
 from .fold_io import get_extra, is_index, is_number, set_extra
 from .geometry import crossing, intersect_lines, unit
-from .kinematics import DEGENERACY_TOL, FoldMode, branch_multipliers, mode_vector, p_coeff, q_coeff, tan_half
-from .pattern import Crease, CreasePattern, PatternError, VertexStar, per_pattern, vertex_star
+from .kinematics import (DEGENERACY_TOL, FoldMode, KinematicsError, MotionError, branch_multipliers, network_motion,
+                         p_coeff, q_coeff, tan_half)
+from .pattern import Crease, CreasePattern, PatternError, VertexStar, per_pattern
 
 NETWORK_KEY = "doubleline:network"
 MATCH_TOL = 1e-9  # mode closure products, symmetric sectors and θ, unreachable ratios
@@ -516,11 +517,11 @@ def fix_mode(pattern: CreasePattern, mode: DLMode) -> CreasePattern:
 
 def write_mode(pattern: CreasePattern, record: DLRecord, signs: Mapping[int, str],
                scales: Mapping[int, float]) -> CreasePattern:
-    """A laid-out doubled pattern in a mode: multipliers placed, certified corner by corner, labeled M/V, recorded.
+    """A laid-out doubled pattern in a mode: multipliers placed, certified as one motion, labeled M/V, recorded.
 
     Each vertex takes its sign sequence's dl_multipliers at its θ, times its
-    scale, on its sides and on the pairs it owns (_placed); the certificate
-    (_certify) then checks every corner, so a loop that does not close is
+    scale, on its sides and on the pairs it owns (_placed); _certify then
+    holds them to the corners' motion, so a loop that does not close is
     refused, naming its crease.
     """
     mults = {v: dl_multipliers(record.sectors[v], signs[v], record.thetas[v]) for v in record.corners}
@@ -532,36 +533,41 @@ def write_mode(pattern: CreasePattern, record: DLRecord, signs: Mapping[int, str
 
 def _certify(pattern: CreasePattern, record: DLRecord, signs: Mapping[int, str],
              g: np.ndarray) -> dict[int, FoldMode]:
-    """The branch of every corner, each corner's multipliers checked against it.
+    """The branch of every corner, the placed multipliers certified as one motion of them.
 
     Sign '-' puts corner i of a vertex on branch a of its construction star,
     whose crease e_2 is side_{i+1}.  The pattern's star of the corner may start
     elsewhere; where side_{i+1} sits at an odd position the letters swap.
     Every corner is a flat-foldable degree-4 vertex, so the pattern folds
-    exactly when each corner's multipliers are its branch's mode vector
-    times one scale (Tachi 2009).  The scale is fitted on the corner's two
-    sides, which its own vertex sets; a doubled pair off it (a loop that does
-    not close, or a multiplier that is not the mode's) is refused, naming
-    its original crease.
+    exactly when g is one signed multiple of the corners' motion
+    (network_motion).  A doubled pair that its two corners fold at different
+    values, or that is off that multiple, is refused, naming its original
+    crease; any other refusal keeps network_motion's words.
     """
-    tol = 1e-8 * np.max(np.abs(g))
+    corner_of = {cv: (v, i) for v, corners in record.corners.items() for i, cv in enumerate(corners)}
     origin = {c: ci for ci, *pair in record.pairs for c in pair}
     branches: dict[int, FoldMode] = {}
-    for v in sorted(record.corners):
-        corners, sides = record.corners[v], record.sides[v]
-        for i, cv in enumerate(corners):
-            star = vertex_star(pattern, cv)
-            ids = list(star.crease_ids)
-            even = ids.index(sides[(i + 1) % len(sides)]) % 2 == 0
-            branches[cv] = FoldMode.A if (signs[v][i] == "-") == even else FoldMode.B
-            e = np.array(mode_vector(star, branches[cv]))
-            own = np.array([c not in origin for c in ids])
-            miss = np.abs(g[ids] - (g[ids][own] @ e[own]) / (e[own] @ e[own]) * e)
-            if miss.max() > tol:
-                ray = max(np.flatnonzero(~own), key=lambda k: miss[k])
-                raise DlError(f"doubled pairs disagree at crease {origin[ids[ray]]}: corner {cv} of vertex {v} "
-                              f"is off its branch by {miss.max():.3e}")
-    return branches
+    for star in pattern.interior_stars:
+        v, i = corner_of[star.vertex]
+        even = star.crease_ids.index(record.sides[v][(i + 1) % len(record.sides[v])]) % 2 == 0
+        branches[star.vertex] = FoldMode.A if (signs[v][i] == "-") == even else FoldMode.B
+    try:
+        h = np.array(network_motion(pattern, branches))
+    except MotionError as exc:  # cv, the second corner to fold the crease, disagrees with the first
+        ray, _, a, cv, b = exc.args
+        if ray not in origin:
+            raise DlError(str(exc)) from None
+        miss = abs(a - b)
+    except KinematicsError as exc:
+        raise DlError(str(exc)) from None
+    else:
+        off = np.abs(g - (g @ h) / (h @ h) * h)
+        if off.max() <= 1e-8 * np.max(np.abs(g)):
+            return branches
+        ray = max(origin, key=lambda c: off[c])
+        cv, miss = pattern.creases[ray].v0, off[ray]
+    raise DlError(f"doubled pairs disagree at crease {origin[ray]}: corner {cv} of vertex {corner_of[cv][0]} "
+                  f"is off its branch by {miss:.3e}")
 
 
 def assign_mode_mv(pattern: CreasePattern, multipliers: np.ndarray) -> CreasePattern:

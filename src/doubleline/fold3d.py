@@ -16,11 +16,10 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .geometry import triangulate
-from .kinematics import FoldMode, mode_vector
+from .kinematics import FoldMode, KinematicsError, network_motion
 from .pattern import CreasePattern, PatternError, VertexStar, per_pattern
 
 RESIDUAL_TOL = 1e-9
-NULL_SPACE_TOL = 1e-9  # relative singular values spanning a motion; smallest usable motion entry
 NEWTON_MAX_ITER = 50
 # condition number of a solved Newton Jacobian above which the driver leaves
 # a second motion free: the forward differences put that motion's singular
@@ -235,67 +234,31 @@ def _plane_rotations(angles: np.ndarray, i: int, j: int) -> np.ndarray:
     return out
 
 
-def network_multipliers(
-    pattern: CreasePattern, modes: Mapping[int, FoldMode]
-) -> np.ndarray:
+def network_multipliers(pattern: CreasePattern, modes: Mapping[int, FoldMode]) -> np.ndarray:
     """Per-crease multipliers g with tan(rho_c/2) = g_c * t for a mode assignment.
 
-    Each interior vertex contributes the linear constraints g_{c_i} = m_i * s_v
-    (its mode vector up to a vertex scale).  The assignment admits a motion
-    iff the stacked homogeneous system has a one-dimensional null space; the
-    result is scaled so the largest |g| equals 1.  Its sign makes the
-    pattern's valleys fold positive (the convention assign_mode_mv writes);
-    without M/V labels the lowest-id crease within 1e-9 of the largest |g|
-    folds positive, so ties that the SVD breaks by rounding do not choose it.
+    The motion is kinematics.network_motion's, scaled so the largest |g|
+    equals 1.  Its sign makes the pattern's valleys fold positive (the
+    convention assign_mode_mv writes); without M/V labels the lowest-id
+    crease within 1e-9 of the largest |g| folds positive.
     """
-    interior_v = pattern.interior_vertices
-    if not interior_v:
+    if not pattern.interior_vertices:
         raise Fold3dError("pattern has no interior vertices")
-    missing = [v for v in interior_v if v not in modes]
+    missing = [v for v in pattern.interior_vertices if v not in modes]
     if missing:
         raise Fold3dError(f"no mode assigned to interior vertices {missing}")
-
-    g_index = {ci: k for k, ci in enumerate(pattern.interior_creases)}
-    n_g = len(g_index)
-    covered = set()
-    rows = []
-    for k_v, star in enumerate(pattern.interior_stars):
-        mv = mode_vector(star, modes[star.vertex])
-        for i, ci in enumerate(star.crease_ids):
-            row = np.zeros(n_g + len(interior_v))
-            row[g_index[ci]] = 1.0
-            row[n_g + k_v] = -mv[i]
-            rows.append(row)
-            covered.add(ci)
-    uncovered = sorted(set(g_index) - covered)
+    covered = {ci for star in pattern.interior_stars for ci in star.crease_ids}
+    uncovered = sorted(set(pattern.interior_creases) - covered)
     if uncovered:
         raise Fold3dError(f"creases {uncovered} touch no interior vertex; motion undetermined")
-
-    a = np.array(rows)
-    _, s, vt = np.linalg.svd(a)
-    null = [vt[i] for i in range(len(vt)) if i >= len(s) or s[i] <= NULL_SPACE_TOL * s[0]]
-    if not null:
-        raise Fold3dError(
-            "mode assignment admits no motion (smallest singular value "
-            f"{s[min(len(s), a.shape[1]) - 1]:.3e})"
-        )
-    if len(null) > 1:
-        raise Fold3dError("mode assignment is degenerate (multiple independent motions)")
-    x = null[0]
-    g = x[:n_g]
-    k = int(np.argmax(np.abs(g)))
-    if abs(g[k]) < NULL_SPACE_TOL:
-        raise Fold3dError("mode assignment freezes every crease")
-    x = x / abs(g[k])
-    if x[np.flatnonzero(np.abs(x[:n_g]) >= 1.0 - 1e-9)[0]] < 0.0:
-        x = -x
-    valley = [{"V": 1.0, "M": -1.0}.get(pattern.creases[ci].assignment, 0.0) for ci in g_index]
-    if np.dot(valley, x[:n_g]) < 0.0:
-        x = -x
-    out = np.zeros(len(pattern.creases))
-    for ci, k_c in g_index.items():
-        out[ci] = x[k_c]
-    return out
+    try:
+        g = np.array(network_motion(pattern, modes))
+    except KinematicsError as exc:
+        raise Fold3dError(str(exc)) from None
+    g /= np.max(np.abs(g))
+    valley = [{"V": 1.0, "M": -1.0}.get(c.assignment, 0.0) for c in pattern.creases]
+    lead = g[np.flatnonzero(np.abs(g) >= 1.0 - 1e-9)[0]]
+    return g * (np.sign(np.dot(valley, g)) or np.sign(lead)) + 0.0  # + 0.0: no -0.0 on a crease that stays flat
 
 
 @dataclass(frozen=True, eq=False)

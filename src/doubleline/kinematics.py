@@ -10,14 +10,25 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from typing import Mapping
 
-from .pattern import VertexStar, is_flat_foldable_deg4
+from .pattern import CreasePattern, VertexStar, breadth_first_tree, is_flat_foldable_deg4
 
 DEGENERACY_TOL = 1e-12
+MOTION_TOL = 1e-9  # relative disagreement of two vertices' values on one crease
 
 
 class KinematicsError(ValueError):
     """Raised for kinematically invalid inputs (poles, wrong vertex type)."""
+
+
+class MotionError(KinematicsError):
+    """Two vertices fold one crease at different values; args (crease, vertex, value, other vertex, other value)."""
+
+    def __str__(self) -> str:
+        ci, u, a, w, b = self.args
+        return (f"mode assignment admits no motion: crease {ci} folds at {a:.9g} from vertex {u} "
+                f"and at {b:.9g} from vertex {w}")
 
 
 class FoldMode(Enum):
@@ -70,3 +81,35 @@ def mode_vector(star: VertexStar, mode: FoldMode) -> tuple[float, float, float, 
         raise KinematicsError("mode_vector requires a flat-foldable degree-4 vertex")
     return branch_multipliers(mode, star.sectors[0], star.sectors[1])
 
+
+def network_motion(pattern: CreasePattern, branches: Mapping[int, FoldMode]) -> list[float]:
+    """Per-crease multipliers g of the motion in which each interior vertex folds along its branch.
+
+    Vertex v folds along its branch's mode vector m_v times a scale s_v
+    (Tachi 2009), a multiplier below DEGENERACY_TOL counting as 0.  The
+    lowest vertex takes s = 1, and s_w = s_u·m_u(c)/m_w(c) spreads down the
+    breadth-first tree (pattern.breadth_first_tree) across every crease c
+    that w moves; so w stays flat when u holds c flat.  Vertex by vertex,
+    one whose scale no crease sets is refused as degenerate, and
+    g_c = m_v(c)·s_v must agree at both ends of every crease within
+    MOTION_TOL of the larger, or MotionError names the crease.  Creases at
+    no interior vertex get 0.  The pattern needs an interior vertex.
+    """
+    m = {star.vertex: {ci: x if abs(x) >= DEGENERACY_TOL else 0.0
+                       for ci, x in zip(star.crease_ids, mode_vector(star, branches[star.vertex]))}
+         for star in pattern.interior_stars}
+    root = pattern.interior_vertices[0]
+    scale = {root: 1.0}
+    for w, u, ci in breadth_first_tree(pattern, root, lambda ci, w: w in m and m[w][ci] != 0.0):
+        scale[w] = scale[u] * m[u][ci] / m[w][ci]
+    g: list[float | None] = [None] * len(pattern.creases)
+    for v, mv in m.items():
+        if v not in scale:
+            raise KinematicsError(f"mode assignment is degenerate: no crease sets the scale of vertex {v}")
+        for ci, x in mv.items():
+            value = x * scale[v] + 0.0  # + 0.0: no -0.0 on a crease that stays flat
+            if g[ci] is None:
+                g[ci] = value
+            elif abs(value - g[ci]) > MOTION_TOL * max(abs(value), abs(g[ci])):
+                raise MotionError(ci, pattern.other_end(ci, v), g[ci], v, value)
+    return [0.0 if x is None else x for x in g]

@@ -148,8 +148,6 @@ class CreasePattern:
         if faces is None:
             faces = pat._walks[0]
         pat = replace(pat, faces=tuple(_canon_cycle(f) for f in faces))
-        if pat.faces and not verts:
-            raise PatternError("creases or faces without vertices")
 
         # Planarity: creases may meet only at shared endpoints.
         for i in range(len(cr)):
@@ -161,20 +159,17 @@ class CreasePattern:
                 if segments_intersect(pts[a.v0], pts[a.v1], pts[b.v0], pts[b.v1]):
                     raise PatternError(f"creases {i} and {j} cross: non-planar embedding")
 
-        if cr:
-            # Connectivity: each component of a planar graph has its own
-            # outer walk, so the creases are connected exactly when one is.
-            if len(pat._walks[1]) > 1:
-                raise PatternError("crease graph is disconnected")
+        # Connectivity: each component of a planar graph has its own outer
+        # walk, so the creases are connected exactly when one is.
+        if len(pat._walks[1]) > 1:
+            raise PatternError("crease graph is disconnected")
 
-            # Faces must match the embedding (face_creases checks them).
-            for ci, (c, sides) in enumerate(zip(cr, pat.crease_faces)):
-                got = sum(f is not None for f in sides)
-                want = 1 if c.assignment == "B" else 2
-                if got != want:
-                    raise PatternError(
-                        f"crease {ci} ({c.assignment}) borders {got} faces, expected {want}"
-                    )
+        # Faces must match the embedding, with or without creases (crease_faces checks them).
+        for ci, (c, sides) in enumerate(zip(cr, pat.crease_faces)):
+            got = sum(f is not None for f in sides)
+            want = 1 if c.assignment == "B" else 2
+            if got != want:
+                raise PatternError(f"crease {ci} ({c.assignment}) borders {got} faces, expected {want}")
         return pat
 
     def __getstate__(self) -> dict:
@@ -355,6 +350,24 @@ def vertex_star(pattern: CreasePattern, vertex: int) -> VertexStar:
     if star is None:
         raise PatternError(f"vertex {vertex} is not an interior vertex")
     return star
+
+
+def breadth_first_tree(pattern: CreasePattern, root: int,
+                       joins: Callable[[int, int], bool]) -> tuple[tuple[int, int, int], ...]:
+    """(vertex, parent, crease) rows of the breadth-first tree from root, in visiting order.
+
+    A vertex's neighbours are taken as sorted (neighbour, crease) pairs, each
+    crossed, if not yet reached, when joins(crease, neighbour) holds.
+    """
+    order, rows = [root], []
+    seen = {root}
+    for u in order:
+        for w, ci in sorted((pattern.other_end(ci, u), ci) for ci in pattern.incident[u]):
+            if w not in seen and joins(ci, w):
+                seen.add(w)
+                rows.append((w, u, ci))
+                order.append(w)
+    return tuple(rows)
 
 
 def kawasaki_residual(star: VertexStar) -> float:

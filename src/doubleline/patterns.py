@@ -42,7 +42,7 @@ from .dl import (  # noqa: F401  (NETWORK_KEY is re-exported for its importers)
     write_mode,
 )
 from .kinematics import DEGENERACY_TOL, FoldMode, mode_vector
-from .pattern import Crease, CreasePattern, PatternError, VertexStar, is_flat_foldable_deg4
+from .pattern import Crease, CreasePattern, PatternError, VertexStar, breadth_first_tree, is_flat_foldable_deg4
 
 # Every doubled polygon is scaled to reach at most this share of the
 # shortest crease at its vertex.
@@ -117,25 +117,11 @@ class VertexNetwork:
         """Breadth-first spanning tree of the interior vertices over shared creases.
 
         Rows are (vertex, parent vertex, shared crease) in visiting order
-        from the lowest interior vertex, each vertex's neighbours taken as
-        sorted (neighbour, crease) pairs; a vertex the tree does not reach
-        has no row.
+        from the lowest interior vertex (pattern.breadth_first_tree); a
+        vertex the tree does not reach has no row.
         """
-        verts = self.pattern.interior_vertices
-        nbrs: dict[int, list[tuple[int, int]]] = {v: [] for v in verts}
-        for ci in self.shared_creases:
-            c = self.pattern.creases[ci]
-            nbrs[c.v0].append((c.v1, ci))
-            nbrs[c.v1].append((c.v0, ci))
-        order, rows = list(verts[:1]), []
-        seen = set(order)
-        for u in order:
-            for w, ci in sorted(nbrs[u]):
-                if w not in seen:
-                    seen.add(w)
-                    rows.append((w, u, ci))
-                    order.append(w)
-        return tuple(rows)
+        verts, shared = self.pattern.interior_vertices, set(self.shared_creases)
+        return breadth_first_tree(self.pattern, verts[0], lambda ci, _: ci in shared) if verts else ()
 
 
 def _branch_of(star: VertexStar) -> FoldMode:
@@ -443,7 +429,7 @@ def connect_dl(network: VertexNetwork, theta: float) -> CreasePattern:
     the spanning tree, each other vertex keeps θ in whichever mode of its
     family lines its doubled pair up with its parent's on the shared crease;
     only when neither mode does at θ does it solve its own θ for that pair's
-    ratio.  The assembled pattern is then certified corner by corner, so a
+    ratio.  write_mode certifies the assembled pattern as one motion, so a
     loop that does not close is refused, naming its crease.  Each vertex's
     θ is in the record (``read_record(pattern).thetas``).
     """

@@ -336,6 +336,12 @@ def _add_crease(v0, v1, point=None):
     return edit
 
 
+def _faces_without_creases(doc):
+    """Three vertices, no creases and one face over them."""
+    doc.update(vertices_coords=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], edges_vertices=[], edges_assignment=[],
+               edges_foldAngle=[], faces_vertices=[[0, 1, 2]])
+
+
 # id, pattern, edit of its FOLD document, command, the fault's one-line message
 _HOSTILE_FOLDS = [
     ("missing-vertex", _single, _set("edges_vertices", 0, [0, 9], faces=False), ("analyze",),
@@ -361,6 +367,8 @@ _HOSTILE_FOLDS = [
      "doubleline:network: sectors and corners disagree on vertices or degrees"),
     ("no-interior-vertex", _square, lambda doc: None, ("doubleline", "--theta", "90"),
      "pattern has no interior vertex to double"),
+    ("faces-without-creases", _single, _faces_without_creases, ("analyze",),
+     "stored faces disagree with the planar embedding"),
 ]
 
 
@@ -584,6 +592,26 @@ def test_import_and_classify_do_not_load_scipy_optimize(tmp_path):
     assert not _cli_loads_scipy_optimize("classify", "--alpha", "50", "--beta", "70", "--grid", "5",
                                          "--out", str(out))
     assert out.read_text().startswith("mode,theta_deg,regime,M_deg\n")
+
+
+def test_reproduce_commands_load_only_the_modules_they_use(tmp_path, capsysbinary):
+    # without bytecode caches every module a command loads is compiled again in each process
+    single, doubled = _doubled_single(tmp_path, capsysbinary)
+    miura, out = tmp_path / "dl_miura.fold", tmp_path / "out"
+    run(capsysbinary, "gen", "dl-miura", "--rows", "3", "--cols", "3", "--angle", "60", "--theta", "90",
+        "--out", str(miura))
+    unused = [
+        (("classify", "--alpha", "50", "--beta", "70", "--grid", "5", "--out", f"{out}.csv"), {"fold3d", "patterns"}),
+        (("doubleline", str(single), "--theta", "90", "--radii", "0.2,0.2,0.2,0.2", "--mode", "a-I",
+          "--out", f"{out}.fold"), {"fold3d", "patterns"}),
+        (("sweep", str(doubled), "--samples", "25", "--out", f"{out}.csv"), {"patterns", "thicken"}),
+        (("fold", str(doubled), "--t", "0.5", "--format", "obj", "--out", f"{out}.obj"), {"patterns", "thicken"}),
+        (("export", str(miura), "--out", f"{out}.svg"), {"dl", "fold3d"}),
+    ]
+    report = "print(*(m.split('.')[1] for m in sys.modules if m.startswith('doubleline.')))"
+    for argv, modules in unused:
+        loaded = set(_fresh_cli(argv, report))
+        assert "cli" in loaded and not loaded & modules, (argv[0], sorted(loaded & modules))
 
 
 def test_gen_dl_miura_does_not_load_scipy_optimize(tmp_path):

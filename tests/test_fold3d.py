@@ -120,9 +120,10 @@ def test_network_multipliers_needs_all_modes():
 def test_network_multipliers_refuses_branches_without_one_motion():
     pat = gen_miura(3, 3, math.radians(60)).pattern
     one_b = {v: FoldMode.B if v == 10 else FoldMode.A for v in pat.interior_vertices}
-    with pytest.raises(Fold3dError, match=r"^mode assignment admits no motion \(smallest singular value"):
+    with pytest.raises(Fold3dError, match=r"^mode assignment admits no motion: crease 7 folds at -1 from vertex 9 "
+                                          r"and at 0 from vertex 10$"):
         network_multipliers(pat, one_b)
-    with pytest.raises(Fold3dError, match=r"^mode assignment is degenerate"):
+    with pytest.raises(Fold3dError, match=r"^mode assignment is degenerate: no crease sets the scale of vertex 6$"):
         network_multipliers(pat, dict.fromkeys(pat.interior_vertices, FoldMode.B))
 
 

@@ -1,4 +1,4 @@
-"""The one mode step of every doubled pattern: corner branches, the per-corner
+"""The one mode step of every doubled pattern: corner branches, the motion
 certificate, M/V labels and the record's mode fields (dl.write_mode)."""
 import math
 from dataclasses import replace
