@@ -25,8 +25,8 @@ import numpy as np
 
 from .fold_io import get_extra, is_index, is_number, set_extra
 from .geometry import crossing, intersect_lines, unit
-from .kinematics import (DEGENERACY_TOL, FoldMode, KinematicsError, MotionError, branch_multipliers, network_motion,
-                         p_coeff, q_coeff, tan_half)
+from .kinematics import (DEGENERACY_TOL, FoldMode, KinematicsError, branch_multipliers, p_coeff, q_coeff,
+                         tan_half, vertex_motions)
 from .pattern import Crease, CreasePattern, PatternError, VertexStar, per_pattern
 
 NETWORK_KEY = "doubleline:network"
@@ -540,34 +540,34 @@ def _certify(pattern: CreasePattern, record: DLRecord, signs: Mapping[int, str],
     elsewhere; where side_{i+1} sits at an odd position the letters swap.
     Every corner is a flat-foldable degree-4 vertex, so the pattern folds
     exactly when g is one signed multiple of the corners' motion
-    (network_motion).  A doubled pair that its two corners fold at different
-    values, or that is off that multiple, is refused, naming its original
-    crease; any other refusal keeps network_motion's words.
+    (vertex_motions) at every corner on every crease.  The multiple is the
+    median ratio of g to the motion where the motion moves, so that a few
+    creases off it (a loop that does not close) cannot pull it.  The first
+    crease off it by more than 1e-8 of the largest |g|, corner by corner, is
+    refused: a doubled pair by its original crease, a polygon side by its id.
     """
     corner_of = {cv: (v, i) for v, corners in record.corners.items() for i, cv in enumerate(corners)}
-    origin = {c: ci for ci, *pair in record.pairs for c in pair}
     branches: dict[int, FoldMode] = {}
     for star in pattern.interior_stars:
         v, i = corner_of[star.vertex]
         even = star.crease_ids.index(record.sides[v][(i + 1) % len(record.sides[v])]) % 2 == 0
         branches[star.vertex] = FoldMode.A if (signs[v][i] == "-") == even else FoldMode.B
     try:
-        h = np.array(network_motion(pattern, branches))
-    except MotionError as exc:  # cv, the second corner to fold the crease, disagrees with the first
-        ray, _, a, cv, b = exc.args
-        if ray not in origin:
-            raise DlError(str(exc)) from None
-        miss = abs(a - b)
+        motion = vertex_motions(pattern, branches)
     except KinematicsError as exc:
         raise DlError(str(exc)) from None
-    else:
-        off = np.abs(g - (g @ h) / (h @ h) * h)
-        if off.max() <= 1e-8 * np.max(np.abs(g)):
-            return branches
-        ray = max(origin, key=lambda c: off[c])
-        cv, miss = pattern.creases[ray].v0, off[ray]
-    raise DlError(f"doubled pairs disagree at crease {origin[ray]}: corner {cv} of vertex {corner_of[cv][0]} "
-                  f"is off its branch by {miss:.3e}")
+    rows = [(cv, ci, x) for corners in record.corners.values() for cv in corners for ci, x in motion[cv].items()]
+    h, gr = np.array([x for *_, x in rows]), g[[ci for _, ci, _ in rows]]
+    moving = h != 0.0
+    ratio = np.sort(gr[moving] / h[moving])  # np.median would load numpy.ma, 2.5 MB resident
+    off = np.abs(gr - ratio[len(ratio) // 2] * h)
+    bad = np.flatnonzero(off > 1e-8 * np.max(np.abs(g)))
+    if not bad.size:
+        return branches
+    cv, ray, _ = rows[bad[0]]
+    origin = {c: ci for ci, *pair in record.pairs for c in pair}
+    where = f"doubled pairs disagree at crease {origin[ray]}" if ray in origin else f"polygon side {ray} disagrees"
+    raise DlError(f"{where}: corner {cv} of vertex {corner_of[cv][0]} is off its branch by {off[bad[0]]:.3e}")
 
 
 def assign_mode_mv(pattern: CreasePattern, multipliers: np.ndarray) -> CreasePattern:

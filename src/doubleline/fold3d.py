@@ -16,10 +16,11 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .geometry import triangulate
-from .kinematics import FoldMode, KinematicsError, network_motion
+from .kinematics import FoldMode, KinematicsError, vertex_motions
 from .pattern import CreasePattern, PatternError, VertexStar, per_pattern
 
 RESIDUAL_TOL = 1e-9
+MOTION_TOL = 1e-9  # relative disagreement of two vertices' values on one crease
 NEWTON_MAX_ITER = 50
 # condition number of a solved Newton Jacobian above which the driver leaves
 # a second motion free: the forward differences put that motion's singular
@@ -237,10 +238,11 @@ def _plane_rotations(angles: np.ndarray, i: int, j: int) -> np.ndarray:
 def network_multipliers(pattern: CreasePattern, modes: Mapping[int, FoldMode]) -> np.ndarray:
     """Per-crease multipliers g with tan(rho_c/2) = g_c * t for a mode assignment.
 
-    The motion is kinematics.network_motion's, scaled so the largest |g|
-    equals 1.  Its sign makes the pattern's valleys fold positive (the
-    convention assign_mode_mv writes); without M/V labels the lowest-id
-    crease within 1e-9 of the largest |g| folds positive.
+    The motion is kinematics.vertex_motions', whose values at the two ends
+    of a crease must agree within MOTION_TOL of the larger, scaled so the
+    largest |g| equals 1.  Its sign makes the pattern's valleys fold
+    positive (the convention assign_mode_mv writes); without M/V labels the
+    lowest-id crease within 1e-9 of the largest |g| folds positive.
     """
     if not pattern.interior_vertices:
         raise Fold3dError("pattern has no interior vertices")
@@ -252,9 +254,17 @@ def network_multipliers(pattern: CreasePattern, modes: Mapping[int, FoldMode]) -
     if uncovered:
         raise Fold3dError(f"creases {uncovered} touch no interior vertex; motion undetermined")
     try:
-        g = np.array(network_motion(pattern, modes))
+        motion = vertex_motions(pattern, modes)
     except KinematicsError as exc:
         raise Fold3dError(str(exc)) from None
+    g, at = np.zeros(len(pattern.creases)), {}
+    for v, gv in motion.items():
+        for ci, value in gv.items():
+            u, a = at.setdefault(ci, (v, value))
+            if abs(value - a) > MOTION_TOL * max(abs(value), abs(a)):
+                raise Fold3dError(f"mode assignment admits no motion: crease {ci} folds at {a:.9g} from vertex {u} "
+                                  f"and at {value:.9g} from vertex {v}")
+            g[ci] = a
     g /= np.max(np.abs(g))
     valley = [{"V": 1.0, "M": -1.0}.get(c.assignment, 0.0) for c in pattern.creases]
     lead = g[np.flatnonzero(np.abs(g) >= 1.0 - 1e-9)[0]]

@@ -15,20 +15,10 @@ from typing import Mapping
 from .pattern import CreasePattern, VertexStar, breadth_first_tree, is_flat_foldable_deg4
 
 DEGENERACY_TOL = 1e-12
-MOTION_TOL = 1e-9  # relative disagreement of two vertices' values on one crease
 
 
 class KinematicsError(ValueError):
     """Raised for kinematically invalid inputs (poles, wrong vertex type)."""
-
-
-class MotionError(KinematicsError):
-    """Two vertices fold one crease at different values; args (crease, vertex, value, other vertex, other value)."""
-
-    def __str__(self) -> str:
-        ci, u, a, w, b = self.args
-        return (f"mode assignment admits no motion: crease {ci} folds at {a:.9g} from vertex {u} "
-                f"and at {b:.9g} from vertex {w}")
 
 
 class FoldMode(Enum):
@@ -82,34 +72,41 @@ def mode_vector(star: VertexStar, mode: FoldMode) -> tuple[float, float, float, 
     return branch_multipliers(mode, star.sectors[0], star.sectors[1])
 
 
-def network_motion(pattern: CreasePattern, branches: Mapping[int, FoldMode]) -> list[float]:
-    """Per-crease multipliers g of the motion in which each interior vertex folds along its branch.
+def vertex_motions(pattern: CreasePattern, branches: Mapping[int, FoldMode]) -> dict[int, dict[int, float]]:
+    """{crease: m_v(c)·s_v} of each interior vertex v folding along its branch in the network's one motion.
 
     Vertex v folds along its branch's mode vector m_v times a scale s_v
-    (Tachi 2009), a multiplier below DEGENERACY_TOL counting as 0.  The
-    lowest vertex takes s = 1, and s_w = s_u·m_u(c)/m_w(c) spreads down the
-    breadth-first tree (pattern.breadth_first_tree) across every crease c
-    that w moves; so w stays flat when u holds c flat.  Vertex by vertex,
-    one whose scale no crease sets is refused as degenerate, and
-    g_c = m_v(c)·s_v must agree at both ends of every crease within
-    MOTION_TOL of the larger, or MotionError names the crease.  Creases at
-    no interior vertex get 0.  The pattern needs an interior vertex.
+    (Tachi 2009), a multiplier below DEGENERACY_TOL counting as 0.  Creases
+    that both ends move join vertices into parts; down each part's
+    breadth-first tree (pattern.breadth_first_tree) its lowest vertex takes
+    s = 1 and s_w = s_u·m_u(c)/m_w(c).  A part that moves a crease whose
+    other interior end holds it flat stays flat, s = 0, whatever the
+    numbering; so does every part but the one left free (the lowest part if
+    none is, so that the crease that holds it shows two values).  A second
+    free part is refused as degenerate, naming its lowest vertex.  Loops are
+    left to the caller: a crease's two ends may disagree.  The pattern needs
+    an interior vertex.
     """
     m = {star.vertex: {ci: x if abs(x) >= DEGENERACY_TOL else 0.0
                        for ci, x in zip(star.crease_ids, mode_vector(star, branches[star.vertex]))}
          for star in pattern.interior_stars}
-    root = pattern.interior_vertices[0]
-    scale = {root: 1.0}
-    for w, u, ci in breadth_first_tree(pattern, root, lambda ci, w: w in m and m[w][ci] != 0.0):
-        scale[w] = scale[u] * m[u][ci] / m[w][ci]
-    g: list[float | None] = [None] * len(pattern.creases)
-    for v, mv in m.items():
-        if v not in scale:
-            raise KinematicsError(f"mode assignment is degenerate: no crease sets the scale of vertex {v}")
-        for ci, x in mv.items():
-            value = x * scale[v] + 0.0  # + 0.0: no -0.0 on a crease that stays flat
-            if g[ci] is None:
-                g[ci] = value
-            elif abs(value - g[ci]) > MOTION_TOL * max(abs(value), abs(g[ci])):
-                raise MotionError(ci, pattern.other_end(ci, v), g[ci], v, value)
-    return [0.0 if x is None else x for x in g]
+
+    def moves(ci: int, v: int) -> bool:
+        return v in m and m[v][ci] != 0.0
+
+    parts, free = [], []
+    for root in m:
+        if all(root not in part for part in parts):
+            part = {root: 1.0}
+            tree = breadth_first_tree(pattern, root, lambda ci, w: moves(ci, w) and moves(ci, pattern.other_end(ci, w)))
+            for w, u, ci in tree:
+                part[w] = part[u] * m[u][ci] / m[w][ci]
+            parts.append(part)
+            far = ((ci, pattern.other_end(ci, v)) for v in part for ci in m[v] if moves(ci, v))
+            if not any(w in m and not moves(ci, w) for ci, w in far):
+                free.append(part)
+    if len(free) > 1:
+        raise KinematicsError(f"mode assignment is degenerate: no crease sets the scale of vertex {min(free[1])}")
+    kept = (free or parts)[0]
+    return {v: {ci: x * kept.get(v, 0.0) + 0.0 for ci, x in mv.items()}  # + 0.0: no -0.0 on a flat crease
+            for v, mv in m.items()}

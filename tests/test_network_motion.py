@@ -1,7 +1,8 @@
-"""One propagation of mode-vector scales (kinematics.network_motion) serves
+"""One propagation of mode-vector scales (kinematics.vertex_motions) serves
 fold3d.network_multipliers and the doubled patterns' certificate
 (dl._certify); both are held to the SVD and per-corner fit they replaced
 (network_reference)."""
+import itertools
 import math
 
 import numpy as np
@@ -11,9 +12,12 @@ from hypothesis import strategies as st
 
 from doubleline import (
     GENERIC_MODES,
+    Crease,
+    CreasePattern,
     DlError,
     DoubleLineParams,
     Fold3dError,
+    FoldMode,
     VertexStar,
     construct_dl,
     gen_dl_miura,
@@ -130,8 +134,7 @@ def test_the_certificate_gives_every_corner_the_branch_the_per_corner_fit_gave(b
 @pytest.mark.parametrize("mode", GENERIC_MODES, ids=lambda m: m.label)
 def test_a_corner_its_neighbours_hold_flat_stays_flat(mode):
     # θ = 150° is critical at corners 0 and 2 (p(30°, θ) = q(150°, θ) = 0): in a-I and b-II they hold both
-    # sides of corner 3 flat, so corner 3 is reached across a crease its neighbour holds flat and its scale is
-    # 0, as the SVD finds; a spread only across creases moving at both ends would miss corner 3
+    # sides of corner 3 flat, which corner 3 moves, so corner 3 stays flat, scale 0, as the SVD finds
     star = VertexStar.from_sectors(np.radians([30, 10, 150, 170]))
     pattern = fix_mode(construct_dl(star, DoubleLineParams(math.radians(150), (0.3,) * 4)), mode)
     modes = infer_modes(pattern)
@@ -139,3 +142,63 @@ def test_a_corner_its_neighbours_hold_flat_stays_flat(mode):
     assert np.max(np.abs(got - want)) <= 1e-12 and np.array_equal(got == 0.0, np.abs(want) <= 1e-12)
     g = np.array(read_record(pattern).multipliers)
     assert np.array_equal(g == 0.0, got == 0.0)
+
+
+def _same_motion(pattern, modes):
+    """network_multipliers' outcome, required to be the oracle's."""
+    got, want = _outcome(network_multipliers, pattern, modes), _outcome(ref.network_multipliers, pattern, modes)
+    if isinstance(want, np.ndarray):
+        assert np.max(np.abs(got - want)) <= 1e-12 and np.array_equal(got == 0.0, np.abs(want) <= 1e-12)
+    else:
+        assert got is want
+    return got
+
+
+def test_a_held_flat_corner_numbered_first_stays_flat():
+    # the star above turned by one sector: corner 0, the lowest vertex, is now the one its neighbours hold flat
+    # in some branch assignments (a-II's and b-II's among them), so no spread from it would reach the other corners
+    star = VertexStar.from_sectors(np.radians([170, 30, 10, 150]))
+    pattern = construct_dl(star, DoubleLineParams(math.radians(150), (0.3,) * 4))
+    lowest = pattern.interior_stars[0].crease_ids
+    flat_lowest = 0
+    for branches in itertools.product(FoldMode, repeat=4):
+        g = _same_motion(pattern, dict(zip(pattern.interior_vertices, branches)))
+        flat_lowest += isinstance(g, np.ndarray) and not g[list(lowest)].any()
+    assert flat_lowest >= 2
+
+
+def _two_crossings(first):
+    """Two crossings of straight creases at (0, 0) and (1, 0), sharing the crease between them; vertex 0 is `first`."""
+    ring = [(-1, -1), (0, -1), (1, -1), (2, -1), (2, 0), (2, 1), (1, 1), (0, 1), (-1, 1), (-1, 0)]
+    at = {(0, 0): 0, (1, 0): 1} if first == (0, 0) else {(1, 0): 0, (0, 0): 1}
+    at.update((p, 2 + k) for k, p in enumerate(ring))
+    lines = [((0, 0), (1, 0)), ((0, 0), (-1, 0)), ((0, 0), (0, -1)), ((0, 0), (0, 1)),
+             ((1, 0), (2, 0)), ((1, 0), (1, -1)), ((1, 0), (1, 1))]
+    creases = [Crease(at[a], at[b]) for a, b in lines]
+    creases += [Crease(at[p], at[q], "B") for p, q in zip(ring, ring[1:] + ring[:1])]
+    return CreasePattern.build(sorted(at, key=at.get), creases)
+
+
+@pytest.mark.parametrize("first", [(0, 0), (1, 0)])
+def test_a_vertex_held_flat_by_its_neighbour_stays_flat_in_either_numbering(first):
+    # each crossing folds one of its two lines; where one folds the shared line and the other holds it flat,
+    # the first must stay flat and the second folds alone, whichever of them is numbered first
+    pattern = _two_crossings(first)
+    alone = 0
+    for branches in itertools.product(FoldMode, repeat=2):
+        g = _same_motion(pattern, dict(zip(pattern.interior_vertices, branches)))
+        alone += isinstance(g, np.ndarray) and g[0] == 0.0 and np.count_nonzero(g) == 2
+    assert alone == 2
+
+
+def test_a_polygon_side_off_its_branch_is_refused_by_its_own_id():
+    pattern = fix_mode(construct_dl(VertexStar.from_sectors(np.radians([60, 80, 120, 100])),
+                                    DoubleLineParams(math.pi / 2, (0.2,) * 4)), GENERIC_MODES[0])
+    rec = read_record(pattern)
+    side = rec.sides[0][1]
+    g = np.array(rec.multipliers)
+    g[side] *= 1.0 + 1e-4
+    with pytest.raises(DlError, match=rf"^polygon side {side} disagrees: corner \d+ of vertex 0 is off its branch by "
+                                      r"\d\.\d{3}e-\d\d$") as err:
+        _certify(pattern, rec, rec.signs, g)
+    assert float(str(err.value).rsplit(" ", 1)[1]) > 1e-8 * np.max(np.abs(g))
