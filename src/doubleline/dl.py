@@ -25,8 +25,8 @@ import numpy as np
 
 from .fold_io import get_extra, is_index, is_number, set_extra
 from .geometry import crossing, intersect_lines, unit
-from .kinematics import (DEGENERACY_TOL, FoldMode, KinematicsError, branch_multipliers, p_coeff, q_coeff,
-                         tan_half, vertex_motions)
+from .kinematics import (DEGENERACY_TOL, FoldMode, KinematicsError, MotionMismatch, branch_multipliers, crease_motion,
+                         p_coeff, q_coeff, tan_half)
 from .pattern import Crease, CreasePattern, PatternError, VertexStar, per_pattern
 
 NETWORK_KEY = "doubleline:network"
@@ -101,15 +101,20 @@ def sign_pattern_product(signs: Sequence[str], sectors: Sequence[float], theta: 
         return math.inf
 
 
+def _closes(signs: Sequence[str], sectors: Sequence[float], theta: float) -> bool:
+    """Whether a sign sequence folds DL(V, θ): (−1)^n times its corner-coefficient product is 1 within MATCH_TOL,
+    dl_multipliers' closing condition at any degree n, which no sequence meets at a pole."""
+    return abs((-1) ** len(signs) * sign_pattern_product(signs, sectors, theta) - 1.0) <= MATCH_TOL
+
+
 def mode_is_valid(mode: DLMode, alpha: float, beta: float, theta: float) -> bool:
     """Whether a mode produces a rigid motion of DL(V,θ) for this vertex.
 
-    Its corner-coefficient product must be 1, which no mode meets at a pole.
-    The alternating sym± modes also need the symmetric sector condition
-    (α = β or α = π−β) and, by convention, the perpendicular θ = π/2.
+    It must close (_closes).  The alternating sym± modes also need the
+    symmetric sector condition (α = β or α = π−β) and, by convention, the
+    perpendicular θ = π/2.
     """
-    sigmas = (alpha, beta, math.pi - alpha, math.pi - beta)
-    closes = abs(sign_pattern_product(mode.signs, sigmas, theta) - 1.0) <= MATCH_TOL
+    closes = _closes(mode.signs, (alpha, beta, math.pi - alpha, math.pi - beta), theta)
     symmetric = abs(alpha - beta) <= MATCH_TOL or abs(alpha - (math.pi - beta)) <= MATCH_TOL
     return closes and (mode in GENERIC_MODES or symmetric and abs(theta - math.pi / 2) <= MATCH_TOL)
 
@@ -127,14 +132,12 @@ class DLMultipliers:
 
     Indexed by axis: rays_plus[i] and rays_minus[i] are the doubled pair of
     original crease e_i (rays from c_i and c_{i-1}); sides[i] is the polygon
-    side joining c_{i-1} to c_i.  closure_error is the relative mismatch of
-    the propagation around P (0 for a valid sign sequence).
+    side joining c_{i-1} to c_i.
     """
 
     rays_plus: tuple[float, ...]
     rays_minus: tuple[float, ...]
     sides: tuple[float, ...]
-    closure_error: float
 
 
 def dl_multipliers(sectors: Sequence[float], signs: Sequence[str], theta: float) -> DLMultipliers:
@@ -143,7 +146,7 @@ def dl_multipliers(sectors: Sequence[float], signs: Sequence[str], theta: float)
     Corner i carries a scale s_i and the branch multipliers m_i of its
     creases (ray_i^+, ray_{i+1}^-, side_{i+1}, side_i); matching the shared
     polygon sides gives s_{i+1} = s_i·m_i[2] / m_{i+1}[3].  Works for any
-    even or odd degree; the caller decides what closure error means.
+    even or odd degree; whether the sequence closes is _closes' question.
     """
     n = len(sectors)
     if len(signs) != n:
@@ -154,14 +157,10 @@ def dl_multipliers(sectors: Sequence[float], signs: Sequence[str], theta: float)
         if abs(m[i + 1][3]) < DEGENERACY_TOL:
             raise DlError(f"corner {i + 1} has a vanishing side coefficient at this theta")
         scale.append(scale[i] * m[i][2] / m[i + 1][3])
-    left = m[n - 1][2] * scale[n - 1]
-    right = m[0][3] * scale[0]
-    closure = abs(left - right) / max(abs(left), abs(right), DEGENERACY_TOL)
     return DLMultipliers(
         tuple(m[i][0] * scale[i] for i in range(n)),
         tuple(m[i - 1][1] * scale[i - 1] for i in range(n)),
         tuple(m[i - 1][2] * scale[i - 1] for i in range(n)),
-        closure,
     )
 
 
@@ -466,85 +465,58 @@ def construct_dl(star: VertexStar, params: DoubleLineParams) -> CreasePattern:
     return write_record(*_layout([(star, (0.0, 0.0), phis, theta, params.radii)], boundary))
 
 
-def _lone_mode(pattern: CreasePattern, mode: DLMode) -> tuple[DLRecord, int, DLMultipliers]:
-    """Record, vertex and multipliers of one doubled vertex in a mode of its degree that closes."""
+def _lone_mode(pattern: CreasePattern, mode: DLMode) -> tuple[DLRecord, dict[int, str]]:
+    """Record and {vertex: signs} of one doubled vertex in a mode of its degree that closes (_closes).
+
+    A pole, a '-' corner whose p(σ_i, θ) is 0, is refused first, naming the corner and its sector.
+    """
     rec = read_record(pattern)
     if rec is None or len(rec.corners) != 1 or len(rec.pairs) != len(*rec.corners.values()):
         raise DlError("pattern carries no single-vertex double-line record")
     (v,) = rec.corners
-    sectors = rec.sectors[v]
+    sectors, theta = rec.sectors[v], rec.thetas[v]
     if len(mode.signs) != len(sectors):
         raise DlError(f"mode {mode.label} has {len(mode.signs)} signs, pattern degree {len(sectors)}")
-    mult = dl_multipliers(sectors, mode.signs, rec.thetas[v])
-    if mult.closure_error > 1e-9:
+    for i, (sign, sigma) in enumerate(zip(mode.signs, sectors)):
+        if sign == "-" and abs(p_coeff(sigma, theta)) < DEGENERACY_TOL:
+            raise DlError(f"mode {mode.label} has a pole at corner {i}: theta {math.degrees(theta):.6g} deg is "
+                          f"critical for its sector {math.degrees(sigma):.6g} deg")
+    if not _closes(mode.signs, sectors, theta):
         raise DlError(f"mode {mode.label} does not close on this vertex")
-    return rec, v, mult
-
-
-def _placed(pattern: CreasePattern, record: DLRecord, mults: Mapping[int, DLMultipliers],
-            scales: Mapping[int, float]) -> np.ndarray:
-    """Per-crease multipliers: each vertex's, times its scale, on its sides and on the pairs it owns.
-
-    A vertex owns a pair when the pair's ray^+ leaves one of its corners,
-    corner c_i of axis i; the layout gives a shared pair to its lower vertex.
-    """
-    g = np.zeros(len(pattern.creases))
-    axis_of = {}
-    for v, corners in record.corners.items():
-        g[list(record.sides[v])] = np.multiply(mults[v].sides, scales[v])
-        axis_of.update((cv, (v, i)) for i, cv in enumerate(corners))
-    for ci, plus, minus in record.pairs:
-        owner = axis_of.get(pattern.creases[plus].v0)
-        if owner is None:
-            raise DlError(f"{NETWORK_KEY}: the ray^+ of crease {ci} leaves no polygon corner")
-        v, i = owner
-        g[plus] = mults[v].rays_plus[i] * scales[v]
-        g[minus] = mults[v].rays_minus[i] * scales[v]
-    return g
+    return rec, {v: "".join(mode.signs)}
 
 
 def pattern_multipliers(pattern: CreasePattern, mode: DLMode) -> np.ndarray:
-    """Per-crease multiplier vector of a constructed DL pattern in one mode."""
-    rec, v, mult = _lone_mode(pattern, mode)
-    return _placed(pattern, rec, {v: mult}, {v: 1.0})
+    """Per-crease multiplier vector of a constructed DL pattern in one mode: the motion fix_mode records."""
+    return _motion(pattern, *_lone_mode(pattern, mode))[1]
 
 
 def fix_mode(pattern: CreasePattern, mode: DLMode) -> CreasePattern:
-    """A constructed DL pattern in one mode: labeled M/V, certified and recorded by write_mode."""
-    rec, v, _ = _lone_mode(pattern, mode)
-    return write_mode(pattern, rec, {v: "".join(mode.signs)}, {v: 1.0})
+    """A constructed DL pattern in one mode: labeled M/V and recorded by write_mode."""
+    rec, signs = _lone_mode(pattern, mode)
+    return write_mode(pattern, rec, signs, dict.fromkeys(signs, 1.0))
 
 
 def write_mode(pattern: CreasePattern, record: DLRecord, signs: Mapping[int, str],
                scales: Mapping[int, float]) -> CreasePattern:
-    """A laid-out doubled pattern in a mode: multipliers placed, certified as one motion, labeled M/V, recorded.
-
-    Each vertex takes its sign sequence's dl_multipliers at its θ, times its
-    scale, on its sides and on the pairs it owns (_placed); _certify then
-    holds them to the corners' motion, so a loop that does not close is
-    refused, naming its crease.
-    """
-    mults = {v: dl_multipliers(record.sectors[v], signs[v], record.thetas[v]) for v in record.corners}
-    g = _placed(pattern, record, mults, scales)
-    record = replace(record, signs=dict(signs), scales=dict(scales), corner_modes=_certify(pattern, record, signs, g),
+    """A laid-out doubled pattern in a mode: its corners' motion recorded as its multipliers, labeled M/V."""
+    branches, g = _motion(pattern, record, signs)
+    record = replace(record, signs=dict(signs), scales=dict(scales), corner_modes=branches,
                      multipliers=tuple(g.tolist()))
     return write_record(assign_mode_mv(pattern, g), record)
 
 
-def _certify(pattern: CreasePattern, record: DLRecord, signs: Mapping[int, str],
-             g: np.ndarray) -> dict[int, FoldMode]:
-    """The branch of every corner, the placed multipliers certified as one motion of them.
+def _motion(pattern: CreasePattern, record: DLRecord,
+            signs: Mapping[int, str]) -> tuple[dict[int, FoldMode], np.ndarray]:
+    """The branch of every corner, and the corners' one motion (kinematics.crease_motion).
 
     Sign '-' puts corner i of a vertex on branch a of its construction star,
     whose crease e_2 is side_{i+1}.  The pattern's star of the corner may start
     elsewhere; where side_{i+1} sits at an odd position the letters swap.
     Every corner is a flat-foldable degree-4 vertex, so the pattern folds
-    exactly when g is one signed multiple of the corners' motion
-    (vertex_motions) at every corner on every crease.  The multiple is the
-    median ratio of g to the motion where the motion moves, so that a few
-    creases off it (a loop that does not close) cannot pull it.  The first
-    crease off it by more than 1e-8 of the largest |g|, corner by corner, is
-    refused: a doubled pair by its original crease, a polygon side by its id.
+    exactly when the corners agree on every crease (Tachi 2009).  A loop that
+    does not close is refused with both corners' values on the first crease
+    they disagree on: a doubled pair by its original crease, a side by its id.
     """
     corner_of = {cv: (v, i) for v, corners in record.corners.items() for i, cv in enumerate(corners)}
     branches: dict[int, FoldMode] = {}
@@ -553,21 +525,15 @@ def _certify(pattern: CreasePattern, record: DLRecord, signs: Mapping[int, str],
         even = star.crease_ids.index(record.sides[v][(i + 1) % len(record.sides[v])]) % 2 == 0
         branches[star.vertex] = FoldMode.A if (signs[v][i] == "-") == even else FoldMode.B
     try:
-        motion = vertex_motions(pattern, branches)
+        return branches, np.array(crease_motion(pattern, branches))
+    except MotionMismatch as exc:
+        c, ((u, a), (w, b)) = exc.crease, exc.ends
+        pair = next((ci for ci, *rays in record.pairs if c in rays), None)
+        where = f"doubled pairs disagree at crease {pair}: corner {u} folds ray {c}" if pair is not None else \
+            f"polygon side {c} disagrees: corner {u} folds it"
+        raise DlError(f"{where} at {a:.9g} and corner {w} at {b:.9g}") from None
     except KinematicsError as exc:
         raise DlError(str(exc)) from None
-    rows = [(cv, ci, x) for corners in record.corners.values() for cv in corners for ci, x in motion[cv].items()]
-    h, gr = np.array([x for *_, x in rows]), g[[ci for _, ci, _ in rows]]
-    moving = h != 0.0
-    ratio = np.sort(gr[moving] / h[moving])  # np.median would load numpy.ma, 2.5 MB resident
-    off = np.abs(gr - ratio[len(ratio) // 2] * h)
-    bad = np.flatnonzero(off > 1e-8 * np.max(np.abs(g)))
-    if not bad.size:
-        return branches
-    cv, ray, _ = rows[bad[0]]
-    origin = {c: ci for ci, *pair in record.pairs for c in pair}
-    where = f"doubled pairs disagree at crease {origin[ray]}" if ray in origin else f"polygon side {ray} disagrees"
-    raise DlError(f"{where}: corner {cv} of vertex {corner_of[cv][0]} is off its branch by {off[bad[0]]:.3e}")
 
 
 def assign_mode_mv(pattern: CreasePattern, multipliers: np.ndarray) -> CreasePattern:

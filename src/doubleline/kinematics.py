@@ -15,10 +15,21 @@ from typing import Mapping
 from .pattern import CreasePattern, VertexStar, breadth_first_tree, is_flat_foldable_deg4
 
 DEGENERACY_TOL = 1e-12
+MOTION_TOL = 1e-9  # relative disagreement of two vertices' values on one crease
 
 
 class KinematicsError(ValueError):
     """Raised for kinematically invalid inputs (poles, wrong vertex type)."""
+
+
+class MotionMismatch(KinematicsError):
+    """The two interior ends of one crease fold it at different values: a loop that does not close."""
+
+    def __init__(self, crease: int, ends: tuple[tuple[int, float], tuple[int, float]]):
+        (u, a), (v, b) = ends
+        super().__init__(f"mode assignment admits no motion: crease {crease} folds at {a:.9g} from vertex {u} "
+                         f"and at {b:.9g} from vertex {v}")
+        self.crease, self.ends = crease, ends
 
 
 class FoldMode(Enum):
@@ -68,12 +79,12 @@ def branch_multipliers(mode: FoldMode, alpha: float, beta: float) -> tuple[float
 def mode_vector(star: VertexStar, mode: FoldMode) -> tuple[float, float, float, float]:
     """Multipliers m_0..m_3 of one folding mode in star crease order (see branch_multipliers)."""
     if not is_flat_foldable_deg4(star):
-        raise KinematicsError("mode_vector requires a flat-foldable degree-4 vertex")
+        raise KinematicsError(f"vertex {star.vertex} (degree {star.degree}) is not a flat-foldable degree-4 vertex")
     return branch_multipliers(mode, star.sectors[0], star.sectors[1])
 
 
-def vertex_motions(pattern: CreasePattern, branches: Mapping[int, FoldMode]) -> dict[int, dict[int, float]]:
-    """{crease: m_v(c)·s_v} of each interior vertex v folding along its branch in the network's one motion.
+def crease_motion(pattern: CreasePattern, branches: Mapping[int, FoldMode]) -> list[float]:
+    """Each crease's tan-half multiplier in the one motion of the interior vertices folding along their branches.
 
     Vertex v folds along its branch's mode vector m_v times a scale s_v
     (Tachi 2009), a multiplier below DEGENERACY_TOL counting as 0.  Creases
@@ -83,9 +94,10 @@ def vertex_motions(pattern: CreasePattern, branches: Mapping[int, FoldMode]) -> 
     other interior end holds it flat stays flat, s = 0, whatever the
     numbering; so does every part but the one left free (the lowest part if
     none is, so that the crease that holds it shows two values).  A second
-    free part is refused as degenerate, naming its lowest vertex.  Loops are
-    left to the caller: a crease's two ends may disagree.  The pattern needs
-    an interior vertex.
+    free part is refused as degenerate, naming its lowest vertex.  A crease
+    takes its lower end's value (0 at no interior vertex); its other end must
+    agree within MOTION_TOL of the larger, else MotionMismatch names the first
+    crease that does not.  The pattern needs an interior vertex.
     """
     m = {star.vertex: {ci: x if abs(x) >= DEGENERACY_TOL else 0.0
                        for ci, x in zip(star.crease_ids, mode_vector(star, branches[star.vertex]))}
@@ -108,5 +120,12 @@ def vertex_motions(pattern: CreasePattern, branches: Mapping[int, FoldMode]) -> 
     if len(free) > 1:
         raise KinematicsError(f"mode assignment is degenerate: no crease sets the scale of vertex {min(free[1])}")
     kept = (free or parts)[0]
-    return {v: {ci: x * kept.get(v, 0.0) + 0.0 for ci, x in mv.items()}  # + 0.0: no -0.0 on a flat crease
-            for v, mv in m.items()}
+    g, at = [0.0] * len(pattern.creases), {}
+    for v, mv in m.items():
+        for ci, x in mv.items():
+            value = x * kept.get(v, 0.0) + 0.0  # + 0.0: no -0.0 on a flat crease
+            u, a = at.setdefault(ci, (v, value))
+            if abs(value - a) > MOTION_TOL * max(abs(value), abs(a)):
+                raise MotionMismatch(ci, ((u, a), (v, value)))
+            g[ci] = a
+    return g

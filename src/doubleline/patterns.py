@@ -429,8 +429,8 @@ def connect_dl(network: VertexNetwork, theta: float) -> CreasePattern:
     the spanning tree, each other vertex keeps θ in whichever mode of its
     family lines its doubled pair up with its parent's on the shared crease;
     only when neither mode does at θ does it solve its own θ for that pair's
-    ratio.  write_mode certifies the assembled pattern as one motion, so a
-    loop that does not close is refused, naming its crease.  Each vertex's
+    ratio.  write_mode records the corners' one motion, so a loop that does
+    not close is refused, naming its crease.  Each vertex's
     θ is in the record (``read_record(pattern).thetas``).
     """
     if not 0.0 < theta < math.pi:

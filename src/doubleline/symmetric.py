@@ -11,7 +11,7 @@ import math
 import sys
 from itertools import combinations
 
-from .dl import DlError, DoubleLineParams, construct_dl, dl_multipliers, sign_pattern_product
+from .dl import DlError, DoubleLineParams, _closes, construct_dl, dl_multipliers, sign_pattern_product
 from .kinematics import p_coeff
 from .pattern import CreasePattern, VertexStar
 
@@ -58,7 +58,7 @@ def enumerate_mode_sequences(n: int) -> frozenset[str]:
     """All balanced ± sequences of length 2n, up to rotation.
 
     For n >= 3 every representative is checked to close the central
-    polygon (corner-coefficient product 1); smaller n are degenerate at
+    polygon (dl._closes); smaller n are degenerate at
     θ = 90° and are accepted combinatorially.
     """
     if n < 1:
@@ -72,8 +72,8 @@ def enumerate_mode_sequences(n: int) -> frozenset[str]:
     if n >= 3:
         sectors = [math.pi / n] * (2 * n)
         for s in seqs:
-            prod = sign_pattern_product(tuple(s), sectors, math.pi / 2)
-            if abs(prod - 1.0) > 1e-9:
+            if not _closes(tuple(s), sectors, math.pi / 2):
+                prod = sign_pattern_product(s, sectors, math.pi / 2)
                 raise DlError(f"balanced sequence {s} fails loop closure: {prod}")
     # interned, so enumerations of one n held side by side share their
     # strings (75 of the 121 KB one n <= 8 sweep holds) instead of each

@@ -77,6 +77,7 @@ def corner_coefficients(mode, alpha, beta, theta):
 
 
 def dl_multipliers(sectors, signs, theta):
+    """The multipliers, and the relative mismatch of the propagation around P that was their closure_error."""
     n = len(sectors)
     if len(signs) != n:
         raise DlError("need one sign per corner")
@@ -105,7 +106,7 @@ def dl_multipliers(sectors, signs, theta):
             rays_plus.append(-q[i] * scale[i])
             rays_minus[(i + 1) % n] = scale[i]
         sides[(i + 1) % n] = f[i] * scale[i]
-    return DLMultipliers(tuple(rays_plus), tuple(rays_minus), tuple(sides), closure)
+    return DLMultipliers(tuple(rays_plus), tuple(rays_minus), tuple(sides)), closure
 
 
 def projected_corner_branches(pattern, record):

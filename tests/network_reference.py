@@ -3,17 +3,20 @@ propagation of mode-vector scales served both.
 
 ``network_multipliers`` stacks every interior vertex's constraints
 g_c = m_i * s_v into one homogeneous system and takes its null space by SVD.
+``_placed`` is ``dl._placed`` as it was: each vertex's ``dl_multipliers``
+times its scale, on its polygon sides and on the doubled pairs it owns.
 ``_certify`` is ``dl._certify`` as it was: each corner's scale fitted on its
 two sides by least squares, then every crease of the corner checked against
 its branch.  The tests require ``fold3d.network_multipliers`` to equal the
-first to 1e-12 with the same signs, and ``dl._certify`` to refuse exactly
-what the second refuses.
+first to 1e-12 with the same signs, and ``dl.write_mode`` to refuse exactly
+what the placement and its certificate refuse, recording otherwise the
+placed multipliers to 1e-12.
 """
 from typing import Mapping
 
 import numpy as np
 
-from doubleline.dl import DlError, DLRecord
+from doubleline.dl import NETWORK_KEY, DlError, DLMultipliers, DLRecord
 from doubleline.fold3d import Fold3dError
 from doubleline.kinematics import FoldMode, mode_vector
 from doubleline.pattern import CreasePattern, vertex_star
@@ -82,6 +85,28 @@ def network_multipliers(
     for ci, k_c in g_index.items():
         out[ci] = x[k_c]
     return out
+
+
+def _placed(pattern: CreasePattern, record: DLRecord, mults: Mapping[int, DLMultipliers],
+            scales: Mapping[int, float]) -> np.ndarray:
+    """Per-crease multipliers: each vertex's, times its scale, on its sides and on the pairs it owns.
+
+    A vertex owns a pair when the pair's ray^+ leaves one of its corners,
+    corner c_i of axis i; the layout gives a shared pair to its lower vertex.
+    """
+    g = np.zeros(len(pattern.creases))
+    axis_of = {}
+    for v, corners in record.corners.items():
+        g[list(record.sides[v])] = np.multiply(mults[v].sides, scales[v])
+        axis_of.update((cv, (v, i)) for i, cv in enumerate(corners))
+    for ci, plus, minus in record.pairs:
+        owner = axis_of.get(pattern.creases[plus].v0)
+        if owner is None:
+            raise DlError(f"{NETWORK_KEY}: the ray^+ of crease {ci} leaves no polygon corner")
+        v, i = owner
+        g[plus] = mults[v].rays_plus[i] * scales[v]
+        g[minus] = mults[v].rays_minus[i] * scales[v]
+    return g
 
 
 def _certify(pattern: CreasePattern, record: DLRecord, signs: Mapping[int, str],

@@ -18,6 +18,7 @@ from doubleline import (
     construct_dl,
     gen_dl_yoshimura,
     gen_single_deg4,
+    gen_symmetric_vertex,
     gen_yoshimura,
     read_record,
     symmetric_fold_relation,
@@ -369,6 +370,8 @@ _HOSTILE_FOLDS = [
      "pattern has no interior vertex to double"),
     ("faces-without-creases", _single, _faces_without_creases, ("analyze",),
      "stored faces disagree with the planar embedding"),
+    ("not-degree-4", lambda: gen_symmetric_vertex(3), lambda doc: None, ("sweep",),
+     "vertex 0 (degree 6) is not a flat-foldable degree-4 vertex"),
 ]
 
 

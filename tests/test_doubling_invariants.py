@@ -46,19 +46,19 @@ TREE = [
 # keeps the requested θ, so the digests pin the fixed-θ arithmetic: a change
 # that moves a byte of them must say so by updating this table.
 UNIFORM_DIGESTS = {
-    "miura-2x2-60-90": "923c9a583c092f6e89b93bd94275817e5f2ada7633544cc281685a92d279c51f",
-    "miura-3x3-60-90": "d7e1dd280aee72c39568ff743aa3f0e98954f59c813122996c7af9d261221fa2",
-    "miura-4x4-60-90": "ac2ef536ddc1e142b7fc5e77e043fe5c04e124ecf06c24eaa2680a0cfd81ec31",
-    "miura-2x2-70-90": "59709872e7db1a855c0c9c836b3f7a40d8fc1e8a63e257c157b7cfa350d4800d",
-    "miura-3x3-70-90": "09a264ecf827e7da7d01644989b25ca152659bcc300547ea0a4c6083266b36a3",
-    "miura-4x4-70-90": "86a3ed0e17c6248f846d51c831f0455294660796964f154c4dc23e0f64dd458c",
-    "miura-2x2-55-90": "51a15d14956866580a22c82e87b1e7fec3d033417c027491f289a1f4bbf7ee0b",
-    "miura-3x3-55-90": "be9006fe6c8865c5665dfd19400eeb272ca248d6b149efb54ae07933b6cf7c12",
-    "miura-4x4-55-90": "7db8dc79ef6128c0abed05921ebcc81fa720a1f1d1a6ada3f0b551aa31354ceb",
-    "miura-2x2-65-80": "6461d6e85f7ce51a0764490d16f0893f219549cdc41c1dd2496f65f0e9af8da6",
-    "miura-3x3-65-80": "b82f3ef399cc68d62c5e7b0df3e2b8259c439a220a5e60e7c8911bb4cf4340cf",
-    "miura-4x4-65-80": "00f921a225e85da845ff49315724eec3d086345e32ee5955d9b7cb0ad862e048",
-    "yoshimura-2x4": "d2506c19fd0759febb575ac107108d1fcce2900bb9423d2794da56a1f49ef677",
+    "miura-2x2-60-90": "2ffd194bfda3f9e54fa4230b3b92d3faad1c10c1cddbfd7502ed71c78353f1f9",
+    "miura-3x3-60-90": "bad96cccb39a7a553e5abfeb70b49c0ed628ac91611dee3190e1c883dcccc37c",
+    "miura-4x4-60-90": "4eb5922dec71cf01f33abb4523d9ad2d6251b6ab39a3effa6c4f70c5f8620aa0",
+    "miura-2x2-70-90": "b8106ec221d7baeff0cec1ae6dd0312773ffa2246d7f5b2dc24f99c7f08246db",
+    "miura-3x3-70-90": "1c1cc6afec615925686d8b43048ff09efbe7adaf9763417fe3554bdde34ebfcf",
+    "miura-4x4-70-90": "fe922ed56cab282faea4aea3fddf16c77f5cb52a0192431130ea7cc47503bba7",
+    "miura-2x2-55-90": "8c5b611d804f0035219f138051db7ad6788b878c23c9ec77b60cffb03df5d50d",
+    "miura-3x3-55-90": "0e9317bea3c836a0739eb0a27055a52b91874d12332fff2e5095051484e2ab20",
+    "miura-4x4-55-90": "7e347c701965778b63d17c6d71c7f90e1e5c98202889dca8151428e72ca97fa9",
+    "miura-2x2-65-80": "811041a9144f89ce2892f18bbe944768a50c4a15c5e360d9a60c240ed28e8e1a",
+    "miura-3x3-65-80": "8821445173556347e98e930ff2722244ac376d75f9be003c61516b9da0f7a3bc",
+    "miura-4x4-65-80": "4eb8b030c1fdc3f1bab62fa36ed9becab1966788214137014729d73959cc391e",
+    "yoshimura-2x4": "d4e4d715b0ba996489ddd002b4287b76287553cb5291e7e2c94aa2e7f5519eff",
 }
 
 

@@ -1,5 +1,5 @@
-"""The one mode step of every doubled pattern: corner branches, the motion
-certificate, M/V labels and the record's mode fields (dl.write_mode)."""
+"""The one mode step of every doubled pattern: corner branches, the corners'
+motion, M/V labels and the record's mode fields (dl.write_mode)."""
 import math
 from dataclasses import replace
 
@@ -9,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doubleline import (
+    ALL_MODES,
     GENERIC_MODES,
     MODE_A1,
+    MODE_A2,
+    MODE_B2,
     Crease,
     CreasePattern,
     DlError,
@@ -21,6 +24,7 @@ from doubleline import (
     construct_dl,
     construct_symmetric_dl,
     flat_fold_parameter,
+    gen_single_deg4,
     load_fold,
     mode_vector,
     pattern_multipliers,
@@ -30,9 +34,10 @@ from doubleline import (
     sweep_motion,
     vertex_star,
 )
-from doubleline.dl import _certify, fix_mode, write_mode, write_record
+from doubleline.dl import _closes, dl_multipliers, fix_mode, write_mode, write_record
 
 import fix_mode_reference as ref
+import network_reference
 from conftest import deg, star_of
 
 
@@ -64,27 +69,20 @@ def _doubled(star, n):
     return construct_dl(star, DoubleLineParams(math.pi / 2, (0.2,) * n))
 
 
-@pytest.mark.parametrize("ray", ["plus", "minus"])
-def test_a_multiplier_off_its_branch_is_refused_naming_the_crease(ray):
+def test_a_wrong_sign_is_refused_by_the_certificate():
+    # every one-sign flip of a-I, refused where the reference placement and its per-corner fit refuse it
     pat = _doubled(star_of(deg(60, 80, 120, 100)), 4)
     rec = read_record(pat)
     g = pattern_multipliers(pat, MODE_A1)
     signs, scales = {0: "".join(MODE_A1.signs)}, {0: 1.0}
     assert read_record(write_mode(pat, rec, signs, scales)).multipliers == tuple(g.tolist())
-    for original, plus, minus in rec.pairs:
-        bad = g.copy()
-        bad[plus if ray == "plus" else minus] *= 1.0 + 1e-4
-        with pytest.raises(DlError, match=rf"^doubled pairs disagree at crease {original}: corner \d+ of vertex 0 "
-                                          r"is off its branch by \d\.\d{3}e-\d\d$"):
-            _certify(pat, rec, signs, bad)
-
-
-def test_a_wrong_sign_is_refused_by_the_certificate():
-    pat = _doubled(star_of(deg(60, 80, 120, 100)), 4)
-    rec = read_record(pat)
-    g = pattern_multipliers(pat, MODE_A1)
-    with pytest.raises(DlError, match="^doubled pairs disagree at crease 0: corner 0 of vertex 0"):
-        _certify(pat, rec, {0: "++--"}, g)
+    for corner in range(4):
+        flipped = {0: "".join("+-"[s == "+"] if i == corner else s for i, s in enumerate(signs[0]))}
+        mults = {0: dl_multipliers(rec.sectors[0], flipped[0], rec.thetas[0])}
+        with pytest.raises(DlError, match=r"^doubled pairs disagree at crease \d: corner \d of vertex 0 is off "):
+            network_reference._certify(pat, rec, flipped, network_reference._placed(pat, rec, mults, scales))
+        with pytest.raises(DlError, match=r"^polygon side \d+ disagrees: corner \d+ folds it at "):
+            write_mode(pat, rec, flipped, scales)
 
 
 def test_a_vertex_whose_spokes_are_not_numbered_in_turn_folds_by_its_own_star():
@@ -139,3 +137,75 @@ def test_a_sequence_that_does_not_close_or_fit_is_refused():
         fix_mode(pat, DLMode("+-----", tuple("+-----")))
     with pytest.raises(DlError, match="^mode a-I has 4 signs, pattern degree 6$"):
         fix_mode(pat, MODE_A1)
+
+
+def _verdicts(star, signs, theta):
+    """Whether fix_mode and pattern_multipliers take the doubled star in the signs; None where construct_dl refuses."""
+    try:
+        pat = construct_dl(star, DoubleLineParams(theta, (0.3,) * star.degree))
+    except DlError:  # a pair does not separate
+        return None
+    mode, out = DLMode(signs, tuple(signs)), []
+    for step in (fix_mode, pattern_multipliers):
+        try:
+            step(pat, mode)
+            out.append(True)
+        except DlError:
+            out.append(False)
+    return tuple(out)
+
+
+@st.composite
+def _lone_vertices(draw):
+    """(sectors, signs, θ): a flat-foldable degree-4 or a centrally symmetric degree-6 star, θ often critical.
+
+    Angles are drawn in degrees, often whole ones: there a pole's p(σ, θ) can
+    round to exactly 0.
+    """
+    a, b = (draw(st.floats(20, 80) | st.integers(20, 80)) for _ in range(2))
+    if draw(st.booleans()):
+        degrees = [a, b, 180 - a, 180 - b]
+        signs = draw(st.sampled_from([m.signs for m in ALL_MODES]) | st.tuples(*[st.sampled_from("+-")] * 4))
+    else:
+        degrees = [60] * 6 if draw(st.booleans()) else [a, b, 180 - a - b] * 2
+        signs = draw(st.permutations("+++---") | st.tuples(*[st.sampled_from("+-")] * 6))
+    sigma = draw(st.sampled_from(degrees))
+    theta = draw(st.sampled_from([sigma, 180 - sigma]) | st.just(90) | st.floats(20, 160))
+    return np.radians(degrees).tolist(), "".join(signs), math.radians(theta)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lone=_lone_vertices(), turn=st.integers(0, 5), ulps=st.lists(st.sampled_from([-1, 0, 1]), min_size=6,
+                                                                     max_size=6))
+def test_a_lone_vertex_takes_a_mode_by_the_product_rule_whatever_its_numbering_and_rounding(lone, turn, ulps):
+    sectors, signs, theta = lone
+    n, k = len(sectors), turn % len(sectors)
+    moved = [float(np.nextafter(s, s + u)) if u else s for s, u in zip(sectors, ulps)]
+    got = _verdicts(VertexStar.from_sectors(sectors), signs, theta)
+    other = _verdicts(VertexStar.from_sectors(moved[k:] + moved[:k]), signs[k:] + signs[:k], theta)
+    if got is None or other is None:
+        return
+    rule = _closes(signs, sectors, theta)
+    assert got == other == (rule, rule), (n, k)
+
+
+def test_a_critical_theta_refuses_a_mode_with_a_pole_however_the_star_was_built():
+    # θ 150° = π − 30°: p(30°, θ) = 0 at corner 0, a '-' corner of a-I
+    message = "^mode a-I has a pole at corner 0: theta 150 deg is critical for its sector 30 deg$"
+    params = DoubleLineParams(math.radians(150), (0.3,) * 4)
+    for star in (VertexStar.from_sectors(np.radians([30, 10, 150, 170])),
+                 vertex_star(gen_single_deg4(math.radians(30), math.radians(10)), 0)):
+        pat = construct_dl(star, params)
+        for step in (fix_mode, pattern_multipliers):
+            with pytest.raises(DlError, match=message):
+                step(pat, MODE_A1)
+
+
+@pytest.mark.parametrize("mode", [MODE_A2, MODE_B2], ids=lambda m: m.label)
+def test_the_turned_critical_star_refuses_a_mode_with_a_pole_whatever_corner_is_numbered_first(mode):
+    pat = construct_dl(VertexStar.from_sectors(np.radians([170, 30, 10, 150])),
+                       DoubleLineParams(math.radians(150), (0.3,) * 4))
+    for step in (fix_mode, pattern_multipliers):
+        with pytest.raises(DlError, match=rf"^mode {mode.label} has a pole at corner 1: theta 150 deg is critical "
+                                          r"for its sector 30 deg$"):
+            step(pat, mode)

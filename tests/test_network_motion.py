@@ -1,7 +1,7 @@
-"""One propagation of mode-vector scales (kinematics.vertex_motions) serves
-fold3d.network_multipliers and the doubled patterns' certificate
-(dl._certify); both are held to the SVD and per-corner fit they replaced
-(network_reference)."""
+"""One propagation of mode-vector scales (kinematics.crease_motion) serves
+fold3d.network_multipliers and the motion every doubled pattern records
+(dl.write_mode); both are held to the SVD, and to the placement and its
+per-corner fit, that they replaced (network_reference)."""
 import itertools
 import math
 
@@ -28,7 +28,7 @@ from doubleline import (
     network_multipliers,
     read_record,
 )
-from doubleline.dl import _certify, _placed, dl_multipliers, fix_mode
+from doubleline.dl import dl_multipliers, fix_mode, write_mode
 
 import network_reference as ref
 
@@ -77,11 +77,35 @@ def test_network_multipliers_equal_the_null_space_of_the_stacked_constraints(dat
     assert np.array_equal(np.sign(got[moving]), np.sign(want[moving]))
 
 
-def _certified(certify, pattern, record, signs, g):
+def _written(pattern, record, signs):
+    """write_mode's (multipliers, corner branches), or DlError where it refuses."""
     try:
-        return certify(pattern, record, signs, g)
+        rec = read_record(write_mode(pattern, record, signs, record.scales))
     except DlError:
         return DlError
+    return np.array(rec.multipliers), dict(rec.corner_modes)
+
+
+def _placed(pattern, record, signs):
+    """The reference placement of the signs at the record's scales, certified by the per-corner fit, or DlError."""
+    try:
+        g = ref._placed(pattern, record, {v: dl_multipliers(record.sectors[v], signs[v], record.thetas[v])
+                                          for v in record.corners}, record.scales)
+        return g, ref._certify(pattern, record, signs, g)
+    except DlError:
+        return DlError
+
+
+def _same_record(pattern, record, signs):
+    """write_mode refuses exactly where the reference does; otherwise it records the reference placement."""
+    got, want = _written(pattern, record, signs), _placed(pattern, record, signs)
+    if want is DlError or got is DlError:
+        assert got is want
+        return
+    (g, branches), (h, fitted) = got, want
+    assert np.max(np.abs(g - h)) <= 1e-12 * np.max(np.abs(h))
+    assert np.array_equal(np.sign(g), np.sign(h)) and np.array_equal(g == 0.0, h == 0.0)
+    assert branches == fitted
 
 
 def _single(draw):
@@ -95,27 +119,18 @@ def _single(draw):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(data=st.data(), network=st.booleans(), edit=st.sampled_from(["none", "flip", "flip placed", "nudge"]))
-def test_the_certificate_refuses_exactly_what_the_per_corner_fit_refuses(data, network, edit):
+@given(data=st.data(), network=st.booleans(), flip=st.booleans())
+def test_the_certificate_refuses_exactly_what_the_per_corner_fit_refuses(data, network, flip):
     pattern = _doubled(data.draw) if network else _single(data.draw)
     if pattern is None:
         return
     rec = read_record(pattern)
-    signs, g = dict(rec.signs), np.array(rec.multipliers)
-    if edit == "nudge":
-        c = data.draw(st.sampled_from(pattern.interior_creases))
-        g[c] *= 1.0 + 1e-4
-    elif edit != "none":
+    signs = dict(rec.signs)
+    if flip:
         v = data.draw(st.sampled_from(sorted(signs)))
         i = data.draw(st.integers(0, len(signs[v]) - 1))
         signs[v] = signs[v][:i] + "+-"[signs[v][i] == "+"] + signs[v][i + 1:]
-        if edit == "flip placed":  # the multipliers write_mode places for the flipped signs
-            try:
-                mults = {u: dl_multipliers(rec.sectors[u], signs[u], rec.thetas[u]) for u in rec.corners}
-            except DlError:  # a vanishing side coefficient
-                return
-            g = _placed(pattern, rec, mults, rec.scales)
-    assert _certified(_certify, pattern, rec, signs, g) == _certified(ref._certify, pattern, rec, signs, g)
+    _same_record(pattern, rec, signs)
 
 
 @pytest.mark.parametrize("build", [
@@ -127,8 +142,8 @@ def test_the_certificate_refuses_exactly_what_the_per_corner_fit_refuses(data, n
 def test_the_certificate_gives_every_corner_the_branch_the_per_corner_fit_gave(build):
     pattern = build()
     rec = read_record(pattern)
-    g = np.array(rec.multipliers)
-    assert _certify(pattern, rec, rec.signs, g) == ref._certify(pattern, rec, rec.signs, g) == dict(rec.corner_modes)
+    _same_record(pattern, rec, rec.signs)
+    assert _written(pattern, rec, rec.signs)[1] == dict(rec.corner_modes)
 
 
 @pytest.mark.parametrize("mode", GENERIC_MODES, ids=lambda m: m.label)
@@ -136,7 +151,8 @@ def test_a_corner_its_neighbours_hold_flat_stays_flat(mode):
     # θ = 150° is critical at corners 0 and 2 (p(30°, θ) = q(150°, θ) = 0): in a-I and b-II they hold both
     # sides of corner 3 flat, which corner 3 moves, so corner 3 stays flat, scale 0, as the SVD finds
     star = VertexStar.from_sectors(np.radians([30, 10, 150, 170]))
-    pattern = fix_mode(construct_dl(star, DoubleLineParams(math.radians(150), (0.3,) * 4)), mode)
+    laid = construct_dl(star, DoubleLineParams(math.radians(150), (0.3,) * 4))
+    pattern = write_mode(laid, read_record(laid), {0: "".join(mode.signs)}, {0: 1.0})
     modes = infer_modes(pattern)
     got, want = network_multipliers(pattern, modes), ref.network_multipliers(pattern, modes)
     assert np.max(np.abs(got - want)) <= 1e-12 and np.array_equal(got == 0.0, np.abs(want) <= 1e-12)
@@ -192,13 +208,13 @@ def test_a_vertex_held_flat_by_its_neighbour_stays_flat_in_either_numbering(firs
 
 
 def test_a_polygon_side_off_its_branch_is_refused_by_its_own_id():
-    pattern = fix_mode(construct_dl(VertexStar.from_sectors(np.radians([60, 80, 120, 100])),
-                                    DoubleLineParams(math.pi / 2, (0.2,) * 4)), GENERIC_MODES[0])
+    # a lone vertex whose signs do not close: the side that closes its loop is off its branch
+    star = VertexStar.from_sectors(np.radians([60, 80, 120, 100]))
+    pattern = construct_dl(star, DoubleLineParams(math.pi / 2, (0.2,) * 4))
     rec = read_record(pattern)
-    side = rec.sides[0][1]
-    g = np.array(rec.multipliers)
-    g[side] *= 1.0 + 1e-4
-    with pytest.raises(DlError, match=rf"^polygon side {side} disagrees: corner \d+ of vertex 0 is off its branch by "
-                                      r"\d\.\d{3}e-\d\d$") as err:
-        _certify(pattern, rec, rec.signs, g)
-    assert float(str(err.value).rsplit(" ", 1)[1]) > 1e-8 * np.max(np.abs(g))
+    side = r"^polygon side \d+ disagrees: corner \d+ folds it at \S+ and corner \d+ at \S+$"
+    with pytest.raises(DlError, match=side) as err:
+        write_mode(pattern, rec, {0: "--+-"}, {0: 1.0})  # a-I with corner 1 flipped
+    assert int(str(err.value).split()[2]) in rec.sides[0]
+    a, b = (float(x.split()[0]) for x in str(err.value).split(" at ")[-2:])
+    assert abs(a - b) > 1e-2 * max(abs(a), abs(b))

@@ -215,9 +215,10 @@ def test_gen_dl_yoshimura():
 @pytest.mark.parametrize("rows, cols, crease", [(3, 3, 22), (3, 2, 14)])
 def test_dl_yoshimura_loops_off_90_are_refused_by_crease(rows, cols, crease):
     with pytest.raises(DlError, match=rf"^doubled pairs disagree at crease {crease}: "
-                                      r"corner \d+ of vertex \d+ is off its branch by ") as err:
+                                      r"corner \d+ folds ray \d+ at \S+ and corner \d+ at \S+$") as err:
         gen_dl_yoshimura(rows, cols, 1.5, deg(80)[0])
-    assert float(str(err.value).rsplit(" ", 1)[1]) > 1e-2
+    a, b = (float(x.split()[0]) for x in str(err.value).split(" at ")[-2:])
+    assert abs(a - b) > 1e-2
 
 
 def test_the_doubled_build_runs_no_network_solve(monkeypatch):

@@ -14,10 +14,10 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce.sh"
 
 DIGESTS = {
     "single.fold": "686d591bf1d699771d82886f8acbea1246cac9a06b8f5c77b6cfe704aa4b26a3",
-    "dl_miura.fold": "d7e1dd280aee72c39568ff743aa3f0e98954f59c813122996c7af9d261221fa2",
-    "dl_single.fold": "1dbdb19f4ed23550b7da343a197ad5b43e8551118b28f52795a85d4c0711ab55",
+    "dl_miura.fold": "bad96cccb39a7a553e5abfeb70b49c0ed628ac91611dee3190e1c883dcccc37c",
+    "dl_single.fold": "fead5d83a104e05b73fe5eb2f5d2942d0b2bbb8c7c8c7af8195fb94235b764a3",
     "regimes.csv": "ab016089fc2c29a3125a39ec45a3aa10734ef4e5fabd1dee6418367cc4dfa8ff",
-    "motion.csv": "af36491b3ab4fe80529f1c0a5214cad9b5552c085ac0585dd5741667eed1acb3",
+    "motion.csv": "6dca73f1301418cdb0c76b3db994f926dad83b72ecdd45d5da74c821353a816e",
     "state.obj": "a3ec9846cfbbb3162f51a38e2bbd862f4b91eeea241e339c7727aa0f1980e2e8",
     "panels.obj": "1dbee4b561f48368fd37067e753ed076430d8ac6a8652c65cf94a99e4a230cdf",
     "clearance.csv": "0ed0c2495da424fc43333f61e8acc905fc2ffb1a119a8185b3af8d19949ea7ce",

@@ -16,6 +16,7 @@ from doubleline import (
     vertex_closure_residual,
     vertex_star,
 )
+from doubleline.dl import _closes
 from doubleline.symmetric import canonical_sequence, sequence_multipliers
 
 SQ3 = math.sqrt(3.0)
@@ -102,7 +103,7 @@ def test_canonical_sequence_rotation_invariant():
 
 def test_sequence_multipliers_alternating():
     mult = sequence_multipliers(3, "+-+-+-")
-    assert mult.closure_error < 1e-12
+    assert _closes(tuple("+-+-+-"), [math.pi / 3] * 6, math.pi / 2)
     mags = {1.0, 2 - SQ3}
     for plus, minus in zip(mult.rays_plus, mult.rays_minus):
         # each doubled pair is even: the two rays share one magnitude
