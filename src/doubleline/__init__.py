@@ -16,10 +16,10 @@ import types
 _EXPORTS = {
     "dl": (
         "ALL_MODES", "GENERIC_MODES", "MODE_A1", "MODE_A2", "MODE_B1", "MODE_B2",
-        "MODE_SYM_MINUS", "MODE_SYM_PLUS", "DLMode", "DLMultipliers", "DLRecord", "DlError",
+        "MODE_SYM_MINUS", "MODE_SYM_PLUS", "DLMode", "DLRecord", "DlError",
         "DoubleLineParams", "DoubleLineRatio", "ThetaRegime", "assign_mode_mv", "axis_class",
         "axis_offsets", "axis_sums", "classify_theta", "construct_dl", "corner_coefficients",
-        "critical_thetas", "dl_multipliers", "double_line_ratio",
+        "critical_thetas", "double_line_ratio",
         "flat_fold_parameter", "major_coefficient", "mode_from_label", "mode_is_valid",
         "pattern_multipliers", "read_record", "sign_pattern_product", "theta_for_even_minor",
         "theta_for_ratio", "valid_modes",

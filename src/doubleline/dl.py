@@ -102,8 +102,11 @@ def sign_pattern_product(signs: Sequence[str], sectors: Sequence[float], theta: 
 
 
 def _closes(signs: Sequence[str], sectors: Sequence[float], theta: float) -> bool:
-    """Whether a sign sequence folds DL(V, θ): (−1)^n times its corner-coefficient product is 1 within MATCH_TOL,
-    dl_multipliers' closing condition at any degree n, which no sequence meets at a pole."""
+    """Whether a sign sequence folds DL(V, θ): (−1)^n times its corner-coefficient product is 1 within MATCH_TOL.
+
+    Corner speeds spread around the central polygon return to their start
+    exactly then, at any degree n; no sequence meets it at a pole.
+    """
     return abs((-1) ** len(signs) * sign_pattern_product(signs, sectors, theta) - 1.0) <= MATCH_TOL
 
 
@@ -123,53 +126,12 @@ def valid_modes(alpha: float, beta: float, theta: float) -> tuple[DLMode, ...]:
     return tuple(m for m in ALL_MODES if mode_is_valid(m, alpha, beta, theta))
 
 
-# -- multiplier engine -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DLMultipliers:
-    """tan-half fold-angle multipliers of a doubled pattern, one scale overall.
-
-    Indexed by axis: rays_plus[i] and rays_minus[i] are the doubled pair of
-    original crease e_i (rays from c_i and c_{i-1}); sides[i] is the polygon
-    side joining c_{i-1} to c_i.
-    """
-
-    rays_plus: tuple[float, ...]
-    rays_minus: tuple[float, ...]
-    sides: tuple[float, ...]
-
-
-def dl_multipliers(sectors: Sequence[float], signs: Sequence[str], theta: float) -> DLMultipliers:
-    """Propagate corner speed coefficients around the central polygon.
-
-    Corner i carries a scale s_i and the branch multipliers m_i of its
-    creases (ray_i^+, ray_{i+1}^-, side_{i+1}, side_i); matching the shared
-    polygon sides gives s_{i+1} = s_i·m_i[2] / m_{i+1}[3].  Works for any
-    even or odd degree; whether the sequence closes is _closes' question.
-    """
-    n = len(sectors)
-    if len(signs) != n:
-        raise DlError("need one sign per corner")
-    m = [branch_multipliers(_branch(s), sigma, theta) for s, sigma in zip(signs, sectors)]
-    scale = [1.0]
-    for i in range(n - 1):
-        if abs(m[i + 1][3]) < DEGENERACY_TOL:
-            raise DlError(f"corner {i + 1} has a vanishing side coefficient at this theta")
-        scale.append(scale[i] * m[i][2] / m[i + 1][3])
-    return DLMultipliers(
-        tuple(m[i][0] * scale[i] for i in range(n)),
-        tuple(m[i - 1][1] * scale[i - 1] for i in range(n)),
-        tuple(m[i - 1][2] * scale[i - 1] for i in range(n)),
-    )
-
-
 # -- the doubled-pattern record ----------------------------------------------
 
 # Keys of the earlier layouts this record replaced; a file carrying one is
 # refused rather than read with its doubled pairs silently missing.
 _RETIRED_KEYS = ("doubleline:construction", "doubleline:crease_multipliers")
-_MODE_FIELDS = ("signs", "scales", "corner_modes", "multipliers")
+_MODE_FIELDS = ("signs", "corner_modes", "multipliers")
 
 
 @dataclass(frozen=True)
@@ -191,7 +153,6 @@ class DLRecord:
     sectors: Mapping[int, tuple[float, ...]]
     radii: Mapping[int, tuple[float, ...]]
     signs: Mapping[int, str] | None = None
-    scales: Mapping[int, float] | None = None
     corner_modes: Mapping[int, FoldMode] | None = None
     multipliers: tuple[float, ...] | None = None
 
@@ -204,7 +165,7 @@ class DLRecord:
 def write_record(pattern: CreasePattern, record: DLRecord) -> CreasePattern:
     """Return a copy of the pattern carrying the record."""
     doc: dict[str, Any] = {"pairs": record.pairs, "multipliers": record.multipliers}
-    for name in ("corners", "sides", "thetas", "sectors", "radii") + _MODE_FIELDS[:3]:
+    for name in ("corners", "sides", "thetas", "sectors", "radii") + _MODE_FIELDS[:2]:
         entries = getattr(record, name)
         if entries is not None:
             doc[name] = [[v, x.value if isinstance(x, FoldMode) else x] for v, x in sorted(entries.items())]
@@ -240,7 +201,7 @@ def read_record(pattern: CreasePattern) -> DLRecord | None:
     nv, nc = len(pattern.vertices), len(pattern.creases)
     checks = {  # value check of each per-vertex field; corners must come first
         "corners": lambda x: _ids(x, nv), "sides": lambda x: _ids(x, nc),
-        "thetas": is_number, "sectors": _numbers, "radii": _numbers, "scales": is_number,
+        "thetas": is_number, "sectors": _numbers, "radii": _numbers,
         "signs": lambda x: isinstance(x, str) and set(x) <= {"+", "-"},
         "corner_modes": lambda x: x in ("a", "b"),  # keyed by corner vertex id
     }
@@ -493,16 +454,13 @@ def pattern_multipliers(pattern: CreasePattern, mode: DLMode) -> np.ndarray:
 
 def fix_mode(pattern: CreasePattern, mode: DLMode) -> CreasePattern:
     """A constructed DL pattern in one mode: labeled M/V and recorded by write_mode."""
-    rec, signs = _lone_mode(pattern, mode)
-    return write_mode(pattern, rec, signs, dict.fromkeys(signs, 1.0))
+    return write_mode(pattern, *_lone_mode(pattern, mode))
 
 
-def write_mode(pattern: CreasePattern, record: DLRecord, signs: Mapping[int, str],
-               scales: Mapping[int, float]) -> CreasePattern:
+def write_mode(pattern: CreasePattern, record: DLRecord, signs: Mapping[int, str]) -> CreasePattern:
     """A laid-out doubled pattern in a mode: its corners' motion recorded as its multipliers, labeled M/V."""
     branches, g = _motion(pattern, record, signs)
-    record = replace(record, signs=dict(signs), scales=dict(scales), corner_modes=branches,
-                     multipliers=tuple(g.tolist()))
+    record = replace(record, signs=dict(signs), corner_modes=branches, multipliers=tuple(g.tolist()))
     return write_record(assign_mode_mv(pattern, g), record)
 
 

@@ -26,16 +26,18 @@ from .dl import (  # noqa: F401  (NETWORK_KEY is re-exported for its importers)
     MODE_A2,
     MODE_B1,
     MODE_B2,
+    MATCH_TOL,
     NETWORK_KEY,
+    DLMode,
     DlError,
     DoubleLineRatio,
     _layout,
+    _mode_pairs,
     assign_mode_mv,
     axis_class,
     axis_offsets,
     classify_theta,
     critical_thetas,
-    dl_multipliers,
     polygon_corners,
     read_record,
     theta_for_ratio,
@@ -259,19 +261,25 @@ class _DlVertex:
     vertex: int
     star: VertexStar
     azimuths: tuple[float, ...]
-    signs: tuple[str, ...] | None = None
+    mode: DLMode | None = None
     theta: float = 0.0
-    scale: float = 1.0
     radii: list[float] | None = None
-    mult: object = None
+
+    def pair(self, axis: int, mode: DLMode, theta: float) -> tuple[float, float]:
+        """(ray^+, ray^-) multipliers of the doubled pair on one star axis in a generic mode, up to scale."""
+        cls, reversed_ = axis_class(mode, axis)
+        pair = _mode_pairs(mode, *self.star.sectors[:2], theta)[cls == "minor"]
+        return pair[::-1] if reversed_ else pair
 
 
-def _solve_child(dv: _DlVertex, axis: int, target_plus: float, target_minus: float,
-                 theta: float, family: FoldMode) -> None:
-    """Fit the child's mode variant, and θ only if it must, to a shared pair.
+def _solve_child(dv: _DlVertex, axis: int, target: tuple[float, float], theta: float,
+                 family: FoldMode) -> tuple[DLMode, float]:
+    """The child's mode variant, and θ only if it must solve it, whose pair on the axis is the target (ray^+, ray^-).
 
     Each mode of the family is tried at the requested θ first; only when
-    neither matches does the child solve its own θ for the pair ratio.
+    neither matches does the child solve its own θ for the pair ratio.  A
+    match is the mode-table pair within MATCH_TOL of the target (projective
+    distance) at a θ that is not critical for the mode.
     """
     alpha, beta = dv.star.sectors[0], dv.star.sectors[1]
     last = None
@@ -281,20 +289,14 @@ def _solve_child(dv: _DlVertex, axis: int, target_plus: float, target_minus: flo
                 th = theta
                 if solve:
                     cls, swapped = axis_class(mode, axis)
-                    pair = (target_plus, target_minus) if not swapped else (target_minus, target_plus)
+                    pair = target[::-1] if swapped else target  # in the class pair's order
                     th = theta_for_ratio(mode, cls, alpha, beta, DoubleLineRatio(*pair))
-                mult = dl_multipliers(dv.star.sectors, mode.signs, th)
-                m_plus, m_minus = mult.rays_plus[axis], mult.rays_minus[axis]
-                if abs(m_plus) < 1e-15:
-                    raise DlError(f"frozen doubled pair on vertex {dv.vertex}")
-                scale = target_plus / m_plus
-                err = abs(m_minus * scale - target_minus)
-                if err > 1e-9 * max(abs(target_minus), abs(target_plus), 1.0):
-                    raise DlError(
-                        f"pair ratio mismatch on vertex {dv.vertex} in mode {mode.label}"
-                    )
-                dv.signs, dv.theta, dv.scale, dv.mult = mode.signs, th, scale, mult
-                return
+                if classify_theta(mode, alpha, beta, th).tag == CRITICAL:
+                    raise DlError(f"theta {math.degrees(th):.6g} deg is critical for mode {mode.label} "
+                                  f"on vertex {dv.vertex}")
+                if DoubleLineRatio(*dv.pair(axis, mode, th)).distance(DoubleLineRatio(*target)) > MATCH_TOL:
+                    raise DlError(f"pair ratio mismatch on vertex {dv.vertex} in mode {mode.label}")
+                return mode, th
             except DlError as exc:
                 last = exc
     raise DlError(f"no folding branch of vertex {dv.vertex} matches the shared pair: {last}")
@@ -405,17 +407,22 @@ def _solve_radii(network: VertexNetwork, dls: dict[int, "_DlVertex"],
     r0 = np.linalg.lstsq(equal, rhs, rcond=None)[0]
     _, sv, vt = np.linalg.svd(equal)
     null = vt[int(np.sum(sv > sv[0] * max(equal.shape) * np.finfo(float).eps)):].T
-    if np.abs(equal @ r0 - rhs).max() > 1e-9 * n:
-        raise DlError("no workable polygon distances for these rotation angles")
+    residual = np.abs(equal @ r0 - rhs).max()
+    if residual > 1e-9 * n:
+        raise DlError(f"no workable polygon distances for these rotation angles: alignment residual {residual:.6g}")
 
     # variables: u, then the common safety margin t that every distance and
-    # separation exceeds; at u = 0, t = the smallest of them is feasible
+    # separation exceeds; at u = 0, t = the smallest of them is feasible, and
+    # t <= 1 because the distances sum to n, so the program is bounded
     rows = np.vstack([np.eye(n), sep])
     lifted = rows @ r0
-    x = _maximize(np.hstack([-rows @ null, np.ones((2 * n, 1))]), lifted,
-                  np.eye(null.shape[1] + 1)[-1], np.append(np.zeros(null.shape[1]), lifted.min()))
-    if x is None or x[-1] <= 1e-6:
-        raise DlError("no workable polygon distances for these rotation angles")
+    a = np.hstack([-rows @ null, np.ones((2 * n, 1))])
+    x = _maximize(a, lifted, np.eye(null.shape[1] + 1)[-1], np.append(np.zeros(null.shape[1]), lifted.min()))
+    if x[-1] <= 1e-6:
+        k = int(np.flatnonzero(lifted - a @ x <= 1e-9)[0])  # the lowest binding row
+        raise DlError(f"no workable polygon distances for these rotation angles: best margin {x[-1]:.6g}, "
+                      f"bound by the {('distance', 'separation')[k // n]} of vertex {interior[k % n // 4]} "
+                      f"on axis {k % 4}")
     # r meets the alignment equations to rounding, being built on their null space
     r = r0 + null @ x[:-1]
     for v in interior:
@@ -459,20 +466,13 @@ def connect_dl(network: VertexNetwork, theta: float) -> CreasePattern:
         lo, hi = sorted(math.degrees(c) for c in critical_thetas(rv_mode, alpha, beta))
         raise DlError(f"theta {math.degrees(theta):.6g} deg is critical for mode {rv_mode.label} on vertex "
                       f"{root}, whose critical values are {lo:.6g} and {hi:.6g} deg")
-    rv.mult = dl_multipliers(rv.star.sectors, rv_mode.signs, theta)
-    rv.signs, rv.theta, rv.scale = rv_mode.signs, theta, 1.0
+    rv.mode, rv.theta = rv_mode, theta
 
-    # Propagation of θ and scale down the spanning tree, then the radii at once.
+    # θ and mode down the spanning tree: the child's ray^+ continues the parent's ray^-; then the radii at once.
     for w, u, ci in tree:
         du, dw = dls[u], dls[w]
-        i_u, i_w = axis_of[u][ci], axis_of[w][ci]
-        _solve_child(
-            dw, i_w,
-            du.mult.rays_minus[i_u] * du.scale,
-            du.mult.rays_plus[i_u] * du.scale,
-            theta,
-            network.modes[w],
-        )
+        parent = du.pair(axis_of[u][ci], du.mode, du.theta)
+        dw.mode, dw.theta = _solve_child(dw, axis_of[w][ci], parent[::-1], theta, network.modes[w])
 
     _solve_radii(network, dls, axis_of)
 
@@ -492,8 +492,7 @@ def connect_dl(network: VertexNetwork, theta: float) -> CreasePattern:
 
     out, record = _layout([(dls[v].star, pts[v], dls[v].azimuths, dls[v].theta, dls[v].radii) for v in interior],
                           pts[list(pattern.outer_cycle)])
-    return write_mode(out, record, {v: "".join(dls[v].signs) for v in interior},
-                      {v: dls[v].scale for v in interior})
+    return write_mode(out, record, {v: "".join(dls[v].mode.signs) for v in interior})
 
 
 def gen_dl_miura(rows: int, cols: int, angle: float, theta: float) -> CreasePattern:

@@ -11,7 +11,7 @@ import math
 import sys
 from itertools import combinations
 
-from .dl import DlError, DoubleLineParams, _closes, construct_dl, dl_multipliers, sign_pattern_product
+from .dl import DlError, DoubleLineParams, _closes, construct_dl, sign_pattern_product
 from .kinematics import p_coeff
 from .pattern import CreasePattern, VertexStar
 
@@ -109,10 +109,3 @@ def _euler_phi(m: int) -> int:
         out -= out // m
     return out
 
-
-def sequence_multipliers(n: int, signs: str):
-    """Doubled-crease multipliers of one mode sequence (θ = 90°, unit scale)."""
-    if len(signs) != 2 * n:
-        raise DlError(f"sequence must have {2 * n} signs")
-    sectors = [math.pi / n] * (2 * n)
-    return dl_multipliers(sectors, tuple(signs), math.pi / 2)

@@ -2,19 +2,24 @@
 one certified mode step served every doubled pattern.
 
 Each corner took the branch of its own sign ('-' is a, '+' is b), read
-straight off the construction layout, and nothing was certified.  The tests
-require ``fix_mode`` to write these bytes, and to refuse what this refuses.
+straight off the construction layout, and nothing was certified.  The
+multipliers are the test-side propagation around the polygon
+(``mode_algebra_reference.dl_multipliers``, corner 0 at scale 1), placed by
+``network_reference._placed``.  The tests require ``fix_mode`` to refuse
+what this refuses, to write these multipliers to 1e-12 of the largest, and
+every other byte as this writes it.
 """
 from dataclasses import replace
 
 from doubleline.dl import (
     DlError,
     assign_mode_mv,
-    pattern_multipliers,
     read_record,
     write_record,
 )
 from doubleline.kinematics import FoldMode
+from mode_algebra_reference import dl_multipliers
+from network_reference import _placed
 
 
 def _single_vertex(pattern):
@@ -33,8 +38,13 @@ def corner_mode_map(pattern, mode):
 
 def fix_mode(pattern, mode):
     """A constructed DL pattern labeled M/V by one mode, the mode kept in its record."""
-    mult = pattern_multipliers(pattern, mode)
     rec, v = _single_vertex(pattern)
-    rec = replace(rec, signs={v: "".join(mode.signs)}, scales={v: 1.0},
-                  corner_modes=corner_mode_map(pattern, mode), multipliers=tuple(mult.tolist()))
-    return write_record(assign_mode_mv(pattern, mult), rec)
+    if len(mode.signs) != len(rec.sectors[v]):
+        raise DlError(f"mode {mode.label} has {len(mode.signs)} signs, pattern degree {len(rec.sectors[v])}")
+    mult, closure = dl_multipliers(rec.sectors[v], mode.signs, rec.thetas[v])
+    if closure > 1e-9:
+        raise DlError(f"mode {mode.label} does not close on this vertex")
+    g = _placed(pattern, rec, {v: mult}, {v: 1.0})
+    rec = replace(rec, signs={v: "".join(mode.signs)}, corner_modes=corner_mode_map(pattern, mode),
+                  multipliers=tuple(g.tolist()))
+    return write_record(assign_mode_mv(pattern, g), rec)

@@ -6,12 +6,22 @@ The tests require the table-driven code to agree with these exactly
 branches the doubling connector now reads from each corner's sign.
 """
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from doubleline.dl import MODE_A1, MODE_A2, MODE_B1, MODE_B2, DlError, DLMultipliers, _lin_mul
+from doubleline.dl import MODE_A1, MODE_A2, MODE_B1, MODE_B2, DlError, _lin_mul
 from doubleline.kinematics import DEGENERACY_TOL, FoldMode, mode_vector, p_coeff, q_coeff, tan_half
 from doubleline.pattern import vertex_star
+
+
+class DLMultipliers(NamedTuple):
+    """Multipliers of a doubled vertex, indexed by axis: rays_plus[i] and rays_minus[i] are the doubled pair of
+    crease e_i (rays from c_i and c_{i-1}); sides[i] is the polygon side joining c_{i-1} to c_i."""
+
+    rays_plus: tuple
+    rays_minus: tuple
+    sides: tuple
 
 
 def mode_pairs(mode, alpha, beta, theta):
@@ -77,7 +87,8 @@ def corner_coefficients(mode, alpha, beta, theta):
 
 
 def dl_multipliers(sectors, signs, theta):
-    """The multipliers, and the relative mismatch of the propagation around P that was their closure_error."""
+    """The multipliers, corner 0 at scale 1, and the relative mismatch of the propagation around P that was their
+    closure_error: corner i's scale s_i and its sides' coefficients f_i, g_i give s_{i+1} = s_i·f_i / g_{i+1}."""
     n = len(sectors)
     if len(signs) != n:
         raise DlError("need one sign per corner")

@@ -3,8 +3,11 @@ propagation of mode-vector scales served both.
 
 ``network_multipliers`` stacks every interior vertex's constraints
 g_c = m_i * s_v into one homogeneous system and takes its null space by SVD.
-``_placed`` is ``dl._placed`` as it was: each vertex's ``dl_multipliers``
-times its scale, on its polygon sides and on the doubled pairs it owns.
+``_placed`` is ``dl._placed`` as it was: each vertex's multipliers (as
+``mode_algebra_reference.dl_multipliers`` propagates them around its polygon)
+times its scale, on its polygon sides and on the doubled pairs it owns;
+``_matched_scales`` spreads those scales over the shared pairs as the
+doubling connector once did.
 ``_certify`` is ``dl._certify`` as it was: each corner's scale fitted on its
 two sides by least squares, then every crease of the corner checked against
 its branch.  The tests require ``fold3d.network_multipliers`` to equal the
@@ -16,10 +19,11 @@ from typing import Mapping
 
 import numpy as np
 
-from doubleline.dl import NETWORK_KEY, DlError, DLMultipliers, DLRecord
+from doubleline.dl import NETWORK_KEY, DlError, DLRecord
 from doubleline.fold3d import Fold3dError
 from doubleline.kinematics import FoldMode, mode_vector
 from doubleline.pattern import CreasePattern, vertex_star
+from mode_algebra_reference import DLMultipliers
 
 NULL_SPACE_TOL = 1e-9  # relative singular values spanning a motion; smallest usable motion entry
 
@@ -107,6 +111,25 @@ def _placed(pattern: CreasePattern, record: DLRecord, mults: Mapping[int, DLMult
         g[plus] = mults[v].rays_plus[i] * scales[v]
         g[minus] = mults[v].rays_minus[i] * scales[v]
     return g
+
+
+def _matched_scales(pattern: CreasePattern, record: DLRecord, mults: Mapping[int, DLMultipliers]) -> dict[int, float]:
+    """Each vertex's scale: the lowest takes 1, and across every shared pair the far vertex's ray^- (from corner
+    c_{j-1}) takes the owner's ray^+ value, until no scale is left to set."""
+    corner_of = {cv: (v, i) for v, corners in record.corners.items() for i, cv in enumerate(corners)}
+    shared = []
+    for _, plus, _ in record.pairs:
+        (u, i), far = corner_of[pattern.creases[plus].v0], corner_of.get(pattern.creases[plus].v1)
+        if far is not None:
+            w, j = far[0], (far[1] + 1) % len(record.corners[far[0]])
+            shared += [(u, w, mults[u].rays_plus[i] / mults[w].rays_minus[j]),
+                       (w, u, mults[w].rays_minus[j] / mults[u].rays_plus[i])]
+    scales = {min(record.corners): 1.0}
+    while True:
+        new = {w: scales[u] * k for u, w, k in shared if u in scales and w not in scales}
+        if not new:
+            return scales
+        scales.update(new)
 
 
 def _certify(pattern: CreasePattern, record: DLRecord, signs: Mapping[int, str],

@@ -18,6 +18,7 @@ from doubleline import (
     MODE_A1,
     MODE_SYM_MINUS,
     MODE_SYM_PLUS,
+    DLMode,
     DlError,
     DoubleLineParams,
     DoubleLineRatio,
@@ -65,7 +66,6 @@ from doubleline import (
 )
 from doubleline.cli import main as cli_main
 from doubleline.dl import CRITICAL, FINITE, FULL_RANGE
-from doubleline.symmetric import sequence_multipliers
 
 from conftest import deg, star_of
 
@@ -236,12 +236,7 @@ def test_05_motion_closure_and_pair_sums():
         # doubled degree-6 vertex under the alternating sequence
         pat6 = construct_symmetric_dl(3)
         info6 = read_record(pat6)
-        mult = sequence_multipliers(3, "+-+-+-")
-        g6 = np.zeros(len(pat6.creases))
-        for i, (p, m) in enumerate(info6.axes):
-            g6[p], g6[m] = mult.rays_plus[i], mult.rays_minus[i]
-        for i, side in enumerate(info6.sides[0]):
-            g6[side] = mult.sides[i]
+        g6 = pattern_multipliers(pat6, DLMode("+-+-+-", tuple("+-+-+-")))
         motion = sweep_motion(pat6, None, _capped_grid(pat6, g6, 40), multipliers=g6)
         assert max(s.residual for s in motion) < 1e-9
         star6 = VertexStar.from_sectors([math.pi / 3] * 6)

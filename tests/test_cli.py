@@ -16,6 +16,7 @@ from doubleline import (
     DoubleLineParams,
     cli,
     construct_dl,
+    gen_dl_miura,
     gen_dl_yoshimura,
     gen_single_deg4,
     gen_symmetric_vertex,
@@ -473,6 +474,18 @@ def test_malformed_record_is_domain_error(tmp_path, capsysbinary, command, corru
     assert err.count(b"\n") == 1
 
 
+def test_a_file_carrying_the_retired_scales_entry_loads_and_sweeps_as_before(tmp_path, capsysbinary):
+    fresh = gen_dl_miura(2, 2, math.radians(60), math.pi / 2)
+    doc = json.loads(save_fold(fresh))
+    doc["doubleline:network"]["scales"] = [[v, 1.0] for v in read_record(fresh).corners]
+    old, new = tmp_path / "old.fold", tmp_path / "new.fold"
+    old.write_text(json.dumps(doc))
+    new.write_bytes(save_fold(fresh))
+    assert read_record(load_fold(old.read_bytes())) == read_record(fresh)
+    code, out, err = run(capsysbinary, "sweep", str(old), "--samples", "7")
+    assert (code, err) == (0, b"") and out == run(capsysbinary, "sweep", str(new), "--samples", "7")[1]
+
+
 @pytest.mark.parametrize("argv", [("sweep", "--samples", "5", "--t-max", "1"), ("fold", "--t", "0.5", "--format", "csv")],
                          ids=("sweep", "fold-csv"))
 def test_motion_csv_refuses_samples_that_do_not_close(tmp_path, capsysbinary, argv):
@@ -760,7 +773,7 @@ def test_doubled_degree6_vertex_takes_a_sign_sequence_and_folds(tmp_path, capsys
     code, err, doubled = _doubled_symmetric(tmp_path, capsysbinary)
     assert (code, err) == (0, b"")
     rec = read_record(load_fold(doubled.read_bytes()))
-    assert rec.signs == {0: "+-+-+-"} and rec.scales == {0: 1.0} and len(rec.multipliers) == 30
+    assert rec.signs == {0: "+-+-+-"} and len(rec.multipliers) == 30
     assert [rec.corner_modes[c].value for c in rec.corners[0]] == ["b", "a"] * 3
 
     code, out, err = run(capsysbinary, "sweep", str(doubled), "--samples", "9")

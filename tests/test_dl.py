@@ -25,7 +25,6 @@ from doubleline import (
     construct_dl,
     corner_coefficients,
     critical_thetas,
-    dl_multipliers,
     double_line_ratio,
     is_flat_foldable_deg4,
     kawasaki_residual,
@@ -388,10 +387,11 @@ def test_even_minor_consistent_with_ratio_solver():
 
 def test_dl_multipliers_closure_and_critical_pole():
     sig = deg(50, 70, 130, 110)
-    dl_multipliers(sig, MODE_A1.signs, deg(95)[0])
+    star = star_of(sig)
+    pattern_multipliers(construct_dl(star, DoubleLineParams(deg(95)[0], (1.0,) * 4)), MODE_A1)
     assert _closes(MODE_A1.signs, sig, deg(95)[0])
-    with pytest.raises(DlError):
-        dl_multipliers(sig, MODE_A1.signs, deg(70)[0])
+    with pytest.raises(DlError, match="^mode a-I has a pole at corner 3: theta 70 deg is critical"):
+        pattern_multipliers(construct_dl(star, DoubleLineParams(deg(70)[0], (1.0,) * 4)), MODE_A1)
 
 
 def test_pattern_multipliers_layout():

@@ -4,7 +4,8 @@ The connector asserts each invariant once, where it is produced: the radii
 LP's rows keep every distance, polygon side and pair separation positive
 and line every shared pair up.  These tests read the finished record and
 check the geometry those rows promise, together with the spanning tree the
-connector walks, and pin the bytes of every network doubled at one θ.
+connector walks, and pin the bytes of every network doubled at one θ and
+the modes and angles of networks whose children solve their own θ.
 """
 import hashlib
 import math
@@ -46,19 +47,35 @@ TREE = [
 # keeps the requested θ, so the digests pin the fixed-θ arithmetic: a change
 # that moves a byte of them must say so by updating this table.
 UNIFORM_DIGESTS = {
-    "miura-2x2-60-90": "2ffd194bfda3f9e54fa4230b3b92d3faad1c10c1cddbfd7502ed71c78353f1f9",
-    "miura-3x3-60-90": "bad96cccb39a7a553e5abfeb70b49c0ed628ac91611dee3190e1c883dcccc37c",
-    "miura-4x4-60-90": "4eb5922dec71cf01f33abb4523d9ad2d6251b6ab39a3effa6c4f70c5f8620aa0",
-    "miura-2x2-70-90": "b8106ec221d7baeff0cec1ae6dd0312773ffa2246d7f5b2dc24f99c7f08246db",
-    "miura-3x3-70-90": "1c1cc6afec615925686d8b43048ff09efbe7adaf9763417fe3554bdde34ebfcf",
-    "miura-4x4-70-90": "fe922ed56cab282faea4aea3fddf16c77f5cb52a0192431130ea7cc47503bba7",
-    "miura-2x2-55-90": "8c5b611d804f0035219f138051db7ad6788b878c23c9ec77b60cffb03df5d50d",
-    "miura-3x3-55-90": "0e9317bea3c836a0739eb0a27055a52b91874d12332fff2e5095051484e2ab20",
-    "miura-4x4-55-90": "7e347c701965778b63d17c6d71c7f90e1e5c98202889dca8151428e72ca97fa9",
-    "miura-2x2-65-80": "811041a9144f89ce2892f18bbe944768a50c4a15c5e360d9a60c240ed28e8e1a",
-    "miura-3x3-65-80": "8821445173556347e98e930ff2722244ac376d75f9be003c61516b9da0f7a3bc",
-    "miura-4x4-65-80": "4eb8b030c1fdc3f1bab62fa36ed9becab1966788214137014729d73959cc391e",
-    "yoshimura-2x4": "d4e4d715b0ba996489ddd002b4287b76287553cb5291e7e2c94aa2e7f5519eff",
+    "miura-2x2-60-90": "f2ed8aaafe899ab424f5c030c3bea395ecc652d4c5a9644b0e605df9c39bb5de",
+    "miura-3x3-60-90": "7c4da02201d310b67b2cc2b74cb834fd66eb68ded74461e71410685b3d4e05b2",
+    "miura-4x4-60-90": "293ebd1cc529f3cabbf4bbd728bd0f667e69f753f563dbf6e223730741052ca4",
+    "miura-2x2-70-90": "f5bb3ae30abd3f0a67ef399622eef26d1abb6006ed65d9d4fe00be559d657f9f",
+    "miura-3x3-70-90": "6f7e2f8027ef8a86cca33269a6949748c5d022b7e339448dc897c6ca851fb9e9",
+    "miura-4x4-70-90": "2128e5ecfae08d38f0c3b255895f336180a9fef02dd974d6f7d9506e534d4c13",
+    "miura-2x2-55-90": "bebda31408e95830040a80d4169c3b7dce5b42f75fa24470e2dacab5657c5681",
+    "miura-3x3-55-90": "92c4c21963b0c6ffd4a7aca900678dea2b48784c727539144c89411556a7bd71",
+    "miura-4x4-55-90": "7e173cb17e764f910c01f6610fb4322cf5e503f844162266be437c701439a6d2",
+    "miura-2x2-65-80": "24c0d880c90279a89f74ad5be12171ad879a344bdefb94ceb56d8ad0a8213810",
+    "miura-3x3-65-80": "068f36ce2206fa17af2f498c61d26b96feddfa6a46e0c2a83faafdab48c8a63e",
+    "miura-4x4-65-80": "549a510039c411baa9d57e04ece15fd42d8be5e9c55d3853c6706d24cab558e6",
+    "yoshimura-2x4": "6adb17337034100f4da8c2b5798133b4cffb91cf11ab960c4a6d9705abcd1e68",
+}
+
+
+# Each vertex's sign string and θ (degrees, rounded to 1e-9) in networks where
+# some child solves its own θ for its parent's pair ratio, which UNIFORM_DIGESTS
+# does not reach.
+SOLVED = {
+    "rowwise-3x2-80": (lambda: rowwise_miura(3, 2, [0.5, 0.7, 0.9, 1.1]), 80,
+                       {4: ("-++-", 80.0), 7: ("-++-", 77.226607514)}),
+    "rowwise-3x3-60": (lambda: rowwise_miura(3, 3, [0.5, 0.65, 0.8, 0.95]), 60,
+                       {5: ("-++-", 60.0), 6: ("-++-", 60.0), 9: ("-++-", 54.602971896), 10: ("-++-", 54.602971896)}),
+    "yoshimura-2x3-1.5-70": (lambda: gen_yoshimura(2, 3, 1.5), 70,
+                             {2: ("-++-", 70.0), 6: ("-++-", 70.0), 7: ("++--", 110.0), 11: ("++--", 110.0)}),
+    "yoshimura-2x4-2.0-110": (lambda: gen_yoshimura(2, 4, 2.0), 110,
+                              {2: ("-++-", 110.0), 6: ("-++-", 110.0), 7: ("++--", 70.0), 10: ("-++-", 110.0),
+                               11: ("++--", 70.0), 15: ("++--", 70.0)}),
 }
 
 
@@ -106,6 +123,14 @@ def test_networks_doubled_at_one_theta_keep_their_bytes(name, make, theta):
     _, dl = doubled(make, theta)
     assert {round(math.degrees(t), 9) for t in read_record(dl).thetas.values()} == {theta}
     assert hashlib.sha256(save_fold(dl)).hexdigest() == UNIFORM_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", SOLVED)
+def test_children_that_solve_their_own_theta_keep_their_modes_and_angles(name):
+    make, theta, want = SOLVED[name]
+    rec = read_record(doubled(make, theta)[1])
+    assert {v: (rec.signs[v], round(math.degrees(t), 9)) for v, t in rec.thetas.items()} == want
+    assert {t for _, t in want.values()} != {theta}
 
 
 @pytest.mark.parametrize("pattern", [

@@ -28,8 +28,9 @@ from doubleline import (
     network_multipliers,
     read_record,
 )
-from doubleline.dl import dl_multipliers, fix_mode, write_mode
+from doubleline.dl import fix_mode, write_mode
 
+import mode_algebra_reference
 import network_reference as ref
 
 
@@ -80,17 +81,18 @@ def test_network_multipliers_equal_the_null_space_of_the_stacked_constraints(dat
 def _written(pattern, record, signs):
     """write_mode's (multipliers, corner branches), or DlError where it refuses."""
     try:
-        rec = read_record(write_mode(pattern, record, signs, record.scales))
+        rec = read_record(write_mode(pattern, record, signs))
     except DlError:
         return DlError
     return np.array(rec.multipliers), dict(rec.corner_modes)
 
 
 def _placed(pattern, record, signs):
-    """The reference placement of the signs at the record's scales, certified by the per-corner fit, or DlError."""
+    """The reference placement of the signs at their matched scales, certified by the per-corner fit, or DlError."""
     try:
-        g = ref._placed(pattern, record, {v: dl_multipliers(record.sectors[v], signs[v], record.thetas[v])
-                                          for v in record.corners}, record.scales)
+        mults = {v: mode_algebra_reference.dl_multipliers(record.sectors[v], signs[v], record.thetas[v])[0]
+                 for v in record.corners}
+        g = ref._placed(pattern, record, mults, ref._matched_scales(pattern, record, mults))
         return g, ref._certify(pattern, record, signs, g)
     except DlError:
         return DlError
@@ -152,7 +154,7 @@ def test_a_corner_its_neighbours_hold_flat_stays_flat(mode):
     # sides of corner 3 flat, which corner 3 moves, so corner 3 stays flat, scale 0, as the SVD finds
     star = VertexStar.from_sectors(np.radians([30, 10, 150, 170]))
     laid = construct_dl(star, DoubleLineParams(math.radians(150), (0.3,) * 4))
-    pattern = write_mode(laid, read_record(laid), {0: "".join(mode.signs)}, {0: 1.0})
+    pattern = write_mode(laid, read_record(laid), {0: "".join(mode.signs)})
     modes = infer_modes(pattern)
     got, want = network_multipliers(pattern, modes), ref.network_multipliers(pattern, modes)
     assert np.max(np.abs(got - want)) <= 1e-12 and np.array_equal(got == 0.0, np.abs(want) <= 1e-12)
@@ -214,7 +216,7 @@ def test_a_polygon_side_off_its_branch_is_refused_by_its_own_id():
     rec = read_record(pattern)
     side = r"^polygon side \d+ disagrees: corner \d+ folds it at \S+ and corner \d+ at \S+$"
     with pytest.raises(DlError, match=side) as err:
-        write_mode(pattern, rec, {0: "--+-"}, {0: 1.0})  # a-I with corner 1 flipped
+        write_mode(pattern, rec, {0: "--+-"})  # a-I with corner 1 flipped
     assert int(str(err.value).split()[2]) in rec.sides[0]
     a, b = (float(x.split()[0]) for x in str(err.value).split(" at ")[-2:])
     assert abs(a - b) > 1e-2 * max(abs(a), abs(b))

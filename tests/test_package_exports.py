@@ -8,9 +8,10 @@ import pytest
 
 import doubleline
 
-# The names `import doubleline` exported when its __init__ imported every module.
+# The names `import doubleline` exported when its __init__ imported every module,
+# less the doubled-vertex multiplier engine (DLMultipliers, dl_multipliers) removed since.
 EXPORTS = (
-    "ALL_MODES", "Crease", "CreasePattern", "DLMode", "DLMultipliers", "DLRecord", "DlError",
+    "ALL_MODES", "Crease", "CreasePattern", "DLMode", "DLRecord", "DlError",
     "DoubleLineParams", "DoubleLineRatio", "Fold3dError", "FoldMode", "FoldedState",
     "GENERIC_MODES", "KinematicsError", "MODE_A1", "MODE_A2", "MODE_B1", "MODE_B2",
     "MODE_SYM_MINUS", "MODE_SYM_PLUS", "MotionSample", "PanelSolid",
@@ -19,7 +20,7 @@ EXPORTS = (
     "branch_multipliers", "classify_theta", "clearance_check", "clearance_records",
     "connect_dl", "construct_dl", "construct_symmetric_dl",
     "corner_coefficients", "count_modes", "crease_half_widths",
-    "critical_thetas", "dl_multipliers", "double_line_ratio", "enumerate_mode_sequences",
+    "critical_thetas", "double_line_ratio", "enumerate_mode_sequences",
     "export_clearance_csv", "export_obj", "export_solids_obj",
     "flat_fold_parameter", "gen_dl_miura", "gen_dl_yoshimura", "gen_miura",
     "gen_single_deg4", "gen_symmetric_vertex", "gen_yoshimura", "get_extra", "infer_modes",

@@ -102,7 +102,7 @@ def test_callers_cannot_corrupt_what_is_kept(case):
     assert crease_half_widths(pat) == want
     rec = read_record(pat)
     if rec is not None:
-        for name in ("corners", "sides", "thetas", "sectors", "radii", "signs", "scales", "corner_modes"):
+        for name in ("corners", "sides", "thetas", "sectors", "radii", "signs", "corner_modes"):
             if getattr(rec, name) is not None:
                 with pytest.raises(TypeError):
                     getattr(rec, name)[-1] = ()

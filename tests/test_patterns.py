@@ -1,5 +1,6 @@
 """Network generators and the doubling connector."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -219,6 +220,24 @@ def test_dl_yoshimura_loops_off_90_are_refused_by_crease(rows, cols, crease):
         gen_dl_yoshimura(rows, cols, 1.5, deg(80)[0])
     a, b = (float(x.split()[0]) for x in str(err.value).split(" at ")[-2:])
     assert abs(a - b) > 1e-2
+
+
+def test_a_distance_the_alignment_forces_to_zero_is_refused_by_the_margin_and_its_row():
+    # doubled Miura 3x3 at 30 deg: the shared pairs line up only with a distance of vertex 5 at 0
+    with pytest.raises(DlError, match=r"^no workable polygon distances for these rotation angles: best margin \S+, "
+                                      r"bound by the distance of vertex 5 on axis 0$") as err:
+        gen_dl_miura(3, 3, deg(60)[0], deg(30)[0])
+    assert abs(float(re.search(r"margin (\S+),", str(err.value)).group(1))) <= 1e-6
+
+
+def test_alignment_equations_without_a_solution_are_refused_by_their_residual(monkeypatch):
+    # offsets that add up a vertex's distances: Miura 2x3's one shared pair then asks both vertices' 8 distances
+    # to sum to 0 and the program asks them to sum to 8, so least squares leaves 8/3 on each alignment row and
+    # 16/3 on the sum
+    monkeypatch.setattr(patterns, "axis_offsets", lambda sectors, radii, theta: ((sum(radii),) * 2,) * 4)
+    with pytest.raises(DlError, match=r"^no workable polygon distances for these rotation angles: "
+                                      r"alignment residual 5\.33333$"):
+        connect_dl(gen_miura(2, 3, deg(60)[0]), math.pi / 2)
 
 
 def test_the_doubled_build_runs_no_network_solve(monkeypatch):

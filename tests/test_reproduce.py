@@ -14,8 +14,8 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce.sh"
 
 DIGESTS = {
     "single.fold": "686d591bf1d699771d82886f8acbea1246cac9a06b8f5c77b6cfe704aa4b26a3",
-    "dl_miura.fold": "bad96cccb39a7a553e5abfeb70b49c0ed628ac91611dee3190e1c883dcccc37c",
-    "dl_single.fold": "fead5d83a104e05b73fe5eb2f5d2942d0b2bbb8c7c8c7af8195fb94235b764a3",
+    "dl_miura.fold": "7c4da02201d310b67b2cc2b74cb834fd66eb68ded74461e71410685b3d4e05b2",
+    "dl_single.fold": "838c6a98437ce63521677d3025f4e00ae40456e28308f6ef4a01608eafb55a37",
     "regimes.csv": "ab016089fc2c29a3125a39ec45a3aa10734ef4e5fabd1dee6418367cc4dfa8ff",
     "motion.csv": "6dca73f1301418cdb0c76b3db994f926dad83b72ecdd45d5da74c821353a816e",
     "state.obj": "a3ec9846cfbbb3162f51a38e2bbd862f4b91eeea241e339c7727aa0f1980e2e8",

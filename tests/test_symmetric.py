@@ -4,12 +4,14 @@ import math
 import pytest
 
 from doubleline import (
+    DLMode,
     DlError,
     VertexStar,
     construct_symmetric_dl,
     count_modes,
     enumerate_mode_sequences,
     is_flat_foldable_deg4,
+    pattern_multipliers,
     quarter_angle_coefficient,
     read_record,
     symmetric_fold_relation,
@@ -17,7 +19,7 @@ from doubleline import (
     vertex_star,
 )
 from doubleline.dl import _closes
-from doubleline.symmetric import canonical_sequence, sequence_multipliers
+from doubleline.symmetric import canonical_sequence
 
 SQ3 = math.sqrt(3.0)
 
@@ -102,16 +104,18 @@ def test_canonical_sequence_rotation_invariant():
 
 
 def test_sequence_multipliers_alternating():
-    mult = sequence_multipliers(3, "+-+-+-")
+    pat = construct_symmetric_dl(3)
+    axes = read_record(pat).axes
+    mult = pattern_multipliers(pat, DLMode("+-+-+-", tuple("+-+-+-")))
     assert _closes(tuple("+-+-+-"), [math.pi / 3] * 6, math.pi / 2)
     mags = {1.0, 2 - SQ3}
-    for plus, minus in zip(mult.rays_plus, mult.rays_minus):
+    for plus, minus in axes:
         # each doubled pair is even: the two rays share one magnitude
-        assert abs(abs(plus) - abs(minus)) < 1e-12
-        assert any(abs(abs(plus) - m) < 1e-12 for m in mags)
-    other = sequence_multipliers(3, "+++---")
+        assert abs(abs(mult[plus]) - abs(mult[minus])) < 1e-12
+        assert any(abs(abs(mult[plus]) - m) < 1e-12 for m in mags)
+    other = pattern_multipliers(pat, DLMode("+++---", tuple("+++---")))
     assert any(
-        abs(a - b) > 1e-9 for a, b in zip(mult.rays_plus, other.rays_plus)
+        abs(mult[plus] - other[plus]) > 1e-9 for plus, _ in axes
     )
     with pytest.raises(DlError):
-        sequence_multipliers(3, "+-")
+        pattern_multipliers(pat, DLMode("+-", tuple("+-")))
