@@ -509,7 +509,7 @@ def assign_mode_mv(pattern: CreasePattern, multipliers: np.ndarray) -> CreasePat
         else:
             new.append(Crease(c.v0, c.v1, "U", c.fold_angle))
     # labels change no input of CreasePattern.validate: B stays B, others stay non-B
-    return replace(pattern, creases=tuple(new))
+    return pattern._copy(creases=tuple(new))
 
 
 # -- axis sums, regimes, ratios ----------------------------------------------

@@ -215,13 +215,12 @@ def _closure_defects(stars: Sequence[VertexStar] | _StarTable, angles: np.ndarra
     """
     table = stars if isinstance(stars, _StarTable) else _star_table(stars)
     out = np.empty((len(angles), table.size, 9))
-    eye = np.eye(3)
     for ks, creases, rz in table.groups:
         rx = _plane_rotations(angles[:, creases], 1, 2)
-        a = np.broadcast_to(eye, (len(angles), len(ks), 3, 3))
-        for j in range(creases.shape[1]):
+        a = rx[:, :, 0] @ rz[:, 0]
+        for j in range(1, creases.shape[1]):
             a = a @ rx[:, :, j] @ rz[:, j]
-        out[:, ks] = (a - eye).reshape(len(angles), len(ks), 9)
+        out[:, ks] = (a - np.eye(3)).reshape(len(angles), len(ks), 9)
     return out
 
 
@@ -356,7 +355,7 @@ def solve_fold_angles(
         h = 1e-7
         for _ in range(NEWTON_MAX_ITER):
             r, jac = _defects_and_jacobian(table, free, colouring, x, h)
-            if float(np.max(np.abs(r))) < tol:
+            if float(np.abs(r).max()) < tol:
                 return x, jac
             # the stacked probes leave x untouched, where perturbing one crease
             # at a time and taking h back off leaves (x + h) - h, which can
@@ -369,7 +368,7 @@ def solve_fold_angles(
                     f"singular Jacobian at driver {driver:.6f} rad "
                     f"(condition number {sv[0] / max(sv[-1], 1e-300):.3e})"
                 )
-            step = float(np.max(np.abs(delta)))
+            step = float(np.abs(delta).max())
             if step > 1.0:  # keep Newton in the basin
                 delta *= 1.0 / step
             x[free] += delta
@@ -447,13 +446,12 @@ def _defects_and_jacobian(
     gives exact zeros, the (r - r) / h of a probe of that crease alone.
     """
     colour, star, column = colouring
-    n_colours = int(colour.max(initial=-1)) + 1
-    probes = np.repeat(x[None], 1 + n_colours, axis=0)
+    probes = np.repeat(x[None], 2 + int(colour.max(initial=-1)), axis=0)
     probes[1 + colour, free] += h
     d = _closure_defects(stars, probes)
     jac = np.zeros((d.shape[1], 9, len(free)))
-    jac[star, :, column] = (d[1 + colour[column], star] - d[0, star]) / h
-    return d[0].ravel(), jac.reshape(d.shape[1] * 9, len(free))
+    jac[star, :, column] = ((d[1:] - d[0]) / h)[colour[column], star]
+    return d[0].ravel(), jac.reshape(-1, len(free))
 
 
 def export_obj(state: FoldedState) -> str:

@@ -9,7 +9,6 @@ radians everywhere inside the package; degrees appear only in the file.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from typing import Any
@@ -43,7 +42,7 @@ def set_extra(pattern: CreasePattern, key: str, obj: Any) -> CreasePattern:
     """Return a copy of the pattern with one foreign document key attached."""
     extras = dict(pattern.extras)
     extras[key] = _canon_json(obj)
-    return dataclasses.replace(pattern, extras=tuple(sorted(extras.items())))
+    return pattern._copy(extras=tuple(sorted(extras.items())))
 
 
 def get_extra(pattern: CreasePattern, key: str) -> Any | None:

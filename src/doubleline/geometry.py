@@ -123,8 +123,11 @@ def triangulate(poly) -> list[tuple[int, int, int]]:
     return tris
 
 
-def polygon_area(points: np.ndarray) -> float:
-    """Signed area (positive for counterclockwise winding)."""
-    pts = np.asarray(points, dtype=float)
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def polygon_area(points) -> float:
+    """Signed area of (x, y) points, positive for counterclockwise winding: the shoelace sum."""
+    total = 0.0
+    x0, y0 = points[-1]
+    for x1, y1 in points:
+        total += x0 * y1 - x1 * y0
+        x0, y0 = x1, y1
+    return 0.5 * float(total)

@@ -22,6 +22,11 @@ GEOMETRY_TOL = 1e-9  # shortest crease length; slack on angle bounds and sector 
 
 T = TypeVar("T")
 _MEMO = "_per_pattern"  # the instance attribute holding per_pattern results
+# Cached tables of the embedding alone (vertices and crease endpoints), and
+# those that read the faces too; CreasePattern._copy shares them.
+_EMBEDDING = ("vertices_array", "incident", "_ccw_creases", "_walks",
+              "boundary_vertices", "interior_vertices", "_stars", "interior_stars")
+_FACE_TABLES = ("face_creases", "crease_faces", "face_tree")
 
 
 class PatternError(ValueError):
@@ -32,10 +37,11 @@ def per_pattern(fn: Callable[["CreasePattern"], T]) -> Callable[["CreasePattern"
     """A function of the pattern alone, run once per pattern instance.
 
     The result is kept on the instance, as the cached properties are: the
-    pattern is immutable, and the copies ``dataclasses.replace`` makes
-    (``set_extra``, ``write_record``) start with no cache, as do pickled
-    and copied patterns.  A call that raises keeps nothing, so it raises
-    again on the next call.  Callers share the result, so it must be
+    pattern is immutable.  Every copy starts with none of these results:
+    the ones ``set_extra``, ``write_record`` and ``fix_mode`` make, which
+    share only the embedding's tables (``CreasePattern._copy``), and
+    pickled and copied patterns.  A call that raises keeps nothing, so it
+    raises again on the next call.  Callers share the result, so it must be
     immutable or read-only.
     """
     key = f"{fn.__module__}.{fn.__qualname__}"
@@ -109,7 +115,9 @@ class CreasePattern:
 
     Construct through :meth:`build`, which checks each crease, extracts
     faces from the planar embedding when they are not supplied, then checks
-    the creases together and against the faces.
+    the creases together and against the faces.  The embedding is walked
+    once: the copies that keep the vertices and crease endpoints (build's
+    own, ``set_extra``'s and ``fix_mode``'s relabel) share its tables.
     """
 
     vertices: tuple[tuple[float, float], ...]
@@ -147,7 +155,7 @@ class CreasePattern:
                 raise PatternError(f"crease {i} fold angle outside [-pi, pi]")
         if faces is None:
             faces = pat._walks[0]
-        pat = replace(pat, faces=tuple(_canon_cycle(f) for f in faces))
+        pat = pat._copy(faces=tuple(_canon_cycle(f) for f in faces))
 
         # Planarity: creases may meet only at shared endpoints.
         for i in range(len(cr)):
@@ -171,6 +179,18 @@ class CreasePattern:
             if got != want:
                 raise PatternError(f"crease {ci} ({c.assignment}) borders {got} faces, expected {want}")
         return pat
+
+    def _copy(self, **changes) -> "CreasePattern":
+        """``dataclasses.replace`` for changes that keep the vertices and every crease's endpoints.
+
+        The copy shares the embedding's tables computed so far, and the face
+        tables too where the faces are equal; its per_pattern results and
+        interior_creases, which reads the labels, start empty.
+        """
+        new = replace(self, **changes)
+        keep = _EMBEDDING + (_FACE_TABLES if new.faces == self.faces else ())
+        new.__dict__.update({k: self.__dict__[k] for k in keep if k in self.__dict__})
+        return new
 
     def __getstate__(self) -> dict:
         # read-only per_pattern results (mapping proxies) do not pickle; a copy recomputes them
@@ -246,7 +266,7 @@ class CreasePattern:
                 cur = nxt[cur]
             k = cycle.index(min(cycle))
             cycle, sides = tuple(cycle[k:] + cycle[:k]), tuple(sides[k:] + sides[:k])
-            if polygon_area(self.vertices_array[list(cycle)]) > 0:
+            if polygon_area([self.vertices[v] for v in cycle]) > 0:
                 faces[cycle] = sides
             else:
                 outer.append(cycle)

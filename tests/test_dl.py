@@ -1,6 +1,7 @@
 """Doubled-pattern construction, corner coefficients, and theta regimes."""
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,8 @@ from doubleline import (
     vertex_star,
 )
 from doubleline.dl import _closes, _mode_pairs, fix_mode
+from doubleline.geometry import SEGMENT_EPS
+from doubleline.pattern import CreasePattern
 
 from conftest import deg, star_of
 
@@ -419,3 +422,40 @@ def test_mode_from_label_round_trip():
         assert mode_from_label(m.label) is m
     with pytest.raises(DlError):
         mode_from_label("c-IV")
+
+
+def test_a_near_straight_sector_meets_the_planarity_tolerance(monkeypatch):
+    """A star with a sector 5.3e-6 short of pi is refused, though no two of its creases cross.
+
+    Every doubled pair separates, but the near-straight sector puts the
+    polygon's far corner about 2.5e5 from the vertex and the boundary about
+    1e6 out, where a ray's end and a boundary corner land 5.3e-7 apart: too
+    far for the layout to merge them (1e-7) and shorter than
+    segments_intersect's tolerance at that span (SEGMENT_EPS times 1e6), so
+    that boundary crease counts as touching the creases along it.  In exact
+    arithmetic no two creases without a shared end cross or touch.
+    """
+    sectors = (2.257876, 0.883722, 2.0 * math.pi - 2.257876 - 0.883722)
+    theta, radii = 0.393494, (1.63381, 0.94895, 1.83827)
+    assert all(plus - minus > 0.6 for plus, minus in axis_offsets(sectors, radii, theta))
+    built = []
+    build = CreasePattern.build
+    monkeypatch.setattr(CreasePattern, "build", lambda *args, **kw: built.append(args) or build(*args, **kw))
+    with pytest.raises(DlError, match=r"^degenerate double-line geometry: creases 0 and 13 cross: non-planar "
+                                      r"embedding$"):
+        construct_dl(VertexStar.from_sectors(sectors), DoubleLineParams(theta, radii))
+    ((verts, creases),) = built
+
+    def orient(p, q, r):
+        (px, py), (qx, qy), (rx, ry) = ((Fraction(x), Fraction(y)) for x, y in (p, q, r))
+        return (qx - px) * (ry - py) - (qy - py) * (rx - px)
+
+    for a, b in itertools.combinations(creases, 2):
+        if {a.v0, a.v1} & {b.v0, b.v1}:
+            continue
+        p, q, r, s = (verts[v] for v in (a.v0, a.v1, b.v0, b.v1))
+        d = orient(p, q, r), orient(p, q, s), orient(r, s, p), orient(r, s, q)
+        assert 0 not in d and not (d[0] * d[1] < 0 and d[2] * d[3] < 0)
+    short = creases[13]
+    length, reach = math.dist(verts[short.v0], verts[short.v1]), max(math.hypot(*p) for p in verts)
+    assert 1e-7 < length < SEGMENT_EPS * reach and reach > 9e5

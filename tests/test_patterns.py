@@ -10,7 +10,9 @@ from doubleline import (
     Crease,
     CreasePattern,
     DlError,
+    FoldMode,
     VertexNetwork,
+    VertexStar,
     assign_mode_mv,
     connect_dl,
     gen_dl_miura,
@@ -305,3 +307,23 @@ def test_maximize_agrees_with_highs_on_degenerate_programs(seed):
 def test_maximize_reports_an_unbounded_program():
     # x >= 0, maximize x0 + x1
     assert patterns._maximize(-np.eye(2), np.zeros(2), np.ones(2), np.zeros(2)) is None
+
+
+def test_solve_child_refuses_a_pair_no_branch_matches(monkeypatch):
+    """No mode of the family gives the target pair, at the requested theta nor at a solved one.
+
+    The refusal names the vertex and the last cause: the mode table that
+    cannot reach the ratio, a critical theta, or a solved theta whose pair
+    still misses the target.
+    """
+    star = VertexStar.from_sectors(deg(60, 80, 120, 100))
+    dv = patterns._DlVertex(7, star, deg(0, 60, 140, 260))
+    head = "no folding branch of vertex 7 matches the shared pair: "
+    with pytest.raises(DlError, match=f"^{head}a major axis cannot reach ratio 1:1 or 1:-1$"):
+        patterns._solve_child(dv, 0, (1.0, 1.0), math.pi / 2, FoldMode.A)
+    with pytest.raises(DlError, match=f"^{head}theta 60 deg is critical for mode a-II on vertex 7$"):
+        patterns._solve_child(dv, 0, (0.0, 1.0), math.pi / 2, FoldMode.A)
+    # a solver that hands back the requested theta leaves the pair unmatched
+    monkeypatch.setattr(patterns, "theta_for_ratio", lambda mode, cls, alpha, beta, ratio: math.pi / 2)
+    with pytest.raises(DlError, match=f"^{head}pair ratio mismatch on vertex 7 in mode a-II$"):
+        patterns._solve_child(dv, 0, (1.0, 1.0), math.pi / 2, FoldMode.A)
